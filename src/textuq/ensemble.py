@@ -37,6 +37,12 @@ class EnsembleConfig:
     def validate(self) -> None:
         if self.members < 1:
             raise ValueError("members must be >= 1")
+        if self.hidden_units < 1:
+            raise ValueError("hidden_units must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.learning_rate < 0.0:
+            raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm)")
         if not 0.0 <= self.adv_weight <= 1.0:
@@ -116,8 +122,34 @@ def init_mlp(
     )
 
 
-def _forward_cached(p: MlpParams, xs: np.ndarray, stats: list | None):
-    """Forward pass keeping intermediates.
+class _Activations:
+    """Buffers of one forward pass at a fixed batch size, kept for the
+    backward passes. The next forward pass through the same object
+    overwrites them, so repeated training steps allocate no batch-sized
+    arrays."""
+
+    def __init__(self, rows: int, p: MlpParams):
+        shape = (rows, p.weights[0].shape[1])
+        self.x = None  # the network input of the last forward pass
+        self.from_batch = False
+        self.zc = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # z - mean
+        self.xhat = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]
+        self.h = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # block outputs
+        self.mask = [np.empty(shape, dtype=bool) for _ in range(N_HIDDEN_BLOCKS)]
+        self.mu = [None] * N_HIDDEN_BLOCKS
+        self.var = [None] * N_HIDDEN_BLOCKS
+        self.inv_std = [None] * N_HIDDEN_BLOCKS
+        self.logits = np.empty((rows, p.num_classes))
+        # backward scratch
+        self.dh = np.empty(shape)
+        self.dz = np.empty(shape)
+        self.tmp = np.empty(shape)
+        self.dx = np.empty((rows, p.dim))
+
+
+def _forward_cached(p: MlpParams, xs: np.ndarray, stats: list | None,
+                    acts: _Activations | None = None):
+    """Forward pass keeping intermediates in ``acts`` (fresh when None).
 
     ``stats`` is a list of (mean, var) per block for frozen-statistics mode,
     or None to compute batch statistics (training mode).
@@ -125,43 +157,47 @@ def _forward_cached(p: MlpParams, xs: np.ndarray, stats: list | None):
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != p.dim:
         raise DimensionMismatch(f"inputs {xs.shape} vs network input dim {p.dim}")
+    if acts is None:
+        acts = _Activations(xs.shape[0], p)
+    acts.x = xs
+    acts.from_batch = stats is None
     h = xs
-    cache = {"x": xs, "blocks": []}
     for i in range(N_HIDDEN_BLOCKS):
-        z = h @ p.weights[i] + p.biases[i]
+        zc = np.matmul(h, p.weights[i], out=acts.zc[i])
+        zc += p.biases[i]
         if stats is None:
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
-            from_batch = True
+            mu = zc.mean(axis=0)
+            zc -= mu
+            var = np.square(zc, out=acts.xhat[i]).sum(axis=0) / xs.shape[0]
         else:
             mu, var = stats[i]
-            from_batch = False
+            zc -= mu
         inv_std = 1.0 / np.sqrt(var + p.bn_epsilon)
-        xhat = (z - mu) * inv_std
-        bn = p.bn_scale[i] * xhat + p.bn_shift[i]
-        out = np.maximum(bn, 0.0)
-        cache["blocks"].append(
-            {"h_in": h, "z": z, "mu": mu, "var": var, "inv_std": inv_std,
-             "xhat": xhat, "mask": bn > 0.0, "from_batch": from_batch}
-        )
-        h = out
-    logits = h @ p.weights[-1] + p.biases[-1]
-    cache["h_last"] = h
-    return logits, cache
+        xhat = np.multiply(zc, inv_std, out=acts.xhat[i])
+        bn = np.multiply(xhat, p.bn_scale[i], out=acts.h[i])
+        bn += p.bn_shift[i]
+        np.greater(bn, 0.0, out=acts.mask[i])
+        h = np.maximum(bn, 0.0, out=bn)
+        acts.mu[i], acts.var[i], acts.inv_std[i] = mu, var, inv_std
+    logits = np.matmul(h, p.weights[-1], out=acts.logits)
+    logits += p.biases[-1]
+    return logits, acts
+
+
+def _mode_stats(p: MlpParams, xs: np.ndarray, mode: str) -> list | None:
+    """Normalization statistics for a mode: None (batch) or the running ones."""
+    if mode == "train":
+        if np.asarray(xs).shape[0] < 2:
+            raise BatchTooSmall("train mode needs a batch of at least 2")
+        return None
+    if mode == "eval":
+        return list(zip(p.bn_running_mean, p.bn_running_var))
+    raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
 def mlp_forward(p: MlpParams, xs: np.ndarray, mode: str) -> np.ndarray:
     """Logits for a batch; 'train' uses batch statistics, 'eval' running ones."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if mode == "train":
-        if xs.shape[0] < 2:
-            raise BatchTooSmall("train mode needs a batch of at least 2")
-        logits, _ = _forward_cached(p, xs, None)
-    elif mode == "eval":
-        stats = list(zip(p.bn_running_mean, p.bn_running_var))
-        logits, _ = _forward_cached(p, xs, stats)
-    else:
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    logits, _ = _forward_cached(p, xs, _mode_stats(p, xs, mode))
     return logits
 
 
@@ -182,56 +218,67 @@ def _ce_loss_and_dlogits(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits / b
 
 
-def _backward(p: MlpParams, cache: dict, dlogits: np.ndarray):
-    """Gradients of the cached forward pass; batch-stat blocks get the full
-    batch-norm backward, frozen-stat blocks treat mean/var as constants."""
-    grads: dict[str, np.ndarray] = {}
-    h_last = cache["h_last"]
-    grads[f"w{N_HIDDEN_BLOCKS}"] = h_last.T @ dlogits
-    grads[f"b{N_HIDDEN_BLOCKS}"] = dlogits.sum(axis=0)
-    dh = dlogits @ p.weights[-1].T
+def _backward(p: MlpParams, acts: _Activations, dlogits: np.ndarray,
+              grads: dict | None = None, need_dx: bool = True):
+    """Parameter gradients of the forward pass held in ``acts``, written into
+    ``grads`` (allocated when None). Batch-stat blocks get the full
+    batch-norm backward, frozen-stat blocks treat mean/var as constants.
+
+    Returns the gradients and, when ``need_dx``, the gradient wrt the
+    network input (None otherwise).
+    """
+    if grads is None:
+        grads = {k: np.empty_like(v) for k, v in p.trainable().items()}
+    top = N_HIDDEN_BLOCKS
+    np.matmul(acts.h[-1].T, dlogits, out=grads[f"w{top}"])
+    dlogits.sum(axis=0, out=grads[f"b{top}"])
+    dh = np.matmul(dlogits, p.weights[-1].T, out=acts.dh)
+    b = dlogits.shape[0]
+    for i in range(top - 1, -1, -1):
+        dbn = np.multiply(dh, acts.mask[i], out=dh)
+        np.multiply(dbn, acts.xhat[i], out=acts.tmp).sum(axis=0, out=grads[f"gamma{i}"])
+        dbn.sum(axis=0, out=grads[f"beta{i}"])
+        dxhat = np.multiply(dbn, p.bn_scale[i], out=dbn)
+        inv_std = acts.inv_std[i]
+        dz = np.multiply(dxhat, inv_std, out=acts.dz)
+        if acts.from_batch:
+            # dz = dxhat * inv_std + dvar * 2 * zc / b + dmu / b, in place
+            # but in this operation order, so the bits match the formula
+            zc = acts.zc[i]
+            dvar = np.multiply(dxhat, zc, out=acts.tmp).sum(axis=0) * (-0.5) * inv_std ** 3
+            dmu = (-np.sum(dxhat, axis=0) * inv_std
+                   + dvar * np.multiply(-2.0, zc, out=acts.tmp).mean(axis=0))
+            tmp = np.multiply(dvar * 2.0, zc, out=acts.tmp)
+            tmp /= b
+            dz += tmp
+            dz += dmu / b
+        np.matmul((acts.h[i - 1] if i else acts.x).T, dz, out=grads[f"w{i}"])
+        dz.sum(axis=0, out=grads[f"b{i}"])
+        if i:
+            dh = np.matmul(dz, p.weights[i].T, out=acts.dh)
+    dx = np.matmul(dz, p.weights[0].T, out=acts.dx) if need_dx else None
+    return grads, dx
+
+
+def _input_backward(p: MlpParams, acts: _Activations, dlogits: np.ndarray) -> np.ndarray:
+    """Gradient wrt the network input of the forward pass held in ``acts``,
+    with its normalization statistics held constant; builds no parameter
+    gradients."""
+    dh = np.matmul(dlogits, p.weights[-1].T, out=acts.dh)
     for i in range(N_HIDDEN_BLOCKS - 1, -1, -1):
-        blk = cache["blocks"][i]
-        dbn = dh * blk["mask"]
-        grads[f"gamma{i}"] = (dbn * blk["xhat"]).sum(axis=0)
-        grads[f"beta{i}"] = dbn.sum(axis=0)
-        dxhat = dbn * p.bn_scale[i]
-        if blk["from_batch"]:
-            b = dxhat.shape[0]
-            zc = blk["z"] - blk["mu"]
-            dvar = np.sum(dxhat * zc, axis=0) * (-0.5) * blk["inv_std"] ** 3
-            dmu = -np.sum(dxhat, axis=0) * blk["inv_std"] + dvar * np.mean(-2.0 * zc, axis=0)
-            dz = dxhat * blk["inv_std"] + dvar * 2.0 * zc / b + dmu / b
-        else:
-            dz = dxhat * blk["inv_std"]
-        grads[f"w{i}"] = blk["h_in"].T @ dz
-        grads[f"b{i}"] = dz.sum(axis=0)
-        dh = dz @ p.weights[i].T
-    return grads, dh  # dh is now the gradient wrt the network input
+        dh *= acts.mask[i]
+        dh *= p.bn_scale[i]
+        dz = np.multiply(dh, acts.inv_std[i], out=acts.dz)
+        dh = np.matmul(dz, p.weights[i].T, out=acts.dh if i else acts.dx)
+    return dh
 
 
 def loss_and_grads(p: MlpParams, xs: np.ndarray, labels: np.ndarray, mode: str):
-    """Cross-entropy loss plus parameter gradients (used by tests and fitting)."""
-    if mode == "train":
-        if np.asarray(xs).shape[0] < 2:
-            raise BatchTooSmall("train mode needs a batch of at least 2")
-        logits, cache = _forward_cached(p, xs, None)
-    elif mode == "eval":
-        stats = list(zip(p.bn_running_mean, p.bn_running_var))
-        logits, cache = _forward_cached(p, xs, stats)
-    else:
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    """Cross-entropy loss, parameter gradients and the input gradient."""
+    logits, acts = _forward_cached(p, xs, _mode_stats(p, xs, mode))
     loss, dlogits = _ce_loss_and_dlogits(logits, np.asarray(labels))
-    grads, dx = _backward(p, cache, dlogits)
+    grads, dx = _backward(p, acts, dlogits)
     return loss, grads, dx
-
-
-def _input_gradient(p: MlpParams, xs: np.ndarray, labels: np.ndarray, stats: list):
-    """Gradient of the mean CE wrt the inputs, with frozen normalization stats."""
-    logits, cache = _forward_cached(p, xs, stats)
-    _, dlogits = _ce_loss_and_dlogits(logits, np.asarray(labels))
-    _, dx = _backward(p, cache, dlogits)
-    return dx
 
 
 def fgsm_perturb(
@@ -253,8 +300,9 @@ def fgsm_perturb(
         feature_scale = np.ones_like(x)
     if eps == 0.0:
         return x.copy()
-    stats = list(zip(p.bn_running_mean, p.bn_running_var))
-    dx = _input_gradient(p, x[None, :], np.array([y]), stats)[0]
+    logits, acts = _forward_cached(p, x[None, :], _mode_stats(p, x, "eval"))
+    _, dlogits = _ce_loss_and_dlogits(logits, np.array([y]))
+    dx = _input_backward(p, acts, dlogits)[0]
     return x + eps * feature_scale * np.sign(dx)
 
 
@@ -278,8 +326,9 @@ def fit_member(
 ) -> tuple[MlpParams, list[MemberTrace]]:
     """Train one member: Adam on 1/2 clean CE + 1/2 CE on FGSM-perturbed inputs.
 
-    Adversarial examples are built with the clean batch's normalization
-    statistics frozen; running stats are updated from the clean pass only.
+    Adversarial examples are built from the clean pass with its batch
+    normalization statistics frozen; running stats are updated from the
+    clean pass only.
     Deterministic for fixed (data, config, seed).
     """
     cfg.validate()
@@ -297,8 +346,12 @@ def fit_member(
 
     m_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
     v_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
+    grads_clean = {k: np.empty_like(v) for k, v in p.trainable().items()}
+    grads_adv = {k: np.empty_like(v) for k, v in p.trainable().items()}
+    buffers = {}  # batch size -> (activations, adversarial inputs)
     b1, b2, eps_a, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
-    mom = cfg.bn_momentum
+    mom, w = cfg.bn_momentum, cfg.adv_weight
+    fgsm_step = cfg.fgsm_epsilon * feature_scale
     trace: list[MemberTrace] = []
     step = 0
     t = 0
@@ -308,36 +361,55 @@ def fit_member(
             idx = perm[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue  # batch norm cannot normalize a single example
+            if idx.size not in buffers:
+                buffers[idx.size] = (_Activations(idx.size, p), np.empty((idx.size, d)))
+            acts, x_adv = buffers[idx.size]
             xb, yb = features[idx], labels[idx]
 
-            logits, cache = _forward_cached(p, xb, None)
+            logits, _ = _forward_cached(p, xb, None, acts)
             loss_clean, dlogits = _ce_loss_and_dlogits(logits, yb)
-            grads_clean, _ = _backward(p, cache, dlogits)
-            batch_stats = [(blk["mu"], blk["var"]) for blk in cache["blocks"]]
+            _backward(p, acts, dlogits, grads_clean, need_dx=False)
             for i in range(N_HIDDEN_BLOCKS):
-                p.bn_running_mean[i] = mom * p.bn_running_mean[i] + (1 - mom) * batch_stats[i][0]
-                p.bn_running_var[i] = mom * p.bn_running_var[i] + (1 - mom) * batch_stats[i][1]
+                p.bn_running_mean[i] = mom * p.bn_running_mean[i] + (1 - mom) * acts.mu[i]
+                p.bn_running_var[i] = mom * p.bn_running_var[i] + (1 - mom) * acts.var[i]
 
-            dxb = _input_gradient(p, xb, yb, batch_stats)
-            x_adv = xb + cfg.fgsm_epsilon * feature_scale * np.sign(dxb)
-            logits_a, cache_a = _forward_cached(p, x_adv, None)
+            # x_adv = xb + eps * scale * sign(dCE/dxb), the gradient taken
+            # through the clean pass with its batch statistics held constant
+            np.sign(_input_backward(p, acts, dlogits), out=x_adv)
+            x_adv *= fgsm_step
+            x_adv += xb
+            logits_a, _ = _forward_cached(p, x_adv, None, acts)
             loss_adv, dlogits_a = _ce_loss_and_dlogits(logits_a, yb)
-            grads_adv, _ = _backward(p, cache_a, dlogits_a)
+            _backward(p, acts, dlogits_a, grads_adv, need_dx=False)
 
-            w = cfg.adv_weight
             loss = (1 - w) * loss_clean + w * loss_adv
             if not np.isfinite(loss):
                 raise NonFiniteLoss(step, loss)
 
             t += 1
-            params = p.trainable()
-            for k, arr in params.items():
-                g = (1 - w) * grads_clean[k] + w * grads_adv[k]
-                m_state[k] = b1 * m_state[k] + (1 - b1) * g
-                v_state[k] = b2 * v_state[k] + (1 - b2) * g * g
-                mhat = m_state[k] / (1 - b1**t)
-                vhat = v_state[k] / (1 - b2**t)
-                arr -= lr * mhat / (np.sqrt(vhat) + eps_a)
+            for k, arr in p.trainable().items():
+                # in place, with the operations of
+                #   g = (1 - w) * g_clean + w * g_adv
+                #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+                #   arr -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps_a)
+                g, tmp = grads_clean[k], grads_adv[k]
+                g *= 1 - w
+                tmp *= w
+                g += tmp
+                m, v = m_state[k], v_state[k]
+                m *= b1
+                m += np.multiply(g, 1 - b1, out=tmp)
+                v *= b2
+                np.multiply(g, 1 - b2, out=tmp)
+                tmp *= g
+                v += tmp
+                mhat = np.divide(m, 1 - b1**t, out=tmp)
+                denom = np.divide(v, 1 - b2**t, out=g)
+                np.sqrt(denom, out=denom)
+                denom += eps_a
+                mhat *= lr
+                mhat /= denom
+                arr -= mhat
             trace.append(MemberTrace(step=step, objective=loss))
             step += 1
     return p, trace

@@ -133,3 +133,118 @@ def make_blobs(rng, n_per=500, scale=0.6):
     ys = np.repeat(np.arange(3), n_per)
     perm = rng.permutation(len(ys))
     return xs[perm], ys[perm]
+
+
+# ---- reference deep-ensemble training step ---------------------------------
+# A frozen copy of the original, unoptimised training step: three forward
+# passes per step (clean, frozen-statistics input gradient, adversarial),
+# full parameter backwards, and freshly allocated arrays throughout. The
+# ensemble tests assert that textuq.ensemble trains bit-identical members.
+
+
+def _ref_forward(p, xs, stats):
+    h = xs
+    blocks = []
+    for i in range(3):
+        z = h @ p.weights[i] + p.biases[i]
+        if stats is None:
+            mu, var, from_batch = z.mean(axis=0), z.var(axis=0), True
+        else:
+            (mu, var), from_batch = stats[i], False
+        inv_std = 1.0 / np.sqrt(var + p.bn_epsilon)
+        xhat = (z - mu) * inv_std
+        bn = p.bn_scale[i] * xhat + p.bn_shift[i]
+        blocks.append({"h_in": h, "z": z, "mu": mu, "var": var, "inv_std": inv_std,
+                       "xhat": xhat, "mask": bn > 0.0, "from_batch": from_batch})
+        h = np.maximum(bn, 0.0)
+    return h @ p.weights[-1] + p.biases[-1], {"blocks": blocks, "h_last": h}
+
+
+def _ref_ce(logits, labels):
+    b = logits.shape[0]
+    mx = logits.max(axis=1, keepdims=True)
+    lse = (mx + np.log(np.exp(logits - mx).sum(axis=1, keepdims=True)))[:, 0]
+    loss = float(np.mean(lse - logits[np.arange(b), labels]))
+    ex = np.exp(logits - mx)
+    dlogits = ex / ex.sum(axis=-1, keepdims=True)
+    dlogits[np.arange(b), labels] -= 1.0
+    return loss, dlogits / b
+
+
+def _ref_backward(p, cache, dlogits):
+    grads = {"w3": cache["h_last"].T @ dlogits, "b3": dlogits.sum(axis=0)}
+    dh = dlogits @ p.weights[-1].T
+    for i in range(2, -1, -1):
+        blk = cache["blocks"][i]
+        dbn = dh * blk["mask"]
+        grads[f"gamma{i}"] = (dbn * blk["xhat"]).sum(axis=0)
+        grads[f"beta{i}"] = dbn.sum(axis=0)
+        dxhat = dbn * p.bn_scale[i]
+        if blk["from_batch"]:
+            b = dxhat.shape[0]
+            zc = blk["z"] - blk["mu"]
+            dvar = np.sum(dxhat * zc, axis=0) * (-0.5) * blk["inv_std"] ** 3
+            dmu = -np.sum(dxhat, axis=0) * blk["inv_std"] + dvar * np.mean(-2.0 * zc, axis=0)
+            dz = dxhat * blk["inv_std"] + dvar * 2.0 * zc / b + dmu / b
+        else:
+            dz = dxhat * blk["inv_std"]
+        grads[f"w{i}"] = blk["h_in"].T @ dz
+        grads[f"b{i}"] = dz.sum(axis=0)
+        dh = dz @ p.weights[i].T
+    return grads, dh
+
+
+def reference_fit_member(features, labels, cfg, seed, feature_scale):
+    """The original fit_member: returns the trained MlpParams and the list of
+    per-step objectives."""
+    from textuq.ensemble import init_mlp
+
+    n, d = features.shape
+    rng = np.random.default_rng(seed)
+    p = init_mlp(d, rng, hidden=cfg.hidden_units, num_classes=cfg.num_classes,
+                 bn_epsilon=cfg.bn_epsilon)
+    m_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
+    v_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
+    b1, b2, lr, mom, w = (cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate,
+                          cfg.bn_momentum, cfg.adv_weight)
+    objectives = []
+    t = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            if idx.size < 2:
+                continue
+            xb, yb = features[idx], labels[idx]
+            logits, cache = _ref_forward(p, xb, None)
+            loss_clean, dlogits = _ref_ce(logits, yb)
+            grads_clean, _ = _ref_backward(p, cache, dlogits)
+            batch_stats = [(blk["mu"], blk["var"]) for blk in cache["blocks"]]
+            for i in range(3):
+                p.bn_running_mean[i] = mom * p.bn_running_mean[i] + (1 - mom) * batch_stats[i][0]
+                p.bn_running_var[i] = mom * p.bn_running_var[i] + (1 - mom) * batch_stats[i][1]
+            logits_f, cache_f = _ref_forward(p, xb, batch_stats)
+            _, dxb = _ref_backward(p, cache_f, _ref_ce(logits_f, yb)[1])
+            x_adv = xb + cfg.fgsm_epsilon * feature_scale * np.sign(dxb)
+            logits_a, cache_a = _ref_forward(p, x_adv, None)
+            loss_adv, dlogits_a = _ref_ce(logits_a, yb)
+            grads_adv, _ = _ref_backward(p, cache_a, dlogits_a)
+            t += 1
+            for k, arr in p.trainable().items():
+                g = (1 - w) * grads_clean[k] + w * grads_adv[k]
+                m_state[k] = b1 * m_state[k] + (1 - b1) * g
+                v_state[k] = b2 * v_state[k] + (1 - b2) * g * g
+                mhat = m_state[k] / (1 - b1**t)
+                vhat = v_state[k] / (1 - b2**t)
+                arr -= lr * mhat / (np.sqrt(vhat) + cfg.adam_epsilon)
+            objectives.append((1 - w) * loss_clean + w * loss_adv)
+    return p, objectives
+
+
+def mlp_arrays(p):
+    """Every array of an MlpParams, trainable and running statistics, by name."""
+    out = dict(p.trainable())
+    for i in range(3):
+        out[f"running_mean{i}"] = p.bn_running_mean[i]
+        out[f"running_var{i}"] = p.bn_running_var[i]
+    return out

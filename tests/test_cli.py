@@ -396,6 +396,24 @@ def test_train_rejects_unknown_model(pipeline, tmp_path):
     assert "--model must be gp or ens" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--hidden", "0", "hidden_units must be >= 1"),
+    ("--epochs", "-1", "epochs must be >= 0"),
+    ("--learning-rate", "-1", "learning_rate must be >= 0"),
+])
+def test_train_ens_rejects_bad_config_with_one_line(pipeline, tmp_path, flag, value, message):
+    out_model = tmp_path / "m"
+    code, _, err = run_cli([
+        "train", "--model", "ens", "--features", str(pipeline["features"]),
+        "--out-model", str(out_model), "--out-trace", str(tmp_path / "t"),
+        "--seed", "0", flag, value,
+    ])
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert not out_model.exists()
+
+
 def test_train_missing_features_file_exits_1(tmp_path):
     missing = tmp_path / "absent.csv"
     code, _, err = run_cli([

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from helpers import entropy_rows, fd_wrt, make_blobs, max_rel_err
+from helpers import (
+    entropy_rows,
+    fd_wrt,
+    make_blobs,
+    max_rel_err,
+    mlp_arrays,
+    reference_fit_member,
+)
 from textuq.ensemble import (
     EnsembleConfig,
     EnsembleModel,
     MlpParams,
+    _ce_loss_and_dlogits,
+    _forward_cached,
+    _input_backward,
     ensemble_predict,
     feature_scale_of,
     fgsm_perturb,
@@ -62,6 +72,15 @@ class TestConfig:
             EnsembleConfig(adv_weight=1.5).validate()
         with pytest.raises(ValueError):
             EnsembleConfig(fgsm_epsilon=-0.01).validate()
+        with pytest.raises(ValueError):
+            EnsembleConfig(hidden_units=0).validate()
+        with pytest.raises(ValueError):
+            EnsembleConfig(epochs=-1).validate()
+        with pytest.raises(ValueError):
+            EnsembleConfig(learning_rate=-1.0).validate()
+
+    def test_validate_accepts_boundary_values(self):
+        EnsembleConfig(hidden_units=1, epochs=0, learning_rate=0.0).validate()
 
 
 class TestForward:
@@ -133,6 +152,31 @@ class TestGradients:
         _, _, dx = loss_and_grads(p, xs, labels, mode)
         fd = fd_wrt(xs, objective)
         assert max_rel_err(dx, fd) <= 1e-3
+
+
+class TestInputBackward:
+    def test_frozen_cache_matches_loss_and_grads_eval(self):
+        p, rng = randomized_params(40)
+        xs = rng.normal(size=(7, 4))
+        labels = rng.integers(0, 3, size=7)
+        stats = list(zip(p.bn_running_mean, p.bn_running_var))
+        logits, acts = _forward_cached(p, xs, stats)
+        dx = _input_backward(p, acts, _ce_loss_and_dlogits(logits, labels)[1])
+        assert np.array_equal(dx, loss_and_grads(p, xs, labels, "eval")[2])
+
+    def test_batch_cache_matches_a_pass_with_its_statistics_frozen(self):
+        # training takes the FGSM gradient from the clean (batch-statistics)
+        # pass; it must equal a separate pass with those statistics frozen
+        p, rng = randomized_params(41)
+        xs = rng.normal(size=(6, 4))
+        labels = rng.integers(0, 3, size=6)
+        logits, acts = _forward_cached(p, xs, None)
+        dx = _input_backward(p, acts, _ce_loss_and_dlogits(logits, labels)[1])
+        frozen = list(zip(acts.mu, acts.var))
+        logits_f, acts_f = _forward_cached(p, xs, frozen)
+        assert np.array_equal(logits_f, logits)
+        dx_f = _input_backward(p, acts_f, _ce_loss_and_dlogits(logits_f, labels)[1])
+        assert np.array_equal(dx, dx_f)
 
 
 class TestFgsm:
@@ -239,6 +283,42 @@ class TestFitMember:
         preds = np.argmax(mlp_forward(member, feats, "eval"), axis=1)
         assert np.mean(preds == labels) >= 0.95
         assert len(trace) == 10 * 12  # ceil(1500 / 128) batches per epoch
+
+
+class TestMatchesReferenceStep:
+    """fit_member and fit_ensemble against a copy of the original three-pass
+    training step (tests/helpers.py), bit for bit."""
+
+    cfg = EnsembleConfig(members=2, hidden_units=8, epochs=3, batch_size=7,
+                         fgsm_epsilon=0.05, seed=4)
+
+    def data(self):
+        rng = np.random.default_rng(50)
+        # 23 rows in batches of 7: the last batch is a 2-row remainder
+        return rng.normal(size=(23, 5)), rng.integers(0, 3, size=23)
+
+    def assert_same(self, member, trace, ref, ref_objectives):
+        got, want = mlp_arrays(member), mlp_arrays(ref)
+        assert set(got) == set(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+        assert [t.objective for t in trace] == ref_objectives
+
+    def test_fit_member(self):
+        feats, labels = self.data()
+        scale = feature_scale_of(feats)
+        member, trace = fit_member(feats, labels, self.cfg, seed=9)
+        assert len(trace) == 3 * 4
+        self.assert_same(member, trace, *reference_fit_member(feats, labels, self.cfg, 9, scale))
+
+    def test_fit_ensemble(self):
+        feats, labels = self.data()
+        scale = feature_scale_of(feats)
+        model, traces = fit_ensemble(feats, labels, self.cfg)
+        assert len(model.members) == 2
+        for i, (member, trace) in enumerate(zip(model.members, traces)):
+            ref = reference_fit_member(feats, labels, self.cfg, self.cfg.seed + i, scale)
+            self.assert_same(member, trace, *ref)
 
 
 class TestEnsemble:
