@@ -267,10 +267,6 @@ def cmd_train(opts) -> int:
             fgsm_epsilon=opts.fgsm_eps,
             seed=opts.seed,
         )
-        try:
-            ecfg.validate()
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from None
         model, traces = ens_mod.fit_ensemble(xs, ys, ecfg)
         meta = ModelMeta("ens", spec)
         trace_lines = ["member,step,objective"]

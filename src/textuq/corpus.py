@@ -13,6 +13,7 @@ File formats (all UTF-8, LF line endings):
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import unicodedata
 from dataclasses import dataclass
@@ -203,18 +204,30 @@ def write_features_csv(path, examples) -> None:
     if not examples:
         raise EmptyInput("no examples to write")
     dim = len(examples[0].features)
+    floats = ",%.17g" * dim + "\n"
+    # the id and label fields go through a csv writer, which quotes them
+    # exactly as a whole-row writerow would; the floats never need quoting
+    head = io.StringIO()
+    head_writer = csv.writer(head, lineterminator="\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
         for ex in examples:
+            if len(ex.features) != dim:
+                raise DimensionMismatch(
+                    f"example {ex.id!r} has {len(ex.features)} features, expected {dim}"
+                )
             secondary = "" if ex.secondary_label is None else LABEL_NAMES[ex.secondary_label]
-            writer.writerow(
-                [ex.id, LABEL_NAMES[ex.primary_label], secondary]
-                + ["%.17g" % v for v in ex.features]
-            )
+            head.seek(0)
+            head.truncate()
+            head_writer.writerow([ex.id, LABEL_NAMES[ex.primary_label], secondary])
+            fh.write(head.getvalue()[:-1])
+            fh.write(floats % tuple(ex.features.tolist()))
 
 
 def read_features_csv(path) -> list:
+    """Feature rows; a non-numeric or non-finite value raises MalformedRow
+    naming the line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -229,10 +242,18 @@ def read_features_csv(path) -> list:
                 raise MalformedRow(
                     f"{path} line {lineno}: expected {dim + 3} fields, got {len(rec)}"
                 )
+            try:
+                features = np.array([float(v) for v in rec[3:]])
+            except ValueError:
+                raise MalformedRow(f"{path} line {lineno}: non-numeric feature value") from None
+            if not np.isfinite(features).all():
+                raise MalformedRow(
+                    f"{path} line {lineno}: non-finite feature value in row {rec[0]!r}"
+                )
             examples.append(
                 LabelledExample(
                     id=rec[0],
-                    features=np.array([float(v) for v in rec[3:]]),
+                    features=features,
                     primary_label=label_to_index(rec[1]),
                     secondary_label=None if rec[2] == "" else label_to_index(rec[2]),
                 )

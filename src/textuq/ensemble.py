@@ -8,11 +8,13 @@ can be checked against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BatchTooSmall, DimensionMismatch, NonFiniteLoss
+from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss
 
 N_HIDDEN_BLOCKS = 3
 
@@ -36,19 +38,19 @@ class EnsembleConfig:
 
     def validate(self) -> None:
         if self.members < 1:
-            raise ValueError("members must be >= 1")
+            raise InvalidConfig("members must be >= 1")
         if self.hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
+            raise InvalidConfig("hidden_units must be >= 1")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise InvalidConfig("epochs must be >= 0")
         if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+            raise InvalidConfig("learning_rate must be >= 0")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (batch norm)")
+            raise InvalidConfig("batch_size must be >= 2 (batch norm)")
         if not 0.0 <= self.adv_weight <= 1.0:
-            raise ValueError("adv_weight must be in [0, 1]")
+            raise InvalidConfig("adv_weight must be in [0, 1]")
         if self.fgsm_epsilon < 0.0:
-            raise ValueError("fgsm_epsilon must be >= 0")
+            raise InvalidConfig("fgsm_epsilon must be >= 0")
 
 
 @dataclass
@@ -415,19 +417,55 @@ def fit_member(
     return p, trace
 
 
+def _worker_count(members: int) -> int:
+    """How many members train at once: the usable CPUs over the BLAS threads
+    each member's matmuls use, clamped to [1, members].
+
+    The BLAS thread count is the first of OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS that is a positive integer; with neither, OpenBLAS uses
+    every usable CPU, which gives one worker.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value >= 1:
+            blas = value
+            break
+    return max(1, min(cpus // blas, members))
+
+
 def fit_ensemble(
     features: np.ndarray, labels: np.ndarray, cfg: EnsembleConfig
 ) -> tuple[EnsembleModel, list[list[MemberTrace]]]:
-    """Train cfg.members independent networks with seeds cfg.seed + index."""
+    """Train cfg.members independent networks with seeds cfg.seed + index.
+
+    Members train concurrently in ``_worker_count`` threads (numpy releases
+    the GIL in matmuls and ufuncs). A member's bits depend only on its seed
+    and the BLAS thread count, so the model does not depend on the worker
+    count; results are collected in member order, and the first failing
+    member's error is raised after unstarted members are cancelled.
+    """
     cfg.validate()
     scale = feature_scale_of(features)
-    members, traces = [], []
-    for i in range(cfg.members):
-        p, tr = fit_member(features, labels, cfg, seed=cfg.seed + i, feature_scale=scale)
-        members.append(p)
-        traces.append(tr)
-    return EnsembleModel(members=members, fgsm_epsilon=cfg.fgsm_epsilon,
-                         feature_scale=scale), traces
+    pool = ThreadPoolExecutor(max_workers=_worker_count(cfg.members))
+    try:
+        futures = [
+            pool.submit(fit_member, features, labels, cfg, seed=cfg.seed + i,
+                        feature_scale=scale)
+            for i in range(cfg.members)
+        ]
+        members, traces = zip(*(f.result() for f in futures))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return EnsembleModel(members=list(members), fgsm_epsilon=cfg.fgsm_epsilon,
+                         feature_scale=scale), list(traces)
 
 
 def ensemble_predict(m: EnsembleModel, xs: np.ndarray) -> np.ndarray:

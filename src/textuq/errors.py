@@ -61,8 +61,10 @@ class InconsistentSetEmpty(TextuqError):
     """Test views require at least one labeller-disagreement example."""
 
 
-class InvalidConfig(TextuqError):
-    """A configuration value is out of range or inconsistent."""
+class InvalidConfig(TextuqError, ValueError):
+    """A configuration value, or a model file's content, is out of range or
+    inconsistent. Also a ValueError, the type callers of the validators
+    have always caught."""
 
 
 class MalformedRow(TextuqError):

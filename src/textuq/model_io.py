@@ -142,23 +142,32 @@ def save_model(path, model, meta: ModelMeta) -> None:
 
 
 def load_model(path):
-    """Returns (model, ModelMeta); rejects files without the format tag."""
+    """Returns (model, ModelMeta); a file that is not a well-formed
+    textuq-model-v1 document raises InvalidConfig naming the path."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSON syntax or text encoding
+            raise InvalidConfig(f"{path}: not a JSON model file ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_TAG:
         raise InvalidConfig(f"{path}: not a {FORMAT_TAG} file")
-    meta = ModelMeta(
-        model_type=payload["model_type"],
-        split=SplitSpec(
-            val_fraction=payload["split"]["val_fraction"],
-            test_fraction=payload["split"]["test_fraction"],
-            seed=payload["split"]["seed"],
-        ),
-        mc_predict_samples=payload["predict"]["mc_samples"],
-        predict_seed=payload["predict"]["seed"],
-    )
-    if meta.model_type == "gp":
-        return _gp_from_payload(payload["gp"]), meta
-    if meta.model_type == "ens":
-        return _ens_from_payload(payload["ens"]), meta
+    try:
+        meta = ModelMeta(
+            model_type=payload["model_type"],
+            split=SplitSpec(
+                val_fraction=payload["split"]["val_fraction"],
+                test_fraction=payload["split"]["test_fraction"],
+                seed=payload["split"]["seed"],
+            ),
+            mc_predict_samples=payload["predict"]["mc_samples"],
+            predict_seed=payload["predict"]["seed"],
+        )
+        if meta.model_type == "gp":
+            return _gp_from_payload(payload["gp"]), meta
+        if meta.model_type == "ens":
+            return _ens_from_payload(payload["ens"]), meta
+    except KeyError as exc:
+        raise InvalidConfig(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise InvalidConfig(f"{path}: malformed model file ({exc})") from None
     raise InvalidConfig(f"{path}: unknown model_type {meta.model_type!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatch, NonFiniteLoss, TooFewPoints
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, TooFewPoints
 from .kernel import (
     KernelParams,
     init_kernel_params,
@@ -62,11 +62,11 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+            raise InvalidConfig("learning_rate must be >= 0")
         if self.batch_size < 1 or self.mc_train_samples < 1 or self.mc_predict_samples < 1:
-            raise ValueError("batch_size and sample counts must be >= 1")
+            raise InvalidConfig("batch_size and sample counts must be >= 1")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise InvalidConfig("epochs must be >= 0")
 
 
 @dataclass
@@ -140,7 +140,7 @@ def init_model(
     features = np.asarray(train_features, dtype=np.float64)
     n = features.shape[0]
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidConfig("m (inducing points) must be >= 1")
     if n < m:
         raise TooFewPoints(f"need at least {m} training points, got {n}")
     rng = np.random.default_rng(seed)

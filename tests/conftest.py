@@ -1,6 +1,9 @@
 import re
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from helpers import blas_env
 
 settings.register_profile(
     "suite",
@@ -9,6 +12,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """fit_ensemble trains members in 2 threads, whatever the host's CPUs and
+    BLAS settings (the default unpinned BLAS gives 1 worker)."""
+    blas_env(monkeypatch, cpus=2, openblas="1")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -248,3 +248,36 @@ def mlp_arrays(p):
         out[f"running_mean{i}"] = p.bn_running_mean[i]
         out[f"running_var{i}"] = p.bn_running_var[i]
     return out
+
+
+def reference_write_features_csv(path, examples):
+    """The original feature-CSV writer: one csv.writer row per example with
+    every float formatted separately. The corpus tests assert that
+    textuq.corpus.write_features_csv writes the same bytes."""
+    import csv
+
+    from textuq.labels import LABEL_NAMES
+
+    dim = len(examples[0].features)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
+        for ex in examples:
+            secondary = "" if ex.secondary_label is None else LABEL_NAMES[ex.secondary_label]
+            writer.writerow(
+                [ex.id, LABEL_NAMES[ex.primary_label], secondary]
+                + ["%.17g" % v for v in ex.features]
+            )
+
+
+def blas_env(monkeypatch, cpus, openblas=None, omp=None):
+    """Show the ensemble's worker-count rule `cpus` usable CPUs and the given
+    OPENBLAS_NUM_THREADS / OMP_NUM_THREADS values (None: unset)."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)

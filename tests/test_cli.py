@@ -397,6 +397,7 @@ def test_train_rejects_unknown_model(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("flag, value, message", [
+    ("--members", "0", "members must be >= 1"),
     ("--hidden", "0", "hidden_units must be >= 1"),
     ("--epochs", "-1", "epochs must be >= 0"),
     ("--learning-rate", "-1", "learning_rate must be >= 0"),
@@ -412,6 +413,83 @@ def test_train_ens_rejects_bad_config_with_one_line(pipeline, tmp_path, flag, va
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
     assert not out_model.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch-size", "0", "batch_size and sample counts must be >= 1"),
+    ("--inducing", "0", "m (inducing points) must be >= 1"),
+    ("--learning-rate", "-1", "learning_rate must be >= 0"),
+    ("--epochs", "-1", "epochs must be >= 0"),
+])
+def test_train_gp_rejects_bad_config_with_one_line(pipeline, tmp_path, flag, value, message):
+    out_model = tmp_path / "m"
+    code, _, err = run_cli(pipeline["gp_args"] + [
+        "--out-model", str(out_model), "--out-trace", str(tmp_path / "t"), flag, value,
+    ])
+    assert code == 1, err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert not out_model.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_train_ens_diverging_in_worker_threads_exits_1(pipeline, tmp_path, two_workers):
+    out_model = tmp_path / "m"
+    code, _, err = run_cli([
+        "train", "--model", "ens", "--features", str(pipeline["features"]),
+        "--out-model", str(out_model), "--out-trace", str(tmp_path / "t"),
+        "--seed", "0", "--members", "3", "--hidden", "16", "--epochs", "1",
+        "--batch-size", "128", "--learning-rate", "1e300",
+    ])
+    assert code == 1, err
+    assert err.startswith("error: non-finite objective") and err.count("\n") == 1
+    assert not out_model.exists()
+
+
+def _feature_file(tmp_path, rows):
+    path = tmp_path / "features.csv"
+    path.write_text("id,label,secondary_label,f0,f1\n" + "".join(rows), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("r1,positive,,0.5,abc\n", "line 3: non-numeric feature value"),
+    ("r1,positive,,nan,0.5\n", "line 3: non-finite feature value in row 'r1'"),
+], ids=["non-numeric", "nan"])
+def test_train_rejects_bad_feature_values(tmp_path, bad_row, message):
+    path = _feature_file(tmp_path, ["r0,negative,,0.5,0.7\n", bad_row])
+    code, _, err = run_cli([
+        "train", "--model", "gp", "--features", str(path),
+        "--out-model", str(tmp_path / "m"), "--out-trace", str(tmp_path / "t"),
+        "--seed", "0",
+    ])
+    assert code == 1, err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{path} {message}" in err
+
+
+def _without_split(text):
+    payload = json.loads(text)
+    del payload["split"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda text: text[: len(text) // 2], "not a JSON model file"),
+    (_without_split, "missing key 'split'"),
+], ids=["not-json", "no-split"])
+def test_evaluate_rejects_broken_model_file(pipeline, tmp_path, corrupt, message):
+    model = tmp_path / "broken.json"
+    model.write_text(corrupt(pipeline["ens_model"].read_text(encoding="utf-8")),
+                     encoding="utf-8")
+    code, _, err = run_cli([
+        "evaluate", "--model", str(model), "--features", str(pipeline["features"]),
+        "--out-json", str(tmp_path / "j"), "--out-csv", str(tmp_path / "c"),
+        "--out-reliability", str(tmp_path / "r"),
+    ])
+    assert code == 1, err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{model}: {message}" in err
 
 
 def test_train_missing_features_file_exits_1(tmp_path):

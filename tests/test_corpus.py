@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import reference_write_features_csv
 from textuq.corpus import (
     CorpusRow,
     EmbeddingTable,
@@ -250,6 +251,40 @@ class TestFeaturesCsv:
     def test_write_rejects_empty(self, tmp_path):
         with pytest.raises(EmptyInput):
             write_features_csv(tmp_path / "features.csv", [])
+
+    def test_bytes_match_the_reference_writer(self, tmp_path):
+        # ids that need quoting, an empty id, a missing secondary label, and
+        # values whose %.17g forms are unusual
+        ids = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain"]
+        special = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e-300]
+        feats = np.random.default_rng(3).normal(size=(len(ids), len(special)))
+        feats[np.arange(len(ids)), np.arange(len(special))] = special
+        examples = [
+            LabelledExample(id=ident, features=feats[i], primary_label=i % 3,
+                            secondary_label=None if i % 2 else (i + 1) % 3)
+            for i, ident in enumerate(ids)
+        ]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_features_csv(got, examples)
+        reference_write_features_csv(want, examples)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_write_rejects_ragged_features(self, tmp_path):
+        examples = self.examples()
+        examples[2].features = examples[2].features[:3]
+        with pytest.raises(DimensionMismatch, match="'e2'"):
+            write_features_csv(tmp_path / "features.csv", examples)
+
+    def test_read_rejects_non_numeric_and_non_finite_values(self, tmp_path):
+        path = tmp_path / "features.csv"
+        head = "id,label,secondary_label,f0,f1\ne0,negative,,0.5,0.7\n"
+        path.write_text(head + "e1,positive,,0.5,abc\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match="line 3: non-numeric"):
+            read_features_csv(path)
+        for bad in ("nan", "inf", "-inf", "1e999"):
+            path.write_text(head + f"e1,positive,,{bad},0.7\n", encoding="utf-8")
+            with pytest.raises(MalformedRow, match="line 3: non-finite .* 'e1'"):
+                read_features_csv(path)
 
     def test_read_rejects_malformed(self, tmp_path):
         path = tmp_path / "features.csv"

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import (
+    blas_env,
     entropy_rows,
     fd_wrt,
     make_blobs,
@@ -16,6 +19,7 @@ from textuq.ensemble import (
     _ce_loss_and_dlogits,
     _forward_cached,
     _input_backward,
+    _worker_count,
     ensemble_predict,
     feature_scale_of,
     fgsm_perturb,
@@ -319,6 +323,52 @@ class TestMatchesReferenceStep:
         for i, (member, trace) in enumerate(zip(model.members, traces)):
             ref = reference_fit_member(feats, labels, self.cfg, self.cfg.seed + i, scale)
             self.assert_same(member, trace, *ref)
+
+    def test_fit_ensemble_in_two_worker_threads(self, two_workers):
+        # 3 members on 2 workers: the third waits for a free thread, and the
+        # results still come back in member order
+        cfg = dataclasses.replace(self.cfg, members=3)
+        assert _worker_count(cfg.members) == 2
+        feats, labels = self.data()
+        scale = feature_scale_of(feats)
+        model, traces = fit_ensemble(feats, labels, cfg)
+        assert len(model.members) == len(traces) == 3
+        for i, (member, trace) in enumerate(zip(model.members, traces)):
+            ref = reference_fit_member(feats, labels, cfg, cfg.seed + i, scale)
+            self.assert_same(member, trace, *ref)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("cpus, openblas, omp, members, want", [
+        (2, None, None, 5, 1),  # unset: OpenBLAS takes every CPU
+        (8, None, None, 5, 1),
+        (2, "1", None, 5, 2),
+        (2, None, "1", 5, 2),  # OMP_NUM_THREADS when OPENBLAS_NUM_THREADS is unset
+        (2, "1", "2", 5, 2),  # OPENBLAS_NUM_THREADS comes first
+        (2, "1", None, 1, 1),  # never more workers than members
+        (8, "2", None, 5, 4),
+        (16, "1", None, 5, 5),
+        (2, "4", None, 5, 1),  # more BLAS threads than CPUs
+        (2, "abc", None, 5, 1),  # unparsable or non-positive: as if unset
+        (2, "0", None, 5, 1),
+        (2, "-1", None, 5, 1),
+        (2, "0", "1", 5, 2),  # ... so the next variable decides
+        (2, "", "x", 5, 1),
+    ])
+    def test_rule(self, monkeypatch, cpus, openblas, omp, members, want):
+        blas_env(monkeypatch, cpus, openblas, omp)
+        assert _worker_count(members) == want
+
+
+class TestFitEnsembleFailure:
+    def test_non_finite_loss_in_worker_threads(self, two_workers):
+        rng = np.random.default_rng(14)
+        feats, labels = rng.normal(size=(10, 3)), rng.integers(0, 3, size=10)
+        feats[0, 0] = np.nan
+        cfg = EnsembleConfig(members=4, hidden_units=8, epochs=2, batch_size=10)
+        with pytest.raises(NonFiniteLoss) as excinfo:
+            fit_ensemble(feats, labels, cfg)
+        assert excinfo.value.step == 0
 
 
 class TestEnsemble:
