@@ -10,7 +10,6 @@ byte-identical. Options can come from a flat key=value config file via
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .calibration import bins_from_csv_text, bins_to_csv_text, calibrate_probs, 
 from .errors import InvalidConfig, TextuqError
 from .labels import LABEL_NAMES, POSITIVE
 from .metrics import build_report, report_to_csv_text, report_to_json_text
-from .model_io import ModelMeta, atomic_write_text, load_model, save_model
+from .model_io import ModelMeta, atomic_write, atomic_write_text, load_model, save_model
 
 _REQUIRED = object()
 
@@ -172,18 +171,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _atomic_file(path, write_fn) -> None:
-    """Run a path-taking writer against a sibling temp file, then rename."""
-    tmp = str(path) + ".tmp"
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _stack(examples):
     xs = np.stack([ex.features for ex in examples])
     ys = np.array([ex.primary_label for ex in examples])
@@ -194,7 +181,7 @@ def cmd_prepare(opts) -> int:
     rows = corpus_mod.read_corpus_csv(opts.corpus)
     table = corpus_mod.load_embeddings(opts.embeddings)
     examples, flagged = corpus_mod.featurize(rows, table)
-    _atomic_file(opts.out, lambda p: corpus_mod.write_features_csv(p, examples))
+    atomic_write(opts.out, lambda p: corpus_mod.write_features_csv(p, examples))
     for c, name in enumerate(LABEL_NAMES):
         count = sum(1 for ex in examples if ex.primary_label == c)
         print(f"class {name}: {count}")
@@ -223,8 +210,8 @@ def cmd_synth(opts) -> int:
     rows = corpus_mod.synth_generate(cfg, opts.seed)
     # embeddings get their own stream so they stay independent of the text draws
     table = corpus_mod.synth_embeddings(opts.dim, opts.seed + 1)
-    _atomic_file(opts.out_corpus, lambda p: corpus_mod.write_corpus_csv(p, rows))
-    _atomic_file(opts.out_embeddings, lambda p: corpus_mod.write_embeddings(p, table))
+    atomic_write(opts.out_corpus, lambda p: corpus_mod.write_corpus_csv(p, rows))
+    atomic_write(opts.out_embeddings, lambda p: corpus_mod.write_embeddings(p, table))
     realized = sum(1 for r in rows if r.primary_label != r.secondary_label) / len(rows)
     print(f"wrote {len(rows)} rows, realized disagreement {realized:.4f}")
     print(f"vocabulary {len(table.vectors)} tokens, dimension {table.dimension}")

@@ -2,11 +2,13 @@
 dual-labeller agreement partitioning, stratified splits, evaluation views,
 and a synthetic dual-labeller report generator.
 
-File formats (all UTF-8, LF line endings):
+File formats (all UTF-8, LF line endings; a text field holding a line
+feed, carriage return, comma or quote is quoted):
   corpus CSV    id,text,primary_label,secondary_label (labels as words;
                 secondary may be empty)
   feature CSV   id,label,secondary_label,f0..f{D-1}; floats printed with 17
-                significant digits so a write/read round-trip is bit-exact
+                significant digits so a write/read round-trip is bit-exact;
+                the reader skips blank lines
   embeddings    header "vocab_size dimension", then "token v1 .. vD" lines
 """
 
@@ -15,9 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import unicodedata
+import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,12 +43,22 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------- text
 
 
-@lru_cache(maxsize=4096)
-def _removable(ch: str) -> bool:
-    # Unicode punctuation everywhere; symbol characters only within ASCII,
-    # so technical glyphs in other scripts pass through untouched.
-    cat = unicodedata.category(ch)
-    return cat.startswith("P") or (ord(ch) < 128 and cat.startswith("S"))
+class _SpaceTable(dict):
+    """str.translate table: punctuation code points map to a space, every
+    other code point to itself. Filled on first sight of each code point,
+    so it never holds more entries than there are code points."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        # Unicode punctuation everywhere; symbol characters only within ASCII,
+        # so technical glyphs in other scripts pass through untouched.
+        cat = unicodedata.category(ch)
+        out = " " if cat.startswith("P") or (code < 128 and cat.startswith("S")) else ch
+        self[code] = out
+        return out
+
+
+_SPACES = _SpaceTable()
 
 
 def preprocess_text(raw: str) -> list:
@@ -54,8 +67,7 @@ def preprocess_text(raw: str) -> list:
     Idempotent: rejoining the tokens with spaces and preprocessing again
     returns the same list.
     """
-    chars = [" " if _removable(ch) else ch for ch in raw.lower()]
-    return "".join(chars).split()
+    return raw.lower().translate(_SPACES).split()
 
 
 # ---------------------------------------------------------------- embeddings
@@ -173,13 +185,34 @@ def read_corpus_csv(path) -> list:
     return rows
 
 
+def _csv_row_writer(fh):
+    """A function write_row(fields, tail="\\n") that writes one CSV row to fh.
+
+    The fields are quoted as csv.writer(fh, lineterminator="\\n") quotes
+    them, and also when they hold a bare carriage return, which that writer
+    leaves unquoted and every CSV reader then takes for a line end. ``tail``
+    is written verbatim after the last field and must end the line.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+
+    def write_row(fields, tail="\n"):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(fields)
+        fh.write(buf.getvalue()[:-2])
+        fh.write(tail)
+
+    return write_row
+
+
 def write_corpus_csv(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "text", "primary_label", "secondary_label"])
+        write_row = _csv_row_writer(fh)
+        write_row(["id", "text", "primary_label", "secondary_label"])
         for row in rows:
             secondary = "" if row.secondary_label is None else LABEL_NAMES[row.secondary_label]
-            writer.writerow([row.id, row.text, LABEL_NAMES[row.primary_label], secondary])
+            write_row([row.id, row.text, LABEL_NAMES[row.primary_label], secondary])
 
 
 def featurize(rows, table: EmbeddingTable):
@@ -204,61 +237,87 @@ def write_features_csv(path, examples) -> None:
     if not examples:
         raise EmptyInput("no examples to write")
     dim = len(examples[0].features)
+    # the id and label fields go through the csv writer; the floats, which
+    # never need quoting, are formatted in one % per row
     floats = ",%.17g" * dim + "\n"
-    # the id and label fields go through a csv writer, which quotes them
-    # exactly as a whole-row writerow would; the floats never need quoting
-    head = io.StringIO()
-    head_writer = csv.writer(head, lineterminator="\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
+        write_row = _csv_row_writer(fh)
+        write_row(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
         for ex in examples:
             if len(ex.features) != dim:
                 raise DimensionMismatch(
                     f"example {ex.id!r} has {len(ex.features)} features, expected {dim}"
                 )
             secondary = "" if ex.secondary_label is None else LABEL_NAMES[ex.secondary_label]
-            head.seek(0)
-            head.truncate()
-            head_writer.writerow([ex.id, LABEL_NAMES[ex.primary_label], secondary])
-            fh.write(head.getvalue()[:-1])
-            fh.write(floats % tuple(ex.features.tolist()))
+            write_row([ex.id, LABEL_NAMES[ex.primary_label], secondary],
+                      floats % tuple(ex.features.tolist()))
 
 
 def read_features_csv(path) -> list:
-    """Feature rows; a non-numeric or non-finite value raises MalformedRow
-    naming the line."""
+    """Feature rows; each example's features are a row view of one (n, D)
+    matrix. Blank lines are skipped. A row with the wrong field count or a
+    non-numeric or non-finite value raises MalformedRow naming the line."""
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        line = fh.readline()
+        header = next(csv.reader([line])) if line else None
         if header is None or header[:3] != ["id", "label", "secondary_label"]:
             raise MalformedRow(f"{path}: expected feature header, got {header}")
         dim = len(header) - 3
         if dim < 1:
             raise MalformedRow(f"{path}: no feature columns")
-        examples = []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != dim + 3:
-                raise MalformedRow(
-                    f"{path} line {lineno}: expected {dim + 3} fields, got {len(rec)}"
-                )
-            try:
-                features = np.array([float(v) for v in rec[3:]])
-            except ValueError:
-                raise MalformedRow(f"{path} line {lineno}: non-numeric feature value") from None
-            if not np.isfinite(features).all():
-                raise MalformedRow(
-                    f"{path} line {lineno}: non-finite feature value in row {rec[0]!r}"
-                )
-            examples.append(
-                LabelledExample(
-                    id=rec[0],
-                    features=features,
-                    primary_label=label_to_index(rec[1]),
-                    secondary_label=None if rec[2] == "" else label_to_index(rec[2]),
-                )
+        body = fh.tell()
+        row_type = [("id", object), ("label", object), ("secondary", object),
+                    ("x", np.float64, (dim,))]
+        try:
+            with warnings.catch_warnings():
+                # a body with no rows is an empty data set, not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, dtype=row_type, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1)
+        except ValueError as exc:
+            fh.seek(body)
+            raise _bad_row(path, fh, dim) or MalformedRow(f"{path}: {exc}") from None
+        features = np.ascontiguousarray(table["x"])
+        if not np.isfinite(features).all():
+            fh.seek(body)
+            raise _bad_row(path, fh, dim) or MalformedRow(f"{path}: non-finite feature value")
+    return [
+        LabelledExample(
+            id=ident,
+            features=x,
+            primary_label=label_to_index(primary),
+            secondary_label=None if secondary == "" else label_to_index(secondary),
+        )
+        for ident, primary, secondary, x in zip(
+            table["id"].tolist(), table["label"].tolist(), table["secondary"].tolist(),
+            features,
+        )
+    ]
+
+
+def _bad_row(path, fh, dim) -> MalformedRow | None:
+    """The error for the first body row of ``fh`` with the wrong field count
+    or a non-numeric or non-finite value, or None if every row is good.
+
+    np.loadtxt's own messages count rows from 0 or 1 depending on the error,
+    so a file it refused is scanned again here only to name the line.
+    """
+    for lineno, rec in enumerate(csv.reader(fh), start=2):
+        if not rec:
+            continue  # a blank line, which loadtxt skips too
+        if len(rec) != dim + 3:
+            return MalformedRow(
+                f"{path} line {lineno}: expected {dim + 3} fields, got {len(rec)}"
             )
-    return examples
+        try:
+            values = [float(v) for v in rec[3:]]
+        except ValueError:
+            return MalformedRow(f"{path} line {lineno}: non-numeric feature value")
+        if not all(math.isfinite(v) for v in values):
+            return MalformedRow(
+                f"{path} line {lineno}: non-finite feature value in row {rec[0]!r}"
+            )
+    return None
 
 
 # ---------------------------------------------------------------- splits

@@ -43,6 +43,9 @@ class EnsembleConfig:
             raise InvalidConfig("hidden_units must be >= 1")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
+        for name in ("learning_rate", "fgsm_epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate < 0.0:
             raise InvalidConfig("learning_rate must be >= 0")
         if self.batch_size < 2:
@@ -319,6 +322,8 @@ class MemberTrace:
     objective: float
 
 
+# a diverging step overflows; its NonFiniteLoss is the one report of that
+@np.errstate(over="ignore", invalid="ignore")
 def fit_member(
     features: np.ndarray,
     labels: np.ndarray,

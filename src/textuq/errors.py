@@ -41,6 +41,11 @@ class NonFiniteLoss(TextuqError):
         super().__init__(f"non-finite objective {value!r} at step {step}")
 
 
+class NonFiniteMatrix(TextuqError, ValueError):
+    """A matrix to factor has NaN or infinite entries. Also a ValueError,
+    the type the factorization has always raised for it."""
+
+
 class BatchTooSmall(TextuqError):
     """Batch-statistics mode requires at least two examples."""
 

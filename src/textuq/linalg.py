@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionMismatch, NonFiniteMatrix, NotPositiveDefinite, NotSymmetric
 
 # Symmetry check: max |A - A^T| <= SYMMETRY_RTOL * max |A|.
 SYMMETRY_RTOL = 1e-10
@@ -49,14 +48,15 @@ def cholesky_with_jitter(a: np.ndarray, base_jitter: float | None = None) -> Cho
     is a deterministic function of the input. On failure the jitter escalates
     by factors of 10 up to base * 10**6 before giving up.
 
-    Raises NotSymmetric if ``a`` is not symmetric within relative 1e-10, and
-    NotPositiveDefinite if every rung of the ladder fails.
+    Raises NonFiniteMatrix if ``a`` has NaN or infinite entries, NotSymmetric
+    if it is not symmetric within relative 1e-10, and NotPositiveDefinite if
+    every rung of the ladder fails.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteMatrix("matrix has non-finite entries")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > SYMMETRY_RTOL * max(scale, 1e-300):
@@ -80,12 +80,24 @@ def cholesky_with_jitter(a: np.ndarray, base_jitter: float | None = None) -> Cho
     )
 
 
+def solve_triangular(lower: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Solve lower @ x = b (trans "N") or lower.T @ x = b (trans "T") for a
+    lower-triangular matrix; the package's one entry to scipy.
+
+    scipy.linalg is imported on the first call, so the commands that never
+    solve a triangular system do not pay for loading it.
+    """
+    from scipy.linalg import solve_triangular as scipy_solve_triangular
+
+    return scipy_solve_triangular(lower, b, lower=True, trans=trans)
+
+
 def solve_lower_triangular(l: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve l.lower @ x = b by forward substitution; b may be a vector or matrix."""
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != l.n:
         raise DimensionMismatch(f"factor is {l.n}x{l.n}, rhs has leading dim {b.shape[0]}")
-    return solve_triangular(l.lower, b, lower=True)
+    return solve_triangular(l.lower, b)
 
 
 def log_det_from_cholesky(l: CholeskyFactor) -> float:
@@ -103,6 +115,6 @@ def cholesky_backward(lower: np.ndarray, lower_bar: np.ndarray) -> np.ndarray:
     p = np.tril(lower.T @ lower_bar)
     p[np.diag_indices_from(p)] *= 0.5
     m = p + p.T
-    y = solve_triangular(lower, m, lower=True, trans="T")
-    abar = 0.5 * solve_triangular(lower, y.T, lower=True, trans="T").T
+    y = solve_triangular(lower, m, trans="T")
+    abar = 0.5 * solve_triangular(lower, y.T, trans="T").T
     return 0.5 * (abar + abar.T)

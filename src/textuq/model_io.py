@@ -32,17 +32,27 @@ class ModelMeta:
     predict_seed: int = 0
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so failures leave no partial file."""
+def atomic_write(path, write_fn) -> None:
+    """Run a path-taking writer against a sibling temp file, then rename it
+    over ``path``, so failures leave no partial file."""
     tmp = str(path) + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_fn(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write UTF-8 text through atomic_write."""
+
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+    atomic_write(path, write)
 
 
 def _gp_payload(model: SvgpModel) -> dict:

@@ -14,9 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, TooFewPoints
+from .errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    NonFiniteLoss,
+    NonFiniteMatrix,
+    TooFewPoints,
+)
 from .kernel import (
     KernelParams,
     init_kernel_params,
@@ -25,7 +30,12 @@ from .kernel import (
     rbf_ard_input_grads,
     rbf_ard_param_grads,
 )
-from .linalg import cholesky_backward, cholesky_with_jitter, solve_lower_triangular
+from .linalg import (
+    cholesky_backward,
+    cholesky_with_jitter,
+    solve_lower_triangular,
+    solve_triangular,
+)
 
 VARIANCE_FLOOR = 1e-12
 
@@ -61,6 +71,8 @@ class TrainConfig:
     rmsprop_epsilon: float = 1e-8
 
     def validate(self) -> None:
+        if not np.isfinite(self.learning_rate):
+            raise InvalidConfig(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate < 0.0:
             raise InvalidConfig("learning_rate must be >= 0")
         if self.batch_size < 1 or self.mc_train_samples < 1 or self.mc_predict_samples < 1:
@@ -306,7 +318,7 @@ def _elbo_and_grads(
         dscales_raw[c] = dl_c
 
     # kernel paths: kdiag, Kzx (through the solve), Kzz (through the factor)
-    kzx_bar = solve_triangular(l_kern, da, lower=True, trans="T")
+    kzx_bar = solve_triangular(l_kern, da, trans="T")
     l_bar = np.tril(-(kzx_bar @ a.T))
     kzz_bar = cholesky_backward(l_kern, l_bar)
 
@@ -342,6 +354,7 @@ def _epoch_noise(seed: int, epoch: int, n: int, num_classes: int, samples: int) 
     return gen.standard_normal((n, num_classes, samples))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit(
     model: SvgpModel,
     features: np.ndarray,
@@ -352,7 +365,10 @@ def fit(
 
     Deterministic for a fixed (data, config, seed): epoch shuffling comes from
     cfg.seed and per-example MC noise from a counter-based generator keyed by
-    (seed, epoch). The input model is not modified.
+    (seed, epoch). The input model is not modified. A step whose objective
+    is not finite, or whose parameters make the kernel matrix non-finite,
+    raises NonFiniteLoss; numpy's floating-point warnings are silenced, as
+    that check reports the divergence.
     """
     cfg.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -380,9 +396,13 @@ def fit(
         noise = _epoch_noise(cfg.seed, epoch, n, out.num_classes, cfg.mc_train_samples)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            elbo, grads = _elbo_and_grads(
-                out, features[idx], labels[idx], n, noise[idx], cfg.optimize_inducing
-            )
+            try:
+                elbo, grads = _elbo_and_grads(
+                    out, features[idx], labels[idx], n, noise[idx], cfg.optimize_inducing
+                )
+            except NonFiniteMatrix:
+                # the last update overflowed the kernel: no objective exists here
+                raise NonFiniteLoss(step, float("nan")) from None
             if not np.isfinite(elbo):
                 raise NonFiniteLoss(step, elbo)
             for name, g in grads.items():

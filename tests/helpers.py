@@ -281,3 +281,58 @@ def blas_env(monkeypatch, cpus, openblas=None, omp=None):
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, value)
+
+
+def reference_read_features_csv(path):
+    """The original feature-CSV reader: one csv.reader row and one
+    float() per value at a time. The corpus tests assert that
+    textuq.corpus.read_features_csv returns the same examples and raises
+    the same errors."""
+    import csv
+
+    from textuq.corpus import LabelledExample
+    from textuq.errors import MalformedRow
+    from textuq.labels import label_to_index
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:3] != ["id", "label", "secondary_label"]:
+            raise MalformedRow(f"{path}: expected feature header, got {header}")
+        dim = len(header) - 3
+        if dim < 1:
+            raise MalformedRow(f"{path}: no feature columns")
+        examples = []
+        for lineno, rec in enumerate(reader, start=2):
+            if len(rec) != dim + 3:
+                raise MalformedRow(
+                    f"{path} line {lineno}: expected {dim + 3} fields, got {len(rec)}"
+                )
+            try:
+                features = np.array([float(v) for v in rec[3:]])
+            except ValueError:
+                raise MalformedRow(f"{path} line {lineno}: non-numeric feature value") from None
+            if not np.isfinite(features).all():
+                raise MalformedRow(
+                    f"{path} line {lineno}: non-finite feature value in row {rec[0]!r}"
+                )
+            examples.append(
+                LabelledExample(
+                    id=rec[0],
+                    features=features,
+                    primary_label=label_to_index(rec[1]),
+                    secondary_label=None if rec[2] == "" else label_to_index(rec[2]),
+                )
+            )
+    return examples
+
+
+def reference_preprocess_text(raw):
+    """The original tokenizer: one category lookup per character."""
+    import unicodedata
+
+    def removable(ch):
+        cat = unicodedata.category(ch)
+        return cat.startswith("P") or (ord(ch) < 128 and cat.startswith("S"))
+
+    return "".join(" " if removable(ch) else ch for ch in raw.lower()).split()

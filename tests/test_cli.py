@@ -401,6 +401,8 @@ def test_train_rejects_unknown_model(pipeline, tmp_path):
     ("--hidden", "0", "hidden_units must be >= 1"),
     ("--epochs", "-1", "epochs must be >= 0"),
     ("--learning-rate", "-1", "learning_rate must be >= 0"),
+    ("--learning-rate", "nan", "learning_rate must be finite, got nan"),
+    ("--fgsm-eps", "inf", "fgsm_epsilon must be finite, got inf"),
 ])
 def test_train_ens_rejects_bad_config_with_one_line(pipeline, tmp_path, flag, value, message):
     out_model = tmp_path / "m"
@@ -420,6 +422,8 @@ def test_train_ens_rejects_bad_config_with_one_line(pipeline, tmp_path, flag, va
     ("--inducing", "0", "m (inducing points) must be >= 1"),
     ("--learning-rate", "-1", "learning_rate must be >= 0"),
     ("--epochs", "-1", "epochs must be >= 0"),
+    ("--learning-rate", "nan", "learning_rate must be finite, got nan"),
+    ("--learning-rate", "inf", "learning_rate must be finite, got inf"),
 ])
 def test_train_gp_rejects_bad_config_with_one_line(pipeline, tmp_path, flag, value, message):
     out_model = tmp_path / "m"
@@ -432,7 +436,7 @@ def test_train_gp_rejects_bad_config_with_one_line(pipeline, tmp_path, flag, val
     assert not out_model.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_train_ens_diverging_in_worker_threads_exits_1(pipeline, tmp_path, two_workers):
     out_model = tmp_path / "m"
     code, _, err = run_cli([
@@ -440,6 +444,18 @@ def test_train_ens_diverging_in_worker_threads_exits_1(pipeline, tmp_path, two_w
         "--out-model", str(out_model), "--out-trace", str(tmp_path / "t"),
         "--seed", "0", "--members", "3", "--hidden", "16", "--epochs", "1",
         "--batch-size", "128", "--learning-rate", "1e300",
+    ])
+    assert code == 1, err
+    assert err.startswith("error: non-finite objective") and err.count("\n") == 1
+    assert not out_model.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_train_gp_diverging_exits_1(pipeline, tmp_path):
+    out_model = tmp_path / "m"
+    code, _, err = run_cli(pipeline["gp_args"] + [
+        "--out-model", str(out_model), "--out-trace", str(tmp_path / "t"),
+        "--learning-rate", "1e300",
     ])
     assert code == 1, err
     assert err.startswith("error: non-finite objective") and err.count("\n") == 1
@@ -646,6 +662,24 @@ def test_internal_failure_exits_2(toy_dir, monkeypatch):
     ])
     assert code == 2
     assert "Traceback" in err and "boom" in err
+
+
+def test_commands_without_a_triangular_solve_never_load_scipy(toy_dir):
+    # scipy.linalg is imported on the first triangular solve, so start-up
+    # and the commands that never solve one do not pay for it
+    script = (
+        "import sys\n"
+        "from textuq import cli\n"
+        "loaded = ['scipy.linalg' in sys.modules]\n"
+        f"code = cli.main(['prepare', '--corpus', {str(toy_dir / 'corpus.csv')!r},\n"
+        f"                 '--embeddings', {str(toy_dir / 'emb.txt')!r},\n"
+        f"                 '--out', {str(toy_dir / 'features.csv')!r}])\n"
+        "loaded.append('scipy.linalg' in sys.modules)\n"
+        "print(code, loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [False, False]"
 
 
 def test_module_invocation_without_args():

@@ -1,11 +1,19 @@
+import csv
+import io
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_write_features_csv
+from helpers import (
+    reference_preprocess_text,
+    reference_read_features_csv,
+    reference_write_features_csv,
+)
 from textuq.corpus import (
     CorpusRow,
     EmbeddingTable,
@@ -64,6 +72,17 @@ class TestPreprocess:
     def test_idempotent(self, raw):
         tokens = preprocess_text(raw)
         assert preprocess_text(" ".join(tokens)) == tokens
+
+    @pytest.mark.parametrize("raw", [
+        "İstanbul ΣΑΣ straße", "a\u00a0b\u2028c", "x¿y¡z", "x+y=z^2 ~ `q` <a|b>",
+        "٣٫٥ ١٬٠٠٠", "𝔸𝕓𝕔!🙂", "ǅ ǈ ǋ", "\x00\x1f\x7f",
+    ])
+    def test_matches_the_reference_tokenizer_on_chosen_text(self, raw):
+        assert preprocess_text(raw) == reference_preprocess_text(raw)
+
+    @given(st.text(max_size=200))
+    def test_matches_the_reference_tokenizer(self, raw):
+        assert preprocess_text(raw) == reference_preprocess_text(raw)
 
 
 def small_table():
@@ -192,6 +211,31 @@ class TestCorpusCsv:
         write_corpus_csv(path, corpus_rows())
         assert read_corpus_csv(path) == corpus_rows()
 
+    def test_bytes_match_a_plain_csv_writer(self, tmp_path):
+        # quoting differs from csv.writer(lineterminator="\n") only for a
+        # field with a bare \r, which none of these rows has
+        rows = corpus_rows() + [CorpusRow("q,1", 'say "no"\nedema', NEGATIVE, None)]
+        path = tmp_path / "corpus.csv"
+        write_corpus_csv(path, rows)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["id", "text", "primary_label", "secondary_label"])
+        names = ["negative", "uncertain", "positive"]
+        for r in rows:
+            secondary = "" if r.secondary_label is None else names[r.secondary_label]
+            writer.writerow([r.id, r.text, names[r.primary_label], secondary])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_round_trip_keeps_a_bare_carriage_return(self, tmp_path):
+        rows = [
+            CorpusRow("cr\rid", "no edema\rstable", NEGATIVE, NEGATIVE),
+            CorpusRow("r1", "mild\r\nedema\r", POSITIVE, None),
+        ]
+        path = tmp_path / "corpus.csv"
+        write_corpus_csv(path, rows)
+        assert b'\n"cr\rid","no edema\rstable",' in path.read_bytes()
+        assert read_corpus_csv(path) == rows
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("id,text,label\nr0,No edema.,negative\n", encoding="utf-8")
@@ -267,7 +311,10 @@ class TestFeaturesCsv:
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_features_csv(got, examples)
         reference_write_features_csv(want, examples)
-        assert got.read_bytes() == want.read_bytes()
+        # the one deliberate difference: the reference left the bare \r
+        # unquoted, which no reader could get back
+        assert b"\ncr\rhere," in want.read_bytes()
+        assert got.read_bytes() == want.read_bytes().replace(b"\ncr\rhere,", b'\n"cr\rhere",')
 
     def test_write_rejects_ragged_features(self, tmp_path):
         examples = self.examples()
@@ -297,6 +344,145 @@ class TestFeaturesCsv:
         path.write_text("id,label,secondary_label,f0\ne0,negative,,0.5,0.7\n", encoding="utf-8")
         with pytest.raises(MalformedRow, match="line 2"):
             read_features_csv(path)
+
+
+def _reader_outcome(read, path):
+    """(ids, labels, secondary labels, feature bytes) or the error text."""
+    try:
+        examples = read(path)
+    except MalformedRow as exc:
+        return "MalformedRow: " + str(exc)
+    return (
+        [ex.id for ex in examples],
+        [ex.primary_label for ex in examples],
+        [ex.secondary_label for ex in examples],
+        [ex.features.tobytes() for ex in examples],
+    )
+
+
+_AWKWARD_IDS = st.text(alphabet=st.sampled_from([",", '"', "\n", "\r", "#", " ", "a", "é"]),
+                       max_size=6)
+_AWKWARD_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestReadFeaturesCsv:
+    """The one-pass reader against the original row-at-a-time reader."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(_AWKWARD_IDS, st.integers(0, 2), st.sampled_from([None, 0, 1, 2])),
+            min_size=1, max_size=6,
+        ),
+        dim=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_matches_the_reference_reader(self, rows, dim, data):
+        feats = np.array(
+            data.draw(st.lists(_AWKWARD_FLOATS, min_size=len(rows) * dim,
+                               max_size=len(rows) * dim))
+        ).reshape(len(rows), dim)
+        examples = [
+            LabelledExample(id=ident, features=feats[i], primary_label=primary,
+                            secondary_label=secondary)
+            for i, (ident, primary, secondary) in enumerate(rows)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.csv"
+            write_features_csv(path, examples)
+            got = _reader_outcome(read_features_csv, path)
+            assert got == _reader_outcome(reference_read_features_csv, path)
+        assert got[0] == [ex.id for ex in examples]
+        assert got[3] == [ex.features.tobytes() for ex in examples]
+
+    @pytest.mark.parametrize("body", [
+        "e1,positive,,0.5,abc\n",  # non-numeric
+        "e1,positive,,0.5,\n",  # empty value
+        "e1,positive,,0.5\n",  # too few fields
+        "e1,positive,,0.5,0.7,0.9\n",  # too many fields
+        "e1,positive\n",
+        "e1,positive,,nan,0.7\n",  # non-finite
+        "e1,positive,,0.5,-inf\n",
+        "e1,positive,,1e999,0.7\n",
+        '"two\nlines",positive,,0.5,0.7\ne2,negative,,nan,0.7\n',  # a quoted newline
+        "e1,positive,,0.5,0.7\ne2,negative,,0.5,0.7\ne3,uncertain,,x,0.7\n",
+        "e1,positive,,0.5,0.7\ne2,negative,,nan,x\n",  # non-numeric wins over non-finite
+        "e1,positive,,inf,0.7\ne2,negative,,0.5\n",  # the first bad row wins
+        "e1,positive,,0.5,0.7\ncr\rhere,negative,,0.5,0.7\n",  # an unquoted bare \r
+    ])
+    def test_rejects_a_bad_row_with_the_reference_message(self, tmp_path, body):
+        path = tmp_path / "features.csv"
+        path.write_text("id,label,secondary_label,f0,f1\ne0,negative,,0.5,0.7\n" + body,
+                        encoding="utf-8", newline="")
+        got = _reader_outcome(read_features_csv, path)
+        assert got.startswith(f"MalformedRow: {path} line ")
+        assert got == _reader_outcome(reference_read_features_csv, path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [
+        "", "\n", "id,label\n", "id,label,secondary_label\n",
+        "id,label,secondary_label,f0\n",  # header only: no rows, no warning
+        "id,label,secondary_label,f0\ne0,maybe,,0.5\n",  # unknown label word
+    ])
+    def test_header_and_label_outcomes_match_the_reference(self, tmp_path, text):
+        path = tmp_path / "features.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _reader_outcome(read_features_csv, path) == _reader_outcome(
+            reference_read_features_csv, path)
+
+    @pytest.mark.filterwarnings("error")  # an empty body is no warning either
+    def test_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("id,label,secondary_label,f0\n\ne0,negative,,0.5\n\n\n"
+                        "e1,positive,negative,-1\n", encoding="utf-8")
+        back = read_features_csv(path)
+        assert [(ex.id, ex.features.tolist()) for ex in back] == [("e0", [0.5]), ("e1", [-1.0])]
+        path.write_text("id,label,secondary_label,f0\n\n\n", encoding="utf-8")
+        assert read_features_csv(path) == []
+
+    def test_a_bad_row_after_blank_lines_is_named_by_its_line(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("id,label,secondary_label,f0\ne0,negative,,0.5\n\n"
+                        "e1,positive,,abc\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=f"^{path} line 4: non-numeric"):
+            read_features_csv(path)
+
+    def test_a_value_only_python_float_accepts_is_still_malformed(self, tmp_path):
+        # float("1_0") is 10.0, but the file format has no digit separators
+        path = tmp_path / "features.csv"
+        path.write_text("id,label,secondary_label,f0\ne0,negative,,1_0\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=f"^{path}: could not convert string '1_0'"):
+            read_features_csv(path)
+
+    def test_features_are_rows_of_one_contiguous_matrix(self, tmp_path):
+        path = tmp_path / "features.csv"
+        feats = np.arange(12.0).reshape(4, 3)
+        write_features_csv(path, [
+            LabelledExample(id=f"e{i}", features=feats[i], primary_label=0, secondary_label=0)
+            for i in range(4)
+        ])
+        back = read_features_csv(path)
+        matrix = back[0].features.base
+        assert matrix.shape == (4, 3) and matrix.flags.c_contiguous
+        assert all(ex.features.base is matrix for ex in back)
+        assert np.array_equal(matrix, feats)
+
+    def test_round_trip_keeps_a_bare_carriage_return(self, tmp_path):
+        path = tmp_path / "features.csv"
+        examples = [
+            LabelledExample(id="cr\rhere", features=np.array([0.5, -0.0]), primary_label=0,
+                            secondary_label=None),
+            LabelledExample(id="\r", features=np.array([1e-300, 2.0]), primary_label=2,
+                            secondary_label=1),
+        ]
+        write_features_csv(path, examples)
+        assert b'\n"cr\rhere",negative,,' in path.read_bytes()
+        for read in (read_features_csv, reference_read_features_csv):
+            back = read(path)
+            assert [ex.id for ex in back] == ["cr\rhere", "\r"]
+            assert [ex.features.tobytes() for ex in back] == [
+                ex.features.tobytes() for ex in examples]
 
 
 class TestFeaturize:

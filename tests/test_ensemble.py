@@ -30,7 +30,7 @@ from textuq.ensemble import (
     mlp_forward,
     softmax,
 )
-from textuq.errors import BatchTooSmall, DimensionMismatch, NonFiniteLoss
+from textuq.errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss
 
 
 def zero_params(dim=2, hidden=4, num_classes=3):
@@ -82,6 +82,12 @@ class TestConfig:
             EnsembleConfig(epochs=-1).validate()
         with pytest.raises(ValueError):
             EnsembleConfig(learning_rate=-1.0).validate()
+
+    @pytest.mark.parametrize("name", ["learning_rate", "fgsm_epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_validate_rejects_non_finite_values(self, name, value):
+        with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
+            EnsembleConfig(**{name: value}).validate()
 
     def test_validate_accepts_boundary_values(self):
         EnsembleConfig(hidden_units=1, epochs=0, learning_rate=0.0).validate()

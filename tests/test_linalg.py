@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import cofactor_det, max_rel_err
-from textuq.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from textuq.errors import DimensionMismatch, NonFiniteMatrix, NotPositiveDefinite, NotSymmetric
 from textuq.linalg import (
     CholeskyFactor,
     cholesky_backward,
@@ -12,6 +12,7 @@ from textuq.linalg import (
     default_jitter,
     log_det_from_cholesky,
     solve_lower_triangular,
+    solve_triangular,
 )
 
 
@@ -91,6 +92,8 @@ class TestCholeskyWithJitter:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             cholesky_with_jitter(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-6)
+        with pytest.raises(NonFiniteMatrix):
+            cholesky_with_jitter(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1e-6)
 
     def test_rejects_nonpositive_base_jitter(self):
         with pytest.raises(ValueError):
@@ -129,6 +132,13 @@ class TestSolveLowerTriangular:
         fac = CholeskyFactor(lower=np.eye(3), jitter_used=0.0)
         with pytest.raises(DimensionMismatch):
             solve_lower_triangular(fac, np.ones(4))
+
+    def test_transposed_solve(self):
+        rng = np.random.default_rng(3)
+        lower = np.linalg.cholesky(random_spd(rng, 4))
+        b = rng.normal(size=(4, 2))
+        x = solve_triangular(lower, b, trans="T")
+        assert np.linalg.norm(lower.T @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
 class TestLogDet:

@@ -6,7 +6,7 @@ import pytest
 from textuq.corpus import SplitSpec
 from textuq.ensemble import EnsembleConfig, fit_ensemble
 from textuq.errors import InvalidConfig
-from textuq.model_io import ModelMeta, atomic_write_text, load_model, save_model
+from textuq.model_io import ModelMeta, atomic_write, atomic_write_text, load_model, save_model
 from textuq.svgp import init_model
 
 META = ModelMeta(model_type="gp", split=SplitSpec(0.1, 0.1, seed=3),
@@ -113,3 +113,17 @@ class TestAtomicWrite:
         path.write_text("old", encoding="utf-8")
         atomic_write_text(path, "new")
         assert path.read_text(encoding="utf-8") == "new"
+
+    def test_a_failing_writer_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old", encoding="utf-8")
+
+        def half_write(tmp):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(path, half_write)
+        assert path.read_text(encoding="utf-8") == "old"
+        assert os.listdir(tmp_path) == ["out.txt"]

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp
 
 from helpers import fd_scalar_attr, fd_wrt, make_blobs, max_rel_err
-from textuq.errors import DimensionMismatch, NonFiniteLoss, TooFewPoints
+from textuq.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, TooFewPoints
 from textuq.kernel import KernelParams, kernel_diag, kernel_matrix
 from textuq.linalg import cholesky_with_jitter
 from textuq.svgp import (
@@ -394,6 +394,23 @@ class TestFit:
             fit(model, feats, labels, self.config())
         assert excinfo.value.step == 0
 
+    @pytest.mark.filterwarnings("error")  # the divergence is reported once, without warnings
+    def test_overflowing_kernel_reports_the_step(self):
+        model, feats, rng = perturbed_model(19, n=10)
+        labels = rng.integers(0, 3, size=10)
+        model.kernel.log_variance = 800.0  # exp overflows, so Kzz is infinite
+        with pytest.raises(NonFiniteLoss) as excinfo:
+            fit(model, feats, labels, self.config())
+        assert excinfo.value.step == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_steps_raise_non_finite_loss(self):
+        model, feats, rng = perturbed_model(19, n=10)
+        labels = rng.integers(0, 3, size=10)
+        with pytest.raises(NonFiniteLoss) as excinfo:
+            fit(model, feats, labels, self.config(learning_rate=1e300))
+        assert excinfo.value.step >= 1
+
     def test_training_improves_the_objective_on_separable_blobs(self):
         rng = np.random.default_rng(20)
         feats, labels = make_blobs(rng)
@@ -415,6 +432,11 @@ class TestFit:
             TrainConfig(epochs=-1).validate()
         with pytest.raises(ValueError):
             TrainConfig(mc_predict_samples=0).validate()
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_validate_rejects_a_non_finite_learning_rate(self, lr):
+        with pytest.raises(InvalidConfig, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=lr).validate()
 
 
 class TestPredictProba:
