@@ -221,14 +221,13 @@ def cmd_synth(opts) -> int:
 def cmd_train(opts) -> int:
     if opts.model not in ("gp", "ens"):
         raise InvalidConfig(f"--model must be gp or ens, got {opts.model!r}")
-    examples = corpus_mod.read_features_csv(opts.features)
+    # every setting is checked before the feature file is read
     spec = corpus_mod.SplitSpec(opts.val_fraction, opts.test_fraction, opts.seed)
-    train, val, test = corpus_mod.stratified_split(examples, spec)
-    xs, ys = _stack(train)
-    print(f"split: train {len(train)}, val {len(val)}, test {len(test)}")
-
+    spec.validate()
     if opts.model == "gp":
-        tcfg = svgp_mod.TrainConfig(
+        if opts.inducing < 1:
+            raise InvalidConfig("m (inducing points) must be >= 1")
+        cfg = svgp_mod.TrainConfig(
             learning_rate=opts.learning_rate,
             epochs=2 if opts.epochs is None else opts.epochs,
             batch_size=opts.batch_size,
@@ -237,15 +236,8 @@ def cmd_train(opts) -> int:
             seed=opts.seed,
             optimize_inducing=opts.optimize_inducing,
         )
-        model0 = svgp_mod.init_model(xs, m=opts.inducing, seed=opts.seed)
-        model, trace = svgp_mod.fit(model0, xs, ys, tcfg)
-        meta = ModelMeta("gp", spec, mc_predict_samples=opts.mc_predict,
-                         predict_seed=opts.seed)
-        trace_lines = ["step,objective"]
-        trace_lines += ["%d,%.17g" % (t.step, t.objective) for t in trace]
-        final = trace[-1].objective if trace else float("nan")
     else:
-        ecfg = ens_mod.EnsembleConfig(
+        cfg = ens_mod.EnsembleConfig(
             members=opts.members,
             hidden_units=opts.hidden,
             learning_rate=opts.learning_rate,
@@ -254,7 +246,23 @@ def cmd_train(opts) -> int:
             fgsm_epsilon=opts.fgsm_eps,
             seed=opts.seed,
         )
-        model, traces = ens_mod.fit_ensemble(xs, ys, ecfg)
+    cfg.validate()
+
+    examples = corpus_mod.read_features_csv(opts.features)
+    train, val, test = corpus_mod.stratified_split(examples, spec)
+    xs, ys = _stack(train)
+    print(f"split: train {len(train)}, val {len(val)}, test {len(test)}")
+
+    if opts.model == "gp":
+        model0 = svgp_mod.init_model(xs, m=opts.inducing, seed=opts.seed)
+        model, trace = svgp_mod.fit(model0, xs, ys, cfg)
+        meta = ModelMeta("gp", spec, mc_predict_samples=opts.mc_predict,
+                         predict_seed=opts.seed)
+        trace_lines = ["step,objective"]
+        trace_lines += ["%d,%.17g" % (t.step, t.objective) for t in trace]
+        final = trace[-1].objective if trace else float("nan")
+    else:
+        model, traces = ens_mod.fit_ensemble(xs, ys, cfg)
         meta = ModelMeta("ens", spec)
         trace_lines = ["member,step,objective"]
         for member, tr in enumerate(traces):

@@ -10,14 +10,24 @@ feed, carriage return, comma or quote is quoted):
                 significant digits so a write/read round-trip is bit-exact;
                 the reader skips blank lines
   embeddings    header "vocab_size dimension", then "token v1 .. vD" lines
+
+Feature CSVs are read and written in contiguous pieces, one per worker: a
+forked process per _MIN_CHUNK_BYTES (4 MiB) of CSV text, at most one per
+usable CPU, the caller doing the first piece (parallel.fork_map). Smaller
+files, one CPU, no os.fork or other live threads mean one process. Reads
+cut only at record ends and join the pieces in file order, so the results
+and the bytes written do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import logging
 import math
+import os
 import unicodedata
 import warnings
 from dataclasses import dataclass
@@ -36,8 +46,15 @@ from .errors import (
     TooFewPoints,
 )
 from .labels import LABEL_NAMES, NEGATIVE, POSITIVE, UNCERTAIN, label_to_index
+from .parallel import fork_map, usable_cpus
 
 log = logging.getLogger(__name__)
+
+# Feature-CSV reads and writes run one worker process per this much CSV text,
+# at most one per usable CPU; smaller files stay in the calling process.
+_MIN_CHUNK_BYTES = 4 << 20
+_VALUE_BYTES = 22  # a %.17g feature value and its comma, about
+_BLOCK_BYTES = 1 << 20  # the unit of the readers' and writers' I/O buffers
 
 
 # ---------------------------------------------------------------- text
@@ -233,30 +250,67 @@ def featurize(rows, table: EmbeddingTable):
     return examples, flagged
 
 
+def _workers(nbytes: int) -> int:
+    """Processes for nbytes of feature-CSV text: one per _MIN_CHUNK_BYTES,
+    no more than the usable CPUs, and at least one."""
+    return max(1, min(usable_cpus(), nbytes // _MIN_CHUNK_BYTES))
+
+
+def _write_feature_rows(fh, examples, floats) -> None:
+    write_row = _csv_row_writer(fh)
+    for ex in examples:
+        secondary = "" if ex.secondary_label is None else LABEL_NAMES[ex.secondary_label]
+        write_row([ex.id, LABEL_NAMES[ex.primary_label], secondary],
+                  floats % tuple(ex.features.tolist()))
+
+
 def write_features_csv(path, examples) -> None:
     if not examples:
         raise EmptyInput("no examples to write")
     dim = len(examples[0].features)
+    for ex in examples:
+        if len(ex.features) != dim:
+            raise DimensionMismatch(
+                f"example {ex.id!r} has {len(ex.features)} features, expected {dim}"
+            )
     # the id and label fields go through the csv writer; the floats, which
     # never need quoting, are formatted in one % per row
     floats = ",%.17g" * dim + "\n"
+    k = _workers(len(examples) * dim * _VALUE_BYTES)
+    bounds = [len(examples) * i // k for i in range(k + 1)]
+    rows_per_block = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_row = _csv_row_writer(fh)
-        write_row(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
-        for ex in examples:
-            if len(ex.features) != dim:
-                raise DimensionMismatch(
-                    f"example {ex.id!r} has {len(ex.features)} features, expected {dim}"
-                )
-            secondary = "" if ex.secondary_label is None else LABEL_NAMES[ex.secondary_label]
-            write_row([ex.id, LABEL_NAMES[ex.primary_label], secondary],
-                      floats % tuple(ex.features.tolist()))
+        _csv_row_writer(fh)(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
+
+        def write_part(i):
+            # the caller writes the first rows to the file; a worker process
+            # formats its rows into UTF-8 blocks for the caller to append
+            rows = examples[bounds[i]:bounds[i + 1]]
+            if i == 0:
+                _write_feature_rows(fh, rows, floats)
+                return []
+            blocks = []
+            for start in range(0, len(rows), rows_per_block):
+                buf = io.StringIO()
+                _write_feature_rows(buf, rows[start:start + rows_per_block], floats)
+                blocks.append(buf.getvalue().encode("utf-8"))
+            return blocks
+
+        parts = fork_map(write_part, range(k))
+        fh.flush()
+        for block in itertools.chain.from_iterable(parts):
+            fh.buffer.write(block)
 
 
 def read_features_csv(path) -> list:
     """Feature rows; each example's features are a row view of one (n, D)
     matrix. Blank lines are skipped. A row with the wrong field count or a
-    non-numeric or non-finite value raises MalformedRow naming the line."""
+    non-numeric or non-finite value raises MalformedRow naming the line.
+
+    The body is parsed in record-aligned byte ranges, one per worker process
+    (see ``_workers``); the ranges' rows are joined in file order.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         line = fh.readline()
         header = next(csv.reader([line])) if line else None
@@ -265,22 +319,28 @@ def read_features_csv(path) -> list:
         dim = len(header) - 3
         if dim < 1:
             raise MalformedRow(f"{path}: no feature columns")
-        body = fh.tell()
-        row_type = [("id", object), ("label", object), ("secondary", object),
-                    ("x", np.float64, (dim,))]
+        body, size = len(line.encode("utf-8")), os.fstat(fh.fileno()).st_size
+        parse = functools.partial(_parse_feature_rows, path, dim)
+        ranges = _record_ranges(path, body, size, _workers(size - body))
         try:
-            with warnings.catch_warnings():
-                # a body with no rows is an empty data set, not a warning
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(fh, dtype=row_type, delimiter=",", quotechar='"',
-                                   comments=None, ndmin=1)
+            try:
+                parts = fork_map(parse, ranges)
+            except ValueError:
+                if len(ranges) == 1:
+                    raise
+                # numpy numbers rows from the start of its range, and a bare
+                # quote inside an unquoted field (which RFC 4180 forbids) can
+                # move a cut into a record: one pass gives the file's outcome
+                parts = [parse((body, size))]
         except ValueError as exc:
             fh.seek(body)
             raise _bad_row(path, fh, dim) or MalformedRow(f"{path}: {exc}") from None
-        features = np.ascontiguousarray(table["x"])
+        ids, primaries, secondaries, xs = zip(*parts)
+        features = np.concatenate(xs)
         if not np.isfinite(features).all():
             fh.seek(body)
             raise _bad_row(path, fh, dim) or MalformedRow(f"{path}: non-finite feature value")
+    chain = itertools.chain.from_iterable
     return [
         LabelledExample(
             id=ident,
@@ -289,10 +349,68 @@ def read_features_csv(path) -> list:
             secondary_label=None if secondary == "" else label_to_index(secondary),
         )
         for ident, primary, secondary, x in zip(
-            table["id"].tolist(), table["label"].tolist(), table["secondary"].tolist(),
-            features,
+            chain(ids), chain(primaries), chain(secondaries), features
         )
     ]
+
+
+def _record_ranges(path, start, stop, k) -> list:
+    """At most k byte ranges that tile [start, stop) of a CSV file, each
+    ending at a record end near an even share of the bytes.
+
+    A record ends at a line feed that follows an even number of quote
+    characters, counted from ``start``. In RFC 4180 CSV a quote only opens,
+    closes or doubles inside a quoted field, so such a line feed is never
+    inside one. UTF-8 continuation bytes are never quotes or line feeds.
+    A bare quote inside an unquoted field, which RFC 4180 forbids and the
+    writer never produces, can put a cut inside a record; the range that
+    then fails to parse makes read_features_csv redo the body in one pass.
+    """
+    cuts, pos, quotes = [start], start, 0
+    with open(path, "rb") as fb:
+        fb.seek(start)
+        for j in range(1, k):
+            target = start + (stop - start) * j // k
+            while pos < target:  # up to the target only the quote count matters
+                block = fb.read(min(_BLOCK_BYTES, target - pos))
+                if not block:
+                    break
+                quotes += block.count(b'"')
+                pos += len(block)
+            while line := fb.readline():
+                quotes += line.count(b'"')
+                pos += len(line)
+                if quotes % 2 == 0 and line.endswith(b"\n"):
+                    break
+            cuts.append(pos)
+    cuts.append(stop)
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b] or [(start, stop)]
+
+
+def _parse_feature_rows(path, dim, span):
+    """(ids, labels, secondary labels, features) of the feature-CSV rows in
+    the byte range ``span``; ValueError for a row np.loadtxt refuses."""
+    start, stop = span
+    row_type = [("id", object), ("label", object), ("secondary", object),
+                ("x", np.float64, (dim,))]
+    with open(path, encoding="utf-8", newline="") as fh:
+        fh.seek(start)  # a byte offset at a line start is a text-file position
+        with warnings.catch_warnings():
+            # a range with no rows is an empty data set, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(_lines_before(fh, start, stop), dtype=row_type,
+                               delimiter=",", quotechar='"', comments=None, ndmin=1)
+    return table["id"].tolist(), table["label"].tolist(), table["secondary"].tolist(), table["x"]
+
+
+def _lines_before(fh, pos, stop):
+    """The lines of text file ``fh``, read from byte offset ``pos``, that
+    start before byte offset ``stop``."""
+    for line in fh:
+        if pos >= stop:
+            return
+        pos += len(line.encode("utf-8"))
+        yield line
 
 
 def _bad_row(path, fh, dim) -> MalformedRow | None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss
+from .parallel import usable_cpus
 
 N_HIDDEN_BLOCKS = 3
 
@@ -430,10 +431,7 @@ def _worker_count(members: int) -> int:
     OMP_NUM_THREADS that is a positive integer; with neither, OpenBLAS uses
     every usable CPU, which gives one worker.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # pragma: no cover - platforms without CPU affinity
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     blas = cpus
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:

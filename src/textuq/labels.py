@@ -14,6 +14,3 @@ def label_to_index(name: str) -> int:
     except ValueError:
         raise MalformedRow(f"unknown label {name!r}") from None
 
-
-def index_to_label(index: int) -> str:
-    return LABEL_NAMES[index]

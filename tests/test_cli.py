@@ -436,6 +436,24 @@ def test_train_gp_rejects_bad_config_with_one_line(pipeline, tmp_path, flag, val
     assert not out_model.exists()
 
 
+@pytest.mark.parametrize("settings", [
+    ["--model", "gp", "--learning-rate", "nan"],
+    ["--model", "gp", "--inducing", "0"],
+    ["--model", "ens", "--members", "0"],
+    ["--model", "ens", "--val-fraction", "0.95"],
+])
+def test_train_checks_the_settings_before_reading_the_features(pipeline, tmp_path, settings):
+    # nothing is printed, and a missing feature file is not what is reported
+    for features in (pipeline["features"], tmp_path / "absent.csv"):
+        code, out, err = run_cli([
+            "train", "--features", str(features), "--seed", "0",
+            "--out-model", str(tmp_path / "m"), "--out-trace", str(tmp_path / "t"),
+        ] + settings)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "absent.csv" not in err
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_train_ens_diverging_in_worker_threads_exits_1(pipeline, tmp_path, two_workers):
     out_model = tmp_path / "m"

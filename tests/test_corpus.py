@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import logging
@@ -14,6 +15,7 @@ from helpers import (
     reference_read_features_csv,
     reference_write_features_csv,
 )
+from textuq import corpus as corpus_mod
 from textuq.corpus import (
     CorpusRow,
     EmbeddingTable,
@@ -48,6 +50,7 @@ from textuq.errors import (
     TooFewPoints,
 )
 from textuq.labels import NEGATIVE, POSITIVE, UNCERTAIN
+from textuq.parallel import fork_map
 
 
 class TestPreprocess:
@@ -483,6 +486,196 @@ class TestReadFeaturesCsv:
             assert [ex.id for ex in back] == ["cr\rhere", "\r"]
             assert [ex.features.tobytes() for ex in back] == [
                 ex.features.tobytes() for ex in examples]
+
+
+@contextlib.contextmanager
+def in_workers(k, block_bytes=None):
+    """Feature-CSV reads and writes use up to k worker processes whatever the
+    file size. Yields the list of the item counts fork_map is called with."""
+    calls = []
+
+    def counting_fork_map(fn, items):
+        items = list(items)
+        calls.append(len(items))
+        return fork_map(fn, items)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_mod, "usable_cpus", lambda: k)
+        mp.setattr(corpus_mod, "_MIN_CHUNK_BYTES", 1)
+        mp.setattr(corpus_mod, "fork_map", counting_fork_map)
+        if block_bytes is not None:
+            mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
+        yield calls
+
+
+def _row_bytes(tmp, ex):
+    """The bytes of one example's row as the writer writes it."""
+    one = Path(tmp) / "one.csv"
+    write_features_csv(one, [ex])
+    raw = one.read_bytes()
+    return raw[raw.index(b"\n") + 1:]
+
+
+def _examples(n, dim, ids=None):
+    feats = np.random.default_rng(n * 10 + dim).normal(size=(n, dim))
+    return [
+        LabelledExample(id=f"e{i}" if ids is None else ids[i], features=feats[i],
+                        primary_label=i % 3, secondary_label=None if i % 4 == 1 else (i + 1) % 3)
+        for i in range(n)
+    ]
+
+
+class TestFeaturesCsvInWorkers:
+    """Reads and writes split over forked workers give the one-process results."""
+
+    @pytest.mark.parametrize("cpus, nbytes, want", [
+        (4, 0, 1),
+        (4, (8 << 20) - 1, 1),  # one worker per full 4 MiB
+        (4, 8 << 20, 2),
+        (4, 100 << 20, 4),  # never more than the usable CPUs
+        (1, 100 << 20, 1),
+    ])
+    def test_worker_rule(self, monkeypatch, cpus, nbytes, want):
+        monkeypatch.setattr(corpus_mod, "usable_cpus", lambda: cpus)
+        assert corpus_mod._workers(nbytes) == want
+
+    @given(
+        rows=st.lists(
+            st.tuples(_AWKWARD_IDS, st.integers(0, 2), st.sampled_from([None, 0, 1, 2]),
+                      st.booleans()),
+            min_size=1, max_size=8,
+        ),
+        dim=st.integers(1, 3),
+        k=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_reader_matches_the_reference_reader(self, rows, dim, k, data):
+        feats = np.array(
+            data.draw(st.lists(_AWKWARD_FLOATS, min_size=len(rows) * dim,
+                               max_size=len(rows) * dim))
+        ).reshape(len(rows), dim)
+        examples = [
+            LabelledExample(id=ident, features=feats[i], primary_label=primary,
+                            secondary_label=secondary)
+            for i, (ident, primary, secondary, _) in enumerate(rows)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            plain, blanks = Path(tmp) / "plain.csv", Path(tmp) / "blanks.csv"
+            write_features_csv(plain, examples)
+            # the same rows with a blank line before each flagged one
+            raw = plain.read_bytes()
+            blanks.write_bytes(raw[:raw.index(b"\n") + 1] + b"".join(
+                (b"\n" if blank else b"") + _row_bytes(tmp, ex)
+                for ex, (_, _, _, blank) in zip(examples, rows)))
+            with in_workers(k) as calls:
+                got = _reader_outcome(read_features_csv, blanks)
+            assert got == _reader_outcome(reference_read_features_csv, plain)
+        assert 1 <= calls[0] <= k
+        assert got[0] == [ex.id for ex in examples]
+        assert got[3] == [ex.features.tobytes() for ex in examples]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_cut_target_inside_a_quoted_field(self, tmp_path, k):
+        # the middle row's id is a quoted field over the whole middle of the file
+        ids = ["e0", 'q,"x"\n' * 80, "e2"]
+        path = tmp_path / "features.csv"
+        write_features_csv(path, _examples(3, 2, ids))
+        raw = path.read_bytes()
+        body = raw.index(b"\n") + 1
+        field = (raw.index(b'"q,'), raw.index(b'\n",') + 2)
+        targets = [body + (len(raw) - body) * j // k for j in range(1, k)]
+        assert all(field[0] < t < field[1] for t in targets)
+        with in_workers(k) as calls:
+            got = _reader_outcome(read_features_csv, path)
+        assert calls == [2]  # one cut, after the quoted row
+        assert got == _reader_outcome(reference_read_features_csv, path)
+        assert got[0] == ids
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ranges_tile_the_body_at_record_ends(self, tmp_path, k):
+        path = tmp_path / "features.csv"
+        write_features_csv(path, _examples(40, 3, [f'id "{i}"\n' for i in range(40)]))
+        raw = path.read_bytes()
+        body = raw.index(b"\n") + 1
+        ranges = corpus_mod._record_ranges(path, body, len(raw), k)
+        assert len(ranges) == k
+        assert ranges[0][0] == body and ranges[-1][1] == len(raw)
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        for _, end in ranges[:-1]:
+            assert raw[end - 1:end] == b"\n" and raw[body:end].count(b'"') % 2 == 0
+
+    @pytest.mark.parametrize("bad", [
+        "e9,positive,,0.5,abc\n",  # non-numeric
+        "e9,positive,,0.5\n",  # too few fields
+        "e9,positive,,0.5,0.7,0.9\n",  # too many fields
+        "e9,positive,,nan,0.7\n",  # non-finite
+        "e9,positive,,0.5,-inf\n",
+        "e9,positive,,1e999,0.7\n",
+        "cr\rhere,negative,,0.5,0.7\n",  # an unquoted bare \r
+    ])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_bad_row_in_a_workers_range_gives_the_reference_message(self, tmp_path, bad, k):
+        path = tmp_path / "features.csv"
+        write_features_csv(path, _examples(6, 2))
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write(bad + "e10,negative,,0.5,0.7\n")
+        with in_workers(k) as calls:
+            got = _reader_outcome(read_features_csv, path)
+        assert calls[0] == k  # the bad row, second to last, is in a worker's range
+        assert got.startswith(f"MalformedRow: {path} line 8: ")
+        assert got == _reader_outcome(reference_read_features_csv, path)
+
+    def test_a_value_only_numpy_refuses_gives_the_one_process_message(self, tmp_path):
+        # the reference reads 1_0 as 10.0; numpy's message names the row
+        # counted from the start of the body, not of a worker's range
+        path = tmp_path / "features.csv"
+        write_features_csv(path, _examples(6, 1))
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("e9,negative,,1_0\n")
+        want = _reader_outcome(read_features_csv, path)
+        assert want.startswith(f"MalformedRow: {path}: could not convert string '1_0'")
+        with in_workers(2) as calls:
+            assert _reader_outcome(read_features_csv, path) == want
+        assert calls == [2]
+
+    def test_features_are_rows_of_one_contiguous_matrix(self, tmp_path):
+        path = tmp_path / "features.csv"
+        examples = _examples(9, 3)
+        write_features_csv(path, examples)
+        with in_workers(3) as calls:
+            back = read_features_csv(path)
+        assert calls == [3]
+        matrix = back[0].features.base
+        assert matrix.shape == (9, 3) and matrix.flags.c_contiguous
+        assert all(ex.features.base is matrix for ex in back)
+        assert matrix.tobytes() == np.stack([ex.features for ex in examples]).tobytes()
+
+    def test_blank_lines_only(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("id,label,secondary_label,f0\n\n\n\n\n", encoding="utf-8")
+        with in_workers(4):
+            assert read_features_csv(path) == []
+
+    @pytest.mark.parametrize("k, block_bytes", [(2, None), (3, 1), (4, 200)])
+    def test_writer_bytes_match_the_reference_writer(self, tmp_path, k, block_bytes):
+        ids = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain", "é"] * 3
+        examples = _examples(len(ids), 6, ids)
+        examples[0].features[:] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e-300]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        with in_workers(k, block_bytes) as calls:
+            write_features_csv(got, examples)
+        assert calls == [k]
+        reference_write_features_csv(want, examples)
+        # the reference leaves a bare \r unquoted (see TestFeaturesCsv)
+        assert got.read_bytes() == want.read_bytes().replace(b"\ncr\rhere,", b'\n"cr\rhere",')
+
+    def test_writer_checks_for_ragged_rows_before_any_worker_starts(self, tmp_path):
+        examples = _examples(8, 3)
+        examples[6].features = examples[6].features[:2]
+        path = tmp_path / "features.csv"
+        with in_workers(2) as calls, pytest.raises(DimensionMismatch, match="'e6'"):
+            write_features_csv(path, examples)
+        assert calls == [] and not path.exists()
 
 
 class TestFeaturize:
