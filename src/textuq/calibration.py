@@ -8,6 +8,7 @@ checked against an exhaustive partition oracle on small instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,18 +174,32 @@ def bins_to_csv_text(bins: ReliabilityBins) -> str:
 
 
 def bins_from_csv_text(text: str) -> ReliabilityBins:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "bin_low,bin_high,mean_predicted,fraction_positive,count":
+    """Parse bins_to_csv_text output; blank lines are skipped. A row without
+    five fields, with a value that is not a finite number or with a count
+    that is not a non-negative integer raises InvalidConfig naming the line."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln]
+    if not lines or lines[0][1] != "bin_low,bin_high,mean_predicted,fraction_positive,count":
         raise InvalidConfig("not a reliability-bin CSV")
     lows, highs, counts = [], [], []
     mean_pred, frac_pos = [], []
-    for ln in lines[1:]:
-        low, high, mp, fp, count = ln.split(",")
-        lows.append(float(low))
-        highs.append(float(high))
-        mean_pred.append(None if mp == "" else float(mp))
-        frac_pos.append(None if fp == "" else float(fp))
-        counts.append(int(count))
+    for lineno, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != 5:
+            raise InvalidConfig(f"line {lineno}: expected 5 fields, got {len(fields)}")
+        low, high, mp, fp, count = fields
+        try:
+            low, high, count = float(low), float(high), int(count)
+            mp = None if mp == "" else float(mp)
+            fp = None if fp == "" else float(fp)
+        except ValueError:
+            raise InvalidConfig(f"line {lineno}: non-numeric value") from None
+        if count < 0 or not all(math.isfinite(v) for v in (low, high, mp, fp) if v is not None):
+            raise InvalidConfig(f"line {lineno}: non-finite value or negative count")
+        lows.append(low)
+        highs.append(high)
+        mean_pred.append(mp)
+        frac_pos.append(fp)
+        counts.append(count)
     edges = np.array(lows + highs[-1:])
     return ReliabilityBins(
         edges=edges,

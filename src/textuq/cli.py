@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from . import ensemble as ens_mod
 from . import svgp as svgp_mod
 from .calibration import bins_from_csv_text, bins_to_csv_text, calibrate_probs, reliability_bins
-from .errors import InvalidConfig, TextuqError
+from .errors import InvalidConfig, TextuqError, utf8_input
 from .labels import LABEL_NAMES, POSITIVE
 from .metrics import build_report, report_to_csv_text, report_to_json_text
 from .model_io import ModelMeta, atomic_write, atomic_write_text, load_model, save_model
@@ -53,7 +53,7 @@ def _parse_bool(raw: str) -> bool:
 def read_config(path) -> dict:
     """Flat key = value lines; # starts a comment; keys match option names."""
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_input(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#"):
@@ -378,8 +378,12 @@ def render_reliability_svg(bins) -> str:
 
 
 def cmd_report(opts) -> int:
-    with open(opts.reliability, encoding="utf-8") as fh:
-        bins = bins_from_csv_text(fh.read())
+    with utf8_input(opts.reliability), open(opts.reliability, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        bins = bins_from_csv_text(text)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{opts.reliability}: {exc}") from None
     atomic_write_text(opts.out, render_reliability_svg(bins))
     print(f"wrote {opts.out}")
     return 0

@@ -44,6 +44,7 @@ from .errors import (
     MalformedRow,
     MissingSecondaryLabel,
     TooFewPoints,
+    utf8_input,
 )
 from .labels import LABEL_NAMES, NEGATIVE, POSITIVE, UNCERTAIN, label_to_index
 from .parallel import fork_map, usable_cpus
@@ -97,8 +98,9 @@ class EmbeddingTable:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Parse the text token-vector format; duplicate tokens keep the first."""
-    with open(path, encoding="utf-8") as fh:
+    """Parse the text token-vector format; duplicate tokens keep the first.
+    A vector entry that is not a finite number raises DimensionMismatch."""
+    with utf8_input(path), open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise MalformedHeader(f"{path}: header must be 'vocab_size dimension'")
@@ -127,6 +129,8 @@ def load_embeddings(path) -> EmbeddingTable:
                 raise DimensionMismatch(
                     f"{path} line {lineno}: non-numeric vector entry"
                 ) from None
+            if not np.isfinite(vec).all():
+                raise DimensionMismatch(f"{path} line {lineno}: non-finite vector entry")
             if token in vectors:
                 log.warning("%s line %d: duplicate token %r kept first", path, lineno, token)
             else:
@@ -180,9 +184,26 @@ class LabelledExample:
     secondary_label: int | None
 
 
+def _csv_records(path, lines, first_line=1):
+    """csv.reader over ``lines``, the first of which is line ``first_line`` of
+    ``path``. A record csv refuses, such as a field past csv's size limit
+    (an unclosed quote makes one), raises MalformedRow naming the line the
+    record starts on."""
+    reader = csv.reader(lines)
+    while True:
+        lineno = first_line + reader.line_num
+        try:
+            rec = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise MalformedRow(f"{path} line {lineno}: {exc}") from None
+        yield rec
+
+
 def read_corpus_csv(path) -> list:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
+        reader = _csv_records(path, fh)
         header = next(reader, None)
         if header != ["id", "text", "primary_label", "secondary_label"]:
             raise MalformedRow(f"{path}: expected corpus header, got {header}")
@@ -309,11 +330,12 @@ def read_features_csv(path) -> list:
     non-numeric or non-finite value raises MalformedRow naming the line.
 
     The body is parsed in record-aligned byte ranges, one per worker process
-    (see ``_workers``); the ranges' rows are joined in file order.
+    (see ``_workers``); the ranges' rows are joined in file order. Bytes that
+    are not UTF-8 raise NotUtf8 naming the first such line, in any range.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
         line = fh.readline()
-        header = next(csv.reader([line])) if line else None
+        header = next(_csv_records(path, [line])) if line else None
         if header is None or header[:3] != ["id", "label", "secondary_label"]:
             raise MalformedRow(f"{path}: expected feature header, got {header}")
         dim = len(header) - 3
@@ -393,7 +415,9 @@ def _parse_feature_rows(path, dim, span):
     start, stop = span
     row_type = [("id", object), ("label", object), ("secondary", object),
                 ("x", np.float64, (dim,))]
-    with open(path, encoding="utf-8", newline="") as fh:
+    # a decode error is a ValueError too: it leaves the worker as NotUtf8, so
+    # that it is not taken for a bad row
+    with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
         fh.seek(start)  # a byte offset at a line start is a text-file position
         with warnings.catch_warnings():
             # a range with no rows is an empty data set, not a warning
@@ -420,7 +444,7 @@ def _bad_row(path, fh, dim) -> MalformedRow | None:
     np.loadtxt's own messages count rows from 0 or 1 depending on the error,
     so a file it refused is scanned again here only to name the line.
     """
-    for lineno, rec in enumerate(csv.reader(fh), start=2):
+    for lineno, rec in enumerate(_csv_records(path, fh, first_line=2), start=2):
         if not rec:
             continue  # a blank line, which loadtxt skips too
         if len(rec) != dim + 3:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class TextuqError(Exception):
     """Base class for all errors raised by textuq."""
@@ -42,8 +44,8 @@ class NonFiniteLoss(TextuqError):
 
 
 class NonFiniteMatrix(TextuqError, ValueError):
-    """A matrix to factor has NaN or infinite entries. Also a ValueError,
-    the type the factorization has always raised for it."""
+    """A matrix to factor or solve with has NaN or infinite entries. Also a
+    ValueError, the type the factorization and solves have always raised."""
 
 
 class BatchTooSmall(TextuqError):
@@ -74,3 +76,27 @@ class InvalidConfig(TextuqError, ValueError):
 
 class MalformedRow(TextuqError):
     """A corpus or feature CSV row does not match the documented schema."""
+
+
+class NotUtf8(TextuqError):
+    """A text input file does not decode as UTF-8."""
+
+
+@contextlib.contextmanager
+def utf8_input(path):
+    """Turn a UnicodeDecodeError raised inside the block while reading
+    ``path`` into NotUtf8 naming the file and its first undecodable line.
+
+    A line is cut at a line-feed byte, which never occurs inside a UTF-8
+    multi-byte sequence, so the line named holds the first bad byte.
+    """
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as fb:
+            for lineno, line in enumerate(fb, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise NotUtf8(f"{path} line {lineno}: not UTF-8 text ({exc.reason})") from None
+        raise NotUtf8(f"{path}: not UTF-8 text") from None

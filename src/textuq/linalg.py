@@ -1,8 +1,11 @@
 """Dense linear-algebra helpers for the GP: stabilized Cholesky, triangular
-solves, log-determinants.
+solves and the Cholesky backward pass, on numpy alone.
 
 Everything is float64 and purely functional. Factorization jitter follows a
 deterministic escalation ladder so results are reproducible across runs.
+numpy has no triangular solve, so ``solve_triangular`` substitutes over
+diagonal blocks: one matmul brings in the rows already solved, then the
+block is solved row by row.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ SYMMETRY_RTOL = 1e-10
 # Ladder tries base * 10**k for k = 0..JITTER_LADDER_STEPS inclusive.
 JITTER_LADDER_STEPS = 6
 
+# Rows per diagonal block of the triangular solve.
+_SOLVE_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class CholeskyFactor:
@@ -29,10 +35,6 @@ class CholeskyFactor:
 
     lower: np.ndarray
     jitter_used: float
-
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
 
 
 def default_jitter(a: np.ndarray) -> float:
@@ -82,27 +84,52 @@ def cholesky_with_jitter(a: np.ndarray, base_jitter: float | None = None) -> Cho
 
 def solve_triangular(lower: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
     """Solve lower @ x = b (trans "N") or lower.T @ x = b (trans "T") for a
-    lower-triangular matrix; the package's one entry to scipy.
+    lower-triangular matrix; b may be a vector or a matrix and is not modified.
 
-    scipy.linalg is imported on the first call, so the commands that never
-    solve a triangular system do not pay for loading it.
+    Raises DimensionMismatch if b's leading dimension is not lower's order,
+    NonFiniteMatrix if either operand has NaN or infinite entries, and
+    np.linalg.LinAlgError if lower has a zero on its diagonal.
     """
-    from scipy.linalg import solve_triangular as scipy_solve_triangular
-
-    return scipy_solve_triangular(lower, b, lower=True, trans=trans)
+    lower = np.asarray(lower, dtype=np.float64)
+    n = lower.shape[0] if lower.ndim == 2 else -1
+    if lower.shape != (n, n):
+        raise DimensionMismatch(f"expected a square matrix, got shape {lower.shape}")
+    if trans not in ("N", "T"):
+        raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
+    x = np.array(b, dtype=np.float64, order="C")  # a copy: solved in place
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise DimensionMismatch(f"matrix is {n}x{n}, rhs has shape {x.shape}")
+    if not (np.isfinite(lower).all() and np.isfinite(x).all()):
+        raise NonFiniteMatrix("triangular solve operand has non-finite entries")
+    diag = np.diagonal(lower)
+    if not diag.all():
+        i = int(np.flatnonzero(diag == 0.0)[0])
+        raise np.linalg.LinAlgError(f"singular matrix: zero diagonal entry at {i}")
+    rows = x if x.ndim == 2 else x[:, None]  # a view: solving rows solves x
+    starts = range(0, n, _SOLVE_BLOCK)
+    if trans == "N":
+        for s in starts:
+            e = min(s + _SOLVE_BLOCK, n)
+            rows[s:e] -= lower[s:e, :s] @ rows[:s]
+            for i in range(s, e):
+                row = rows[i]
+                row -= lower[i, s:i] @ rows[s:i]
+                row /= diag[i]
+    else:
+        upper = lower.T
+        for s in reversed(starts):
+            e = min(s + _SOLVE_BLOCK, n)
+            rows[s:e] -= upper[s:e, e:] @ rows[e:]
+            for i in range(e - 1, s - 1, -1):
+                row = rows[i]
+                row -= upper[i, i + 1:e] @ rows[i + 1:e]
+                row /= diag[i]
+    return x
 
 
 def solve_lower_triangular(l: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve l.lower @ x = b by forward substitution; b may be a vector or matrix."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != l.n:
-        raise DimensionMismatch(f"factor is {l.n}x{l.n}, rhs has leading dim {b.shape[0]}")
     return solve_triangular(l.lower, b)
-
-
-def log_det_from_cholesky(l: CholeskyFactor) -> float:
-    """log det (L L^T) = 2 * sum(log diag L)."""
-    return float(2.0 * np.sum(np.log(np.diag(l.lower))))
 
 
 def cholesky_backward(lower: np.ndarray, lower_bar: np.ndarray) -> np.ndarray:

@@ -42,20 +42,6 @@ def max_rel_err(analytic, fd, floor=1e-6):
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
-def cofactor_det(a):
-    """Determinant by recursive cofactor expansion (brute-force oracle)."""
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    total = 0.0
-    rest = a[1:]
-    for j in range(n):
-        minor = np.delete(rest, j, axis=1)
-        total += (-1.0) ** j * a[0, j] * cofactor_det(minor)
-    return total
-
-
 def monotone_lsq_oracle(scores, targets, weights=None):
     """Least-squares nondecreasing fit by exhaustive partition enumeration.
 

@@ -283,3 +283,19 @@ class TestBinCsv:
             bins_from_csv_text("bin_low,bin_high\n0,1\n")
         with pytest.raises(InvalidConfig):
             bins_from_csv_text("")
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0.5,,,0\n0.5,1,0.75\n", "line 3: expected 5 fields, got 3"),
+        ("0,0.5,,,0,7\n", "line 2: expected 5 fields, got 6"),
+        ("\n0,0.5,abc,,0\n", "line 3: non-numeric value"),  # blank lines still count
+        ("0,0.5,,,1.5\n", "line 2: non-numeric value"),  # a count is an integer
+        ("x,0.5,,,0\n", "line 2: non-numeric value"),
+        (",0.5,,,0\n", "line 2: non-numeric value"),  # only the means may be empty
+        ("0,0.5,nan,0.5,3\n", "line 2: non-finite value or negative count"),
+        ("0,inf,0.5,0.5,3\n", "line 2: non-finite value or negative count"),
+        ("0,0.5,0.25,-inf,3\n", "line 2: non-finite value or negative count"),
+        ("0,0.5,,,-1\n", "line 2: non-finite value or negative count"),
+    ])
+    def test_a_malformed_row_names_its_line(self, rows, message):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            bins_from_csv_text(CSV_HEADER + "\n" + rows)

@@ -8,6 +8,7 @@ artifacts and on reruns. Error paths use throwaway inputs.
 import contextlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -665,6 +666,77 @@ def test_report_missing_input_exits_1(tmp_path):
     assert "absent.csv" in err
 
 
+# ---- malformed input files --------------------------------------------------
+
+
+def _one_error_line(code, err, expected):
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
+def _reliability_csv(tmp_path, rows):
+    path = tmp_path / "rel.csv"
+    path.write_text("bin_low,bin_high,mean_predicted,fraction_positive,count\n"
+                    + "".join(rows), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name, lineno", [
+    ("corpus.csv", 4), ("emb.txt", 3), ("features.csv", 3), ("config.txt", 2), ("rel.csv", 2),
+])
+def test_non_utf8_input_exits_1_with_one_line(toy_dir, name, lineno):
+    feats = toy_dir / "features.csv"
+    assert run_cli(["prepare", "--corpus", str(toy_dir / "corpus.csv"),
+                    "--embeddings", str(toy_dir / "emb.txt"), "--out", str(feats)])[0] == 0
+    (toy_dir / "config.txt").write_text("# options\n# none\n", encoding="utf-8")
+    _reliability_csv(toy_dir, ["0,0.5,,,0\n", "0.5,1,0.75,1,2\n"])
+    path = toy_dir / name
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+    path.write_bytes(b"\n".join(lines))
+    prepare = ["prepare", "--corpus", str(toy_dir / "corpus.csv"),
+               "--embeddings", str(toy_dir / "emb.txt"), "--out", str(toy_dir / "f2.csv")]
+    argv = {
+        "corpus.csv": prepare,
+        "emb.txt": prepare,
+        "config.txt": prepare + ["--config", str(path)],
+        "features.csv": ["train", "--model", "gp", "--features", str(feats), "--seed", "0",
+                         "--out-model", str(toy_dir / "m"), "--out-trace", str(toy_dir / "t")],
+        "rel.csv": ["report", "--reliability", str(path), "--out", str(toy_dir / "o.svg")],
+    }[name]
+    code, out, err = run_cli(argv)
+    _one_error_line(code, err, f"{path} line {lineno}: not UTF-8 text (invalid start byte)")
+    assert out == ""
+    assert not any((toy_dir / f).exists() for f in ("f2.csv", "m", "t", "o.svg"))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["0,0.5,,,0\n", "0.5,1,0.75\n"], "line 3: expected 5 fields, got 3"),
+    (["0,0.5,abc,,0\n", "0.5,1,0.75,1,2\n"], "line 2: non-numeric value"),
+    (["0,0.5,nan,inf,3\n", "0.5,1,0.75,1,2\n"], "line 2: non-finite value or negative count"),
+], ids=["three-fields", "non-numeric", "non-finite"])
+def test_report_rejects_a_malformed_reliability_csv(tmp_path, rows, message):
+    path = _reliability_csv(tmp_path, rows)
+    code, _, err = run_cli(["report", "--reliability", str(path),
+                            "--out", str(tmp_path / "o.svg")])
+    _one_error_line(code, err, f"{path}: {message}")
+    assert not (tmp_path / "o.svg").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_prepare_rejects_non_finite_embeddings(toy_dir, value):
+    emb = toy_dir / "emb.txt"
+    emb.write_text(TOY_EMBEDDINGS.replace("mild 0.5 0.5", f"mild 0.5 {value}"),
+                   encoding="utf-8")
+    code, _, err = run_cli([
+        "prepare", "--corpus", str(toy_dir / "corpus.csv"),
+        "--embeddings", str(emb), "--out", str(toy_dir / "f.csv"),
+    ])
+    _one_error_line(code, err, f"{emb} line 4: non-finite vector entry")
+    assert not (toy_dir / "f.csv").exists()
+
+
 # ---- exit-code contract ---------------------------------------------------
 
 
@@ -682,22 +754,49 @@ def test_internal_failure_exits_2(toy_dir, monkeypatch):
     assert "Traceback" in err and "boom" in err
 
 
-def test_commands_without_a_triangular_solve_never_load_scipy(toy_dir):
-    # scipy.linalg is imported on the first triangular solve, so start-up
-    # and the commands that never solve one do not pay for it
+def test_pipeline_runs_without_scipy(tmp_path):
+    # numpy is the only run-time dependency: with scipy unimportable, every
+    # command of the small criterion-7 pipeline, gp and ens, still succeeds
+    corpus, emb, feats = tmp_path / "c.csv", tmp_path / "e.txt", tmp_path / "f.csv"
+    gp_eval = ["evaluate", "--model", str(tmp_path / "gp.json"), "--features", str(feats),
+               "--out-csv", str(tmp_path / "rep.csv"),
+               "--out-reliability", str(tmp_path / "rel.csv")]
+    steps = [
+        ["synth", "--n", "600", "--disagreement", "0.08", "--seed", "11",
+         "--dim", "16", "--out-corpus", str(corpus), "--out-embeddings", str(emb)],
+        ["prepare", "--corpus", str(corpus), "--embeddings", str(emb), "--out", str(feats)],
+        ["train", "--model", "gp", "--features", str(feats), "--seed", "11",
+         "--inducing", "24", "--epochs", "2", "--mc-train", "4", "--mc-predict", "16",
+         "--out-model", str(tmp_path / "gp.json"),
+         "--out-trace", str(tmp_path / "gp_trace.csv")],
+        ["train", "--model", "ens", "--features", str(feats), "--seed", "11",
+         "--members", "2", "--hidden", "16", "--epochs", "2", "--batch-size", "128",
+         "--out-model", str(tmp_path / "ens.json"),
+         "--out-trace", str(tmp_path / "ens_trace.csv")],
+        gp_eval + ["--out-json", str(tmp_path / "rep.json")],
+        gp_eval + ["--out-json", str(tmp_path / "cal.json"), "--calibrate"],
+        ["report", "--reliability", str(tmp_path / "rel.csv"),
+         "--out", str(tmp_path / "rel.svg")],
+    ]
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
         "from textuq import cli\n"
-        "loaded = ['scipy.linalg' in sys.modules]\n"
-        f"code = cli.main(['prepare', '--corpus', {str(toy_dir / 'corpus.csv')!r},\n"
-        f"                 '--embeddings', {str(toy_dir / 'emb.txt')!r},\n"
-        f"                 '--out', {str(toy_dir / 'features.csv')!r}])\n"
-        "loaded.append('scipy.linalg' in sys.modules)\n"
-        "print(code, loaded)\n"
+        f"codes = [cli.main(argv) for argv in {steps!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 [False, False]"
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(steps)} ['scipy']"
+    assert (tmp_path / "rel.svg").read_text(encoding="utf-8").startswith("<svg ")
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [d.split(">")[0].split("=")[0].strip() for d in project["dependencies"]] == ["numpy"]
 
 
 def test_module_invocation_without_args():

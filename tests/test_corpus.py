@@ -47,6 +47,7 @@ from textuq.errors import (
     MalformedHeader,
     MalformedRow,
     MissingSecondaryLabel,
+    NotUtf8,
     TooFewPoints,
 )
 from textuq.labels import NEGATIVE, POSITIVE, UNCERTAIN
@@ -152,6 +153,23 @@ class TestEmbeddingsIo:
         path = tmp_path / "emb.txt"
         path.write_text("1 2\nfoo 1 x\n", encoding="utf-8")
         with pytest.raises(DimensionMismatch, match="line 2"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("value", ["nan", "-NaN", "inf", "-Infinity", "1e999"])
+    def test_non_finite_entry(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2\nfoo 1 2\nbar 1 {value}\n", encoding="utf-8")
+        with pytest.raises(DimensionMismatch, match=f"^{path} line 3: non-finite vector entry$"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("raw, lineno", [
+        (b"\xff2 2\nfoo 1 2\nbar 3 4\n", 1),
+        (b"2 2\nfoo 1 2\nb\xc3ar 3 4\n", 3),  # a truncated two-byte sequence
+    ])
+    def test_not_utf8_names_the_line(self, tmp_path, raw, lineno):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(raw)
+        with pytest.raises(NotUtf8, match=f"^{path} line {lineno}: not UTF-8 text"):
             load_embeddings(path)
 
     @pytest.mark.parametrize("header", ["3", "a b", "-1 3", "2 0"])
@@ -261,6 +279,22 @@ class TestCorpusCsv:
             encoding="utf-8",
         )
         with pytest.raises(MalformedRow):
+            read_corpus_csv(path)
+
+    def test_rejects_non_utf8_naming_the_line(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        write_corpus_csv(path, corpus_rows())
+        raw = path.read_bytes().replace(b"r1", b"r\xff1")
+        path.write_bytes(raw)
+        lineno = raw[:raw.index(b"\xff")].count(b"\n") + 1
+        with pytest.raises(NotUtf8, match=f"^{path} line {lineno}: not UTF-8 text"):
+            read_corpus_csv(path)
+
+    def test_an_unclosed_quote_past_the_field_limit_names_the_line(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("id,text,primary_label,secondary_label\nr0,a,negative,\n"
+                        'r1,"' + "word " * 40_000 + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=f"^{path} line 3: field larger than field limit"):
             read_corpus_csv(path)
 
 
@@ -624,6 +658,46 @@ class TestFeaturesCsvInWorkers:
         assert calls[0] == k  # the bad row, second to last, is in a worker's range
         assert got.startswith(f"MalformedRow: {path} line 8: ")
         assert got == _reader_outcome(reference_read_features_csv, path)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_non_utf8_in_any_range_gives_the_one_process_message(self, tmp_path, k):
+        # the decode error is raised wherever the range is parsed, and names
+        # the file's first undecodable line, not a line of the range; the
+        # file is larger than the text buffer the header is read through
+        path = tmp_path / "features.csv"
+        write_features_csv(path, _examples(400, 2))
+        raw = path.read_bytes().replace(b"e397,", b"e\xe9397,").replace(b"e398,", b"\xff398,")
+        path.write_bytes(raw)
+        parsed = []  # the ranges this process parses; workers' appends stay in them
+
+        def parse(path, dim, span):
+            parsed.append(span)
+            return parse_rows(path, dim, span)
+
+        parse_rows = corpus_mod._parse_feature_rows
+        with in_workers(k) as calls, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_mod, "_parse_feature_rows", parse)
+            with pytest.raises(NotUtf8) as excinfo:
+                read_features_csv(path)
+        assert calls == [k]
+        assert len(parsed) == 1  # not parsed again in one pass, as a bad row would be
+        assert str(excinfo.value) == f"{path} line 399: not UTF-8 text (invalid continuation byte)"
+
+    def test_non_utf8_in_the_header(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"id,label,secondary_label,f\xff0\ne0,negative,,0.5\n")
+        with pytest.raises(NotUtf8, match=f"^{path} line 1: "):
+            read_features_csv(path)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_an_unclosed_quote_past_the_field_limit_names_the_line(self, tmp_path, k):
+        path = tmp_path / "features.csv"
+        write_features_csv(path, _examples(6, 2))
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write('"e9,negative,,0.5,0.7\n' + "0.5,\n" * 40_000)
+        with in_workers(k):
+            with pytest.raises(MalformedRow, match=f"^{path} line 8: field larger than field limit"):
+                read_features_csv(path)
 
     def test_a_value_only_numpy_refuses_gives_the_one_process_message(self, tmp_path):
         # the reference reads 1_0 as 10.0; numpy's message names the row

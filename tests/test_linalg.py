@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cofactor_det, max_rel_err
+from helpers import max_rel_err
 from textuq.errors import DimensionMismatch, NonFiniteMatrix, NotPositiveDefinite, NotSymmetric
 from textuq.linalg import (
     CholeskyFactor,
     cholesky_backward,
     cholesky_with_jitter,
     default_jitter,
-    log_det_from_cholesky,
     solve_lower_triangular,
     solve_triangular,
 )
@@ -141,20 +141,86 @@ class TestSolveLowerTriangular:
         assert np.linalg.norm(lower.T @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
-class TestLogDet:
-    def test_identity_is_zero(self):
-        assert log_det_from_cholesky(CholeskyFactor(np.eye(4), 0.0)) == 0.0
+def rbf_gram_factor(m, seed):
+    """Cholesky factor of an RBF Gram matrix over m random points in 8-d,
+    lengthscale at the median distance, jittered as the GP jitters Kzz."""
+    z = np.random.default_rng(seed).normal(size=(m, 8))
+    sq = np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2)
+    gram = np.exp(-0.5 * sq / max(float(np.median(sq)), 1e-12))
+    return cholesky_with_jitter(gram).lower
 
-    def test_diagonal_factor(self):
-        fac = CholeskyFactor(lower=np.diag([2.0, 2.0]), jitter_used=0.0)
-        assert log_det_from_cholesky(fac) == pytest.approx(np.log(16.0), rel=1e-12)
 
-    def test_matches_cofactor_expansion(self):
-        rng = np.random.default_rng(3)
-        a = random_spd(rng, 4)
-        fac = cholesky_with_jitter(a, 1e-12)  # keep the perturbation below tolerance
-        oracle = np.log(cofactor_det(a))
-        assert log_det_from_cholesky(fac) == pytest.approx(oracle, rel=1e-8)
+class TestSolveTriangularMatchesScipy:
+    """The blocked numpy substitution against scipy's LAPACK solve, which
+    only the tests import."""
+
+    @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 64, 300])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("cols", [None, 1, 7, 500])
+    def test_matches_scipy(self, m, trans, cols):
+        lower = rbf_gram_factor(m, seed=m)
+        rng = np.random.default_rng(m + 1)
+        b = rng.normal(size=m if cols is None else (m, cols))
+        before = b.copy()
+        x = solve_triangular(lower, b, trans=trans)
+        oracle = scipy.linalg.solve_triangular(lower, b, lower=True, trans=trans)
+        assert x.shape == b.shape and x.dtype == np.float64
+        assert np.max(np.abs(x - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+        assert np.array_equal(b, before)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_residual_no_larger_than_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        m, cols = int(rng.integers(1, 100)), int(rng.integers(1, 40))
+        lower = np.linalg.cholesky(random_spd(rng, m, shift=1e-3))
+        b = rng.normal(size=(m, cols))
+        for trans, op in (("N", lower), ("T", lower.T)):
+            x = solve_triangular(lower, b, trans=trans)
+            oracle = scipy.linalg.solve_triangular(lower, b, lower=True, trans=trans)
+            scale = np.max(np.abs(op)) * np.max(np.abs(oracle))
+            residual = np.max(np.abs(op @ x - b))
+            assert residual <= 4.0 * max(np.max(np.abs(op @ oracle - b)), 1e-15 * scale)
+
+    def test_non_contiguous_and_integer_rhs(self):
+        lower = rbf_gram_factor(40, seed=1)
+        b = np.arange(80).reshape(2, 40).T  # an integer, Fortran-ordered view
+        x = solve_triangular(lower, b, trans="T")
+        assert x.dtype == np.float64
+        assert np.max(np.abs(lower.T @ x - b)) <= 1e-8 * np.max(np.abs(b))
+
+    def test_empty_system(self):
+        assert solve_triangular(np.zeros((0, 0)), np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_non_finite_operands(self, trans):
+        lower = np.array([[2.0, 0.0], [1.0, 1.0]])
+        for bad_lower, bad_b in (
+            (np.array([[2.0, 0.0], [np.nan, 1.0]]), np.ones(2)),
+            (np.array([[2.0, np.inf], [1.0, 1.0]]), np.ones(2)),
+            (lower, np.array([1.0, np.inf])),
+            (lower, np.array([[np.nan], [1.0]])),
+        ):
+            with pytest.raises(NonFiniteMatrix):
+                solve_triangular(bad_lower, bad_b, trans=trans)
+        with pytest.raises(ValueError):  # the type scipy raised
+            solve_triangular(lower, np.array([np.nan, 1.0]), trans=trans)
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_zero_diagonal(self, trans):
+        lower = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 3.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal entry at 1"):
+            solve_triangular(lower, np.ones(3), trans=trans)
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_shape_mismatch(self, trans):
+        with pytest.raises(DimensionMismatch):
+            solve_triangular(np.eye(3), np.ones(4), trans=trans)
+        with pytest.raises(DimensionMismatch):
+            solve_triangular(np.eye(3), np.ones((2, 3)), trans=trans)
+        with pytest.raises(DimensionMismatch):
+            solve_triangular(np.ones((3, 2)), np.ones(3), trans=trans)
+        with pytest.raises(DimensionMismatch):
+            solve_triangular(np.eye(3), np.ones((3, 1, 1)), trans=trans)
 
 
 class TestCholeskyBackward:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import logsumexp
 
 from helpers import fd_scalar_attr, fd_wrt, make_blobs, max_rel_err
+from textuq import linalg, svgp
 from textuq.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, TooFewPoints
 from textuq.kernel import KernelParams, kernel_diag, kernel_matrix
 from textuq.linalg import cholesky_with_jitter
@@ -422,6 +424,29 @@ class TestFit:
         before = elbo_minibatch(model, feats, labels, feats.shape[0], noise)
         after = elbo_minibatch(fitted, feats, labels, feats.shape[0], noise)
         assert after > before
+
+    def test_matches_scipy_solves_within_tolerance(self, monkeypatch):
+        # the numpy substitution rounds differently from LAPACK; training and
+        # prediction must agree to far below the printed precision
+        rng = np.random.default_rng(21)
+        feats, labels = make_blobs(rng, n_per=200)
+        model = init_model(feats, m=48, seed=0)  # two solve blocks
+        cfg = TrainConfig(batch_size=100, seed=2)
+        ours, ours_trace = fit(model, feats, labels, cfg)
+        ours_probs = predict_proba(ours, feats, s=16, seed=3)
+
+        def scipy_solve(lower, b, trans="N"):
+            return scipy.linalg.solve_triangular(lower, b, lower=True, trans=trans)
+
+        monkeypatch.setattr(linalg, "solve_triangular", scipy_solve)
+        monkeypatch.setattr(svgp, "solve_triangular", scipy_solve)
+        ref, ref_trace = fit(model, feats, labels, cfg)
+        ref_probs = predict_proba(ref, feats, s=16, seed=3)
+        assert len(ours_trace) == len(ref_trace) == 2 * 6
+        for a, b in zip(ours_trace, ref_trace):
+            assert a.objective == pytest.approx(b.objective, rel=1e-8, abs=0.0)
+        assert np.max(np.abs(ours_probs - ref_probs)) <= 1e-8
+        assert max_rel_err(ours.variational_means, ref.variational_means, floor=1e-3) <= 1e-6
 
     def test_validate_rejects_bad_config(self):
         with pytest.raises(ValueError):
