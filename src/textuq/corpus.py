@@ -44,6 +44,7 @@ from .errors import (
     MalformedRow,
     MissingSecondaryLabel,
     TooFewPoints,
+    check_int,
     utf8_input,
 )
 from .labels import LABEL_NAMES, NEGATIVE, POSITIVE, UNCERTAIN, label_to_index
@@ -485,6 +486,7 @@ class SplitSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        check_int(self.seed, "seed", 0)  # numpy seeds from integers >= 0 only
         ok = (
             0.0 < self.val_fraction < 1.0
             and 0.0 < self.test_fraction < 1.0
@@ -730,6 +732,7 @@ def synth_generate(cfg: SynthConfig, seed: int) -> list:
     two labellers read the hedge differently.
     """
     cfg.validate()
+    check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     width = len(str(cfg.n - 1))
     rows = []

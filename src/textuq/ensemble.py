@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss
+from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss, check_int
 from .parallel import usable_cpus
 
 N_HIDDEN_BLOCKS = 3
@@ -55,6 +55,7 @@ class EnsembleConfig:
             raise InvalidConfig("adv_weight must be in [0, 1]")
         if self.fgsm_epsilon < 0.0:
             raise InvalidConfig("fgsm_epsilon must be >= 0")
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass
@@ -285,31 +286,6 @@ def loss_and_grads(p: MlpParams, xs: np.ndarray, labels: np.ndarray, mode: str):
     loss, dlogits = _ce_loss_and_dlogits(logits, np.asarray(labels))
     grads, dx = _backward(p, acts, dlogits)
     return loss, grads, dx
-
-
-def fgsm_perturb(
-    p: MlpParams,
-    x: np.ndarray,
-    y: int,
-    eps: float,
-    feature_scale: np.ndarray | None = None,
-) -> np.ndarray:
-    """One-step sign ascent on the input: x + eps * scale * sign(dCE/dx).
-
-    Normalization statistics are frozen (running stats), so the gradient is a
-    plain chain rule through the network. Zero-gradient coordinates stay put.
-    """
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    if feature_scale is None:
-        feature_scale = np.ones_like(x)
-    if eps == 0.0:
-        return x.copy()
-    logits, acts = _forward_cached(p, x[None, :], _mode_stats(p, x, "eval"))
-    _, dlogits = _ce_loss_and_dlogits(logits, np.array([y]))
-    dx = _input_backward(p, acts, dlogits)[0]
-    return x + eps * feature_scale * np.sign(dx)
 
 
 def feature_scale_of(features: np.ndarray) -> np.ndarray:

@@ -74,6 +74,13 @@ class InvalidConfig(TextuqError, ValueError):
     have always caught."""
 
 
+def check_int(value, name: str, low: int) -> int:
+    """``value`` itself if it is an integer >= ``low``; InvalidConfig otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InvalidConfig(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 class MalformedRow(TextuqError):
     """A corpus or feature CSV row does not match the documented schema."""
 

@@ -35,20 +35,8 @@ class KernelParams:
         return KernelParams(self.log_variance, self.log_lengthscales.copy())
 
 
-def rbf_ard(x: np.ndarray, y: np.ndarray, p: KernelParams) -> float:
-    """sigma^2 * exp(-1/2 sum_d (x_d - y_d)^2 / l_d^2). Symmetric in (x, y)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.shape != (p.dim,):
-        raise DimensionMismatch(
-            f"x {x.shape}, y {y.shape}, lengthscales ({p.dim},) must all agree"
-        )
-    d = (x - y) / p.lengthscales()
-    return float(np.exp(p.log_variance - 0.5 * np.dot(d, d)))
-
-
 def kernel_matrix(xs: np.ndarray, ys: np.ndarray, p: KernelParams) -> np.ndarray:
-    """Gram matrix K[i, j] = rbf_ard(xs[i], ys[j], p).
+    """Gram matrix K[i, j] = sigma^2 * exp(-1/2 sum_d (xs[i, d] - ys[j, d])^2 / l_d^2).
 
     When ``xs is ys`` the result is made exactly symmetric and its diagonal is
     set to the signal variance exactly.

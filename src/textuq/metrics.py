@@ -150,24 +150,6 @@ def report_to_json_text(report: MetricsReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def report_from_json_text(text: str) -> MetricsReport:
-    payload = json.loads(text)
-    report = MetricsReport()
-    for name in sorted(payload["sets"]):
-        block = payload["sets"][name]
-        sm = SetMetrics(
-            accuracy=block["accuracy"],
-            nlpp=block["nlpp"],
-            mmpcl=block["mmpcl"],
-            size=block["size"],
-        )
-        for key in sorted(block["groups"]):
-            gb = block["groups"][key]
-            sm.groups[key] = GroupStat(gb["mmpcl"], gb["count"])
-        report.sets[name] = sm
-    return report
-
-
 def report_to_csv_text(report: MetricsReport, absent_as_zero: bool = False) -> str:
     """Flat CSV, one row per test_set x metric.
 

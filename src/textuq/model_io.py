@@ -10,15 +10,17 @@ rebuild the exact train/val/test partition without leaking test data.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import SplitSpec
-from .ensemble import EnsembleModel, MlpParams
-from .errors import InvalidConfig
+from .ensemble import N_HIDDEN_BLOCKS, EnsembleModel, MlpParams
+from .errors import InvalidConfig, TextuqError, check_int
 from .kernel import KernelParams
+from .labels import LABEL_NAMES
 from .svgp import SvgpModel
 
 FORMAT_TAG = "textuq-model-v1"
@@ -67,34 +69,59 @@ def _gp_payload(model: SvgpModel) -> dict:
     }
 
 
+def _array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as an array of finite numbers with the given shape; a None
+    in ``shape`` stands for any size >= 1."""
+    arr = np.array(value)
+    if arr.ndim != len(shape) or any(
+        n < 1 if want is None else n != want for n, want in zip(arr.shape, shape)
+    ):
+        raise InvalidConfig(f"{name} has shape {arr.shape}, expected {shape}")
+    if arr.dtype.kind not in "if" or not np.isfinite(arr).all():
+        raise InvalidConfig(f"{name} must hold finite numbers")
+    return arr
+
+
+def _number(value, name: str, positive: bool = False):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (positive and value <= 0)):
+        kind = "positive" if positive else "finite"
+        raise InvalidConfig(f"{name} must be a {kind} number, got {value!r}")
+    return value
+
+
 def _gp_from_payload(block: dict) -> SvgpModel:
+    z = _array(block["inducing_inputs"], "inducing_inputs", (None, None))
+    m, d = z.shape
+    c = len(LABEL_NAMES)
+    if block["num_classes"] != c:
+        raise InvalidConfig(f"num_classes must be {c}, got {block['num_classes']!r}")
     return SvgpModel(
         kernel=KernelParams(
-            log_variance=block["log_variance"],
-            log_lengthscales=np.array(block["log_lengthscales"]),
+            log_variance=_number(block["log_variance"], "log_variance"),
+            log_lengthscales=_array(block["log_lengthscales"], "log_lengthscales", (d,)),
         ),
-        inducing_inputs=np.array(block["inducing_inputs"]),
-        variational_means=np.array(block["variational_means"]),
-        variational_scales_raw=np.array(block["variational_scales_raw"]),
-        jitter=block["jitter"],
-        num_classes=block["num_classes"],
+        inducing_inputs=z,
+        variational_means=_array(block["variational_means"], "variational_means", (c, m)),
+        variational_scales_raw=_array(
+            block["variational_scales_raw"], "variational_scales_raw", (c, m, m)
+        ),
+        jitter=_number(block["jitter"], "jitter", positive=True),
+        num_classes=c,
     )
+
+
+# MlpParams fields that hold one array per layer
+_BN_KEYS = ("bn_scale", "bn_shift", "bn_running_mean", "bn_running_var")
+_LAYER_KEYS = ("weights", "biases") + _BN_KEYS
 
 
 def _ens_payload(model: EnsembleModel) -> dict:
     members = []
     for p in model.members:
-        members.append(
-            {
-                "weights": [w.tolist() for w in p.weights],
-                "biases": [b.tolist() for b in p.biases],
-                "bn_scale": [g.tolist() for g in p.bn_scale],
-                "bn_shift": [b.tolist() for b in p.bn_shift],
-                "bn_running_mean": [m.tolist() for m in p.bn_running_mean],
-                "bn_running_var": [v.tolist() for v in p.bn_running_var],
-                "bn_epsilon": float(p.bn_epsilon),
-            }
-        )
+        block = {key: [a.tolist() for a in getattr(p, key)] for key in _LAYER_KEYS}
+        block["bn_epsilon"] = float(p.bn_epsilon)
+        members.append(block)
     return {
         "members": members,
         "fgsm_epsilon": float(model.fgsm_epsilon),
@@ -102,24 +129,38 @@ def _ens_payload(model: EnsembleModel) -> dict:
     }
 
 
+def _member_from_payload(mb: dict, k: int, dim: int) -> MlpParams:
+    """Member k: layer widths chain from ``dim`` inputs to one output per label."""
+    if len(mb["weights"]) != N_HIDDEN_BLOCKS + 1 or len(mb["biases"]) != N_HIDDEN_BLOCKS + 1:
+        raise InvalidConfig(f"member {k} must have {N_HIDDEN_BLOCKS + 1} weights and biases")
+    weights, biases = [], []
+    for i, (w, b) in enumerate(zip(mb["weights"], mb["biases"])):
+        out = len(LABEL_NAMES) if i == N_HIDDEN_BLOCKS else None
+        fan_in = weights[-1].shape[1] if weights else dim
+        weights.append(_array(w, f"member {k} weights[{i}]", (fan_in, out)))
+        biases.append(_array(b, f"member {k} biases[{i}]", (weights[-1].shape[1],)))
+    bn = {}
+    for key in _BN_KEYS:
+        if len(mb[key]) != N_HIDDEN_BLOCKS:
+            raise InvalidConfig(f"member {k} must have {N_HIDDEN_BLOCKS} {key} arrays")
+        bn[key] = [_array(v, f"member {k} {key}[{i}]", (weights[i].shape[1],))
+                   for i, v in enumerate(mb[key])]
+    if any((v < 0).any() for v in bn["bn_running_var"]):
+        raise InvalidConfig(f"member {k} bn_running_var must be >= 0")
+    eps = _number(mb["bn_epsilon"], f"member {k} bn_epsilon", positive=True)
+    return MlpParams(weights=weights, biases=biases, bn_epsilon=eps, **bn)
+
+
 def _ens_from_payload(block: dict) -> EnsembleModel:
-    members = []
-    for mb in block["members"]:
-        members.append(
-            MlpParams(
-                weights=[np.array(w) for w in mb["weights"]],
-                biases=[np.array(b) for b in mb["biases"]],
-                bn_scale=[np.array(g) for g in mb["bn_scale"]],
-                bn_shift=[np.array(b) for b in mb["bn_shift"]],
-                bn_running_mean=[np.array(m) for m in mb["bn_running_mean"]],
-                bn_running_var=[np.array(v) for v in mb["bn_running_var"]],
-                bn_epsilon=mb["bn_epsilon"],
-            )
-        )
+    scale = _array(block["feature_scale"], "feature_scale", (None,))
+    members = [_member_from_payload(mb, k, scale.shape[0])
+               for k, mb in enumerate(block["members"])]
+    if not members:
+        raise InvalidConfig("the ensemble has no members")
     return EnsembleModel(
         members=members,
-        fgsm_epsilon=block["fgsm_epsilon"],
-        feature_scale=np.array(block["feature_scale"]),
+        fgsm_epsilon=_number(block["fgsm_epsilon"], "fgsm_epsilon"),
+        feature_scale=scale,
     )
 
 
@@ -153,7 +194,13 @@ def save_model(path, model, meta: ModelMeta) -> None:
 
 def load_model(path):
     """Returns (model, ModelMeta); a file that is not a well-formed
-    textuq-model-v1 document raises InvalidConfig naming the path."""
+    textuq-model-v1 document raises InvalidConfig naming the path.
+
+    Well-formed means: every array holds finite numbers in the shape the
+    others imply, with one output per label; the jitter and the batch-norm
+    epsilons are > 0, the running variances >= 0, an ensemble has at least
+    one member, the split is valid, the seeds are integers >= 0 and the
+    prediction sample count is >= 1."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -169,15 +216,17 @@ def load_model(path):
                 test_fraction=payload["split"]["test_fraction"],
                 seed=payload["split"]["seed"],
             ),
-            mc_predict_samples=payload["predict"]["mc_samples"],
-            predict_seed=payload["predict"]["seed"],
+            mc_predict_samples=check_int(payload["predict"]["mc_samples"],
+                                         "predict.mc_samples", 1),
+            predict_seed=check_int(payload["predict"]["seed"], "predict.seed", 0),
         )
+        meta.split.validate()
         if meta.model_type == "gp":
             return _gp_from_payload(payload["gp"]), meta
         if meta.model_type == "ens":
             return _ens_from_payload(payload["ens"]), meta
     except KeyError as exc:
         raise InvalidConfig(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TextuqError, TypeError, ValueError, IndexError) as exc:
         raise InvalidConfig(f"{path}: malformed model file ({exc})") from None
     raise InvalidConfig(f"{path}: unknown model_type {meta.model_type!r}")

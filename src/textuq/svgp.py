@@ -3,10 +3,15 @@
 The variational distribution is whitened: with Kzz = L L^T, the inducing
 outputs are u_c = L v_c and q(v_c) = N(m_c, L_c L_c^T) per class, so the KL
 against the N(0, I) prior has a closed form that never touches the kernel.
-The expected log-likelihood (softmax over one latent function per class) is
-estimated by Monte Carlo with reparameterized draws, and all gradients are
-computed analytically, including the Cholesky-backward path into the kernel
-hyperparameters.
+
+Every GP path runs one forward pass, ``_forward``: it factors Kzz, solves
+A = L^{-1} Kzx, and gives the latent marginals of all C classes at once from
+the stacked (C, M, M) scales L_c and W = L_c^T A. Prediction floors the
+variance and averages the softmax of seeded draws; training estimates the
+expected log-likelihood of the same draws by Monte Carlo (``_mc_elbo``).
+The backward pass in ``_elbo_and_grads`` reuses the forward's pieces and
+computes every gradient analytically, including the Cholesky-backward path
+into the kernel hyperparameters.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import (
     NonFiniteLoss,
     NonFiniteMatrix,
     TooFewPoints,
+    check_int,
 )
 from .kernel import (
     KernelParams,
@@ -79,6 +85,7 @@ class TrainConfig:
             raise InvalidConfig("batch_size and sample counts must be >= 1")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass
@@ -113,11 +120,13 @@ class SvgpModel:
     def dim(self) -> int:
         return self.inducing_inputs.shape[1]
 
-    def scale_lower(self, c: int) -> np.ndarray:
-        """Effective L_c: lower triangle with softplus-transformed diagonal."""
-        raw = self.variational_scales_raw[c]
+    def scale_lowers(self) -> np.ndarray:
+        """Effective L_c of every class, (C, M, M): lower triangles with
+        softplus-transformed diagonals."""
+        raw = self.variational_scales_raw
         l = np.tril(raw, k=-1)
-        l[np.diag_indices_from(l)] = softplus(np.diag(raw))
+        diag = np.arange(self.m)
+        l[:, diag, diag] = softplus(raw[:, diag, diag])
         return l
 
     def copy(self) -> "SvgpModel":
@@ -161,9 +170,7 @@ def init_model(
     kern = init_kernel_params(features, rng)
     means = np.zeros((num_classes, m))
     scales = np.zeros((num_classes, m, m))
-    diag_raw = softplus_inv(1.0)
-    for c in range(num_classes):
-        scales[c][np.diag_indices(m)] = diag_raw
+    scales[:, np.arange(m), np.arange(m)] = softplus_inv(1.0)
     return SvgpModel(
         kernel=kern,
         inducing_inputs=z,
@@ -174,8 +181,14 @@ def init_model(
     )
 
 
-def _whitened_projection(model: SvgpModel, xs: np.ndarray):
-    """Shared forward pieces: chol(Kzz), Kzx, and A = L^{-1} Kzx."""
+def _forward(model: SvgpModel, xs: np.ndarray):
+    """The latent marginals at the inputs, stacked over classes.
+
+    Returns the mean (N, C) = A^T m_c, the unfloored variance (N, C) =
+    kxx - |A|^2 + |L_c^T A|^2 with A = L^{-1} Kzx, and the pieces the
+    backward pass reuses: (xs, Kzz, chol(Kzz), Kzx, A, the stacked L_c,
+    W = L_c^T A).
+    """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.dim:
         raise DimensionMismatch(f"inputs {xs.shape} vs inducing dim {model.dim}")
@@ -184,20 +197,17 @@ def _whitened_projection(model: SvgpModel, xs: np.ndarray):
     fac = cholesky_with_jitter(kzz, model.jitter)
     kzx = kernel_matrix(z, xs, model.kernel)
     a = solve_lower_triangular(fac, kzx)
-    return xs, kzz, fac, kzx, a
+    scales = model.scale_lowers()
+    w = np.matmul(scales.transpose(0, 2, 1), a)
+    mean = a.T @ model.variational_means.T
+    base = kernel_diag(xs, model.kernel) - np.sum(a * a, axis=0)
+    variance = base[:, None] + np.sum(w * w, axis=1).T
+    return mean, variance, (xs, kzz, fac, kzx, a, scales, w)
 
 
 def predictive_latent(model: SvgpModel, xs: np.ndarray) -> LatentGaussian:
     """Marginal q(f) at the inputs: mean a^T m_c, variance kxx - a^T a + |L_c^T a|^2."""
-    xs, _, _, _, a = _whitened_projection(model, xs)
-    n = xs.shape[0]
-    c_n = model.num_classes
-    mean = a.T @ model.variational_means.T
-    base = kernel_diag(xs, model.kernel) - np.sum(a * a, axis=0)
-    variance = np.empty((n, c_n))
-    for c in range(c_n):
-        w = model.scale_lower(c).T @ a
-        variance[:, c] = base + np.sum(w * w, axis=0)
+    mean, variance, _ = _forward(model, xs)
     return LatentGaussian(mean=mean, variance=np.maximum(variance, VARIANCE_FLOOR))
 
 
@@ -205,9 +215,8 @@ def kl_divergence(model: SvgpModel) -> float:
     """KL(q(v) || N(0, I)) summed over classes, in closed form; always >= 0."""
     total = 0.0
     m = model.m
-    for c in range(model.num_classes):
-        l = model.scale_lower(c)
-        mc = model.variational_means[c]
+    # summed class by class: a stacked sum would change the rounding
+    for l, mc in zip(model.scale_lowers(), model.variational_means):
         total += 0.5 * (
             np.sum(l * l) + np.dot(mc, mc) - m - 2.0 * np.sum(np.log(np.diag(l)))
         )
@@ -215,17 +224,24 @@ def kl_divergence(model: SvgpModel) -> float:
     return max(float(total), 0.0)
 
 
-def _log_softmax_stats(f: np.ndarray, labels: np.ndarray):
-    """Per-draw log softmax at the true class, plus softmax probabilities.
-
-    ``f`` has shape (B, C, S); returns (logp (B, S), probs (B, C, S)).
-    """
+def _softmax_draws(mean: np.ndarray, sigma: np.ndarray, noise: np.ndarray):
+    """Latent draws f = mean + sigma * noise, (N, C, S), and their softmax
+    over the classes; returns (f, log normaliser (N, S), probabilities)."""
+    f = mean[:, :, None] + sigma[:, :, None] * noise
     mx = f.max(axis=1, keepdims=True)
     ex = np.exp(f - mx)
     denom = ex.sum(axis=1, keepdims=True)
-    lse = (mx + np.log(denom))[:, 0, :]
+    return f, (mx + np.log(denom))[:, 0, :], ex / denom
+
+
+def _mc_elbo(model, mean, sigma, labels, n_total, noise):
+    """Monte-Carlo minibatch ELBO: the expected log-likelihood of the true
+    labels, scaled by n_total / batch, minus the exact KL. Returns the
+    ELBO, the scale and the draws' softmax probabilities (B, C, S)."""
+    f, lse, probs = _softmax_draws(mean, sigma, noise)
     logp = f[np.arange(f.shape[0]), labels, :] - lse
-    return logp, ex / denom
+    scale = n_total / f.shape[0]
+    return float(scale * np.sum(logp.mean(axis=1)) - kl_divergence(model)), scale, probs
 
 
 def elbo_minibatch(
@@ -241,7 +257,6 @@ def elbo_minibatch(
     term is scaled by n_total / batch and the exact KL is subtracted.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
     b = features.shape[0]
     if b == 0:
         raise DimensionMismatch("empty batch")
@@ -250,10 +265,8 @@ def elbo_minibatch(
             f"noise shape {noise.shape}, expected ({b}, {model.num_classes}, S)"
         )
     lat = predictive_latent(model, features)
-    f = lat.mean[:, :, None] + np.sqrt(lat.variance)[:, :, None] * noise
-    logp, _ = _log_softmax_stats(f, labels)
-    scale = n_total / b
-    return float(scale * np.sum(logp.mean(axis=1)) - kl_divergence(model))
+    return _mc_elbo(model, lat.mean, np.sqrt(lat.variance), np.asarray(labels),
+                    n_total, noise)[0]
 
 
 def _elbo_and_grads(
@@ -265,34 +278,16 @@ def _elbo_and_grads(
     optimize_inducing: bool = False,
 ):
     """ELBO value plus analytic gradients for every trainable parameter block."""
-    features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    b = features.shape[0]
-    c_n = model.num_classes
-    s = noise.shape[2]
-    xs, kzz, fac, kzx, a = _whitened_projection(model, features)
-    l_kern = fac.lower
-
-    scales = [model.scale_lower(c) for c in range(c_n)]
-    w_all = [scales[c].T @ a for c in range(c_n)]
-
-    kdiag = kernel_diag(xs, model.kernel)
-    base = kdiag - np.sum(a * a, axis=0)
-    var_raw = np.stack([base + np.sum(w * w, axis=0) for w in w_all], axis=1)
+    mean, var_raw, (xs, kzz, fac, kzx, a, scales, w) = _forward(model, features)
     clamp = var_raw > VARIANCE_FLOOR
-    var = np.maximum(var_raw, VARIANCE_FLOOR)
-    sigma = np.sqrt(var)
-    mean = a.T @ model.variational_means.T
-
-    f = mean[:, :, None] + sigma[:, :, None] * noise
-    logp, probs = _log_softmax_stats(f, labels)
-    scale = n_total / b
-    elbo = scale * np.sum(logp.mean(axis=1)) - kl_divergence(model)
+    sigma = np.sqrt(np.maximum(var_raw, VARIANCE_FLOOR))
+    elbo, scale, probs = _mc_elbo(model, mean, sigma, labels, n_total, noise)
 
     # d(scaled log-lik)/df
     dlf = -probs
-    dlf[np.arange(b), labels, :] += 1.0
-    dlf *= scale / s
+    dlf[np.arange(labels.shape[0]), labels, :] += 1.0
+    dlf *= scale / noise.shape[2]
     g_mean = dlf.sum(axis=2)  # (B, C)
     g_sigma = (dlf * noise).sum(axis=2)  # (B, C)
     dvar = np.where(clamp, g_sigma / (2.0 * sigma), 0.0)
@@ -304,20 +299,24 @@ def _elbo_and_grads(
     col_dvar = dvar.sum(axis=1)
     da -= 2.0 * a * col_dvar[None, :]
 
-    dscales_raw = np.zeros_like(model.variational_scales_raw)
-    for c in range(c_n):
-        dw = 2.0 * w_all[c] * dvar[:, c][None, :]
-        dl_c = a @ dw.T
-        da += scales[c] @ dw
-        # KL term: d(-KL)/dL_c = -(L_c - diag(1/L_cii))
-        dl_c -= scales[c]
-        dl_c[np.diag_indices_from(dl_c)] += 1.0 / np.diag(scales[c])
-        dl_c = np.tril(dl_c)
-        raw_diag = np.diag(model.variational_scales_raw[c])
-        dl_c[np.diag_indices_from(dl_c)] *= _sigmoid(raw_diag)
-        dscales_raw[c] = dl_c
+    # w is not used again, so dW = 2 W dvar is built in its buffer: at M=300 a
+    # fresh (C, M, B) temporary costs more than the arithmetic
+    dw = w
+    dw *= 2.0
+    dw *= dvar.T[:, None, :]
+    dscales = np.matmul(a, dw.transpose(0, 2, 1))
+    # added class by class: a stacked sum would change the rounding
+    for l_c, dw_c in zip(scales, dw):
+        da += l_c @ dw_c
+    # KL term: d(-KL)/dL_c = -(L_c - diag(1/L_cii))
+    dscales -= scales
+    diag = np.arange(model.m)
+    dscales[:, diag, diag] += 1.0 / scales[:, diag, diag]
+    dscales = np.tril(dscales)
+    dscales[:, diag, diag] *= _sigmoid(model.variational_scales_raw[:, diag, diag])
 
     # kernel paths: kdiag, Kzx (through the solve), Kzz (through the factor)
+    l_kern = fac.lower
     kzx_bar = solve_triangular(l_kern, da, trans="T")
     l_bar = np.tril(-(kzx_bar @ a.T))
     kzz_bar = cholesky_backward(l_kern, l_bar)
@@ -333,7 +332,7 @@ def _elbo_and_grads(
 
     grads = {
         "variational_means": dmeans,
-        "variational_scales_raw": dscales_raw,
+        "variational_scales_raw": dscales,
         "log_variance": np.array(d_log_var),
         "log_lengthscales": d_log_ls,
     }
@@ -343,7 +342,7 @@ def _elbo_and_grads(
             model.inducing_inputs, model.inducing_inputs, model.kernel, kzz_bar, kzz
         )
         grads["inducing_inputs"] = dz
-    return float(elbo), grads
+    return elbo, grads
 
 
 def _epoch_noise(seed: int, epoch: int, n: int, num_classes: int, samples: int) -> np.ndarray:
@@ -378,14 +377,16 @@ def fit(
         raise DimensionMismatch("empty training set")
 
     out = model.copy()
-    caches: dict[str, np.ndarray] = {
-        "variational_means": np.zeros_like(out.variational_means),
-        "variational_scales_raw": np.zeros_like(out.variational_scales_raw),
-        "log_variance": np.zeros(()),
-        "log_lengthscales": np.zeros_like(out.kernel.log_lengthscales),
+    # every trainable array, updated in place; log_variance is a float
+    params = {
+        "variational_means": out.variational_means,
+        "variational_scales_raw": out.variational_scales_raw,
+        "log_lengthscales": out.kernel.log_lengthscales,
     }
     if cfg.optimize_inducing:
-        caches["inducing_inputs"] = np.zeros_like(out.inducing_inputs)
+        params["inducing_inputs"] = out.inducing_inputs
+    caches = {name: np.zeros_like(arr) for name, arr in params.items()}
+    caches["log_variance"] = np.zeros(())
 
     shuffle_rng = np.random.default_rng(cfg.seed)
     trace: list[TraceEntry] = []
@@ -410,14 +411,8 @@ def fit(
                 update = lr * g / (np.sqrt(caches[name]) + eps)
                 if name == "log_variance":
                     out.kernel.log_variance += float(update)
-                elif name == "log_lengthscales":
-                    out.kernel.log_lengthscales += update
-                elif name == "inducing_inputs":
-                    out.inducing_inputs += update
-                elif name == "variational_means":
-                    out.variational_means += update
                 else:
-                    out.variational_scales_raw += update
+                    params[name] += update
             trace.append(TraceEntry(step=step, objective=elbo))
             step += 1
     return out, trace
@@ -431,12 +426,5 @@ def predict_proba(model: SvgpModel, xs: np.ndarray, s: int = 64, seed: int = 0) 
     if s < 1:
         raise ValueError("s must be >= 1")
     lat = predictive_latent(model, xs)
-    n, c_n = lat.mean.shape
-    key = np.array([np.uint64(seed % 2**64), np.uint64(0)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    noise = gen.standard_normal((n, c_n, s))
-    f = lat.mean[:, :, None] + np.sqrt(lat.variance)[:, :, None] * noise
-    mx = f.max(axis=1, keepdims=True)
-    ex = np.exp(f - mx)
-    probs = ex / ex.sum(axis=1, keepdims=True)
-    return probs.mean(axis=2)
+    noise = _epoch_noise(seed, 0, *lat.mean.shape, s)
+    return _softmax_draws(lat.mean, np.sqrt(lat.variance), noise)[2].mean(axis=2)

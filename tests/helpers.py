@@ -3,6 +3,20 @@
 import numpy as np
 
 
+def rbf_ard(x, y, p):
+    """Scalar ARD RBF oracle: sigma^2 * exp(-1/2 sum_d (x_d - y_d)^2 / l_d^2)."""
+    from textuq.errors import DimensionMismatch
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.shape != (p.dim,):
+        raise DimensionMismatch(
+            f"x {x.shape}, y {y.shape}, lengthscales ({p.dim},) must all agree"
+        )
+    d = (x - y) / p.lengthscales()
+    return float(np.exp(p.log_variance - 0.5 * np.dot(d, d)))
+
+
 def fd_wrt(arr, f, h=1e-5):
     """Central finite differences of f() with respect to every entry of arr.
 
@@ -322,3 +336,219 @@ def reference_preprocess_text(raw):
         return cat.startswith("P") or (ord(ch) < 128 and cat.startswith("S"))
 
     return "".join(" " if removable(ch) else ch for ch in raw.lower()).split()
+
+
+# ---- reference SVGP forward and backward -----------------------------------
+# A frozen copy of the original per-class SVGP code: each entry point builds
+# its own latent marginals, with one L_c and one W_c = L_c^T A per class. The
+# SVGP tests assert that textuq.svgp's stacked forward pass gives the same
+# bytes for every output and gradient block.
+
+
+def _ref_scale_lower(model, c):
+    from textuq.svgp import softplus
+
+    raw = model.variational_scales_raw[c]
+    l = np.tril(raw, k=-1)
+    l[np.diag_indices_from(l)] = softplus(np.diag(raw))
+    return l
+
+
+def _ref_projection(model, xs):
+    from textuq.kernel import kernel_matrix
+    from textuq.linalg import cholesky_with_jitter, solve_lower_triangular
+
+    xs = np.asarray(xs, dtype=np.float64)
+    z = model.inducing_inputs
+    kzz = kernel_matrix(z, z, model.kernel)
+    fac = cholesky_with_jitter(kzz, model.jitter)
+    kzx = kernel_matrix(z, xs, model.kernel)
+    a = solve_lower_triangular(fac, kzx)
+    return xs, kzz, fac, kzx, a
+
+
+def reference_kl_divergence(model):
+    total = 0.0
+    m = model.m
+    for c in range(model.num_classes):
+        l = _ref_scale_lower(model, c)
+        mc = model.variational_means[c]
+        total += 0.5 * (
+            np.sum(l * l) + np.dot(mc, mc) - m - 2.0 * np.sum(np.log(np.diag(l)))
+        )
+    return max(float(total), 0.0)
+
+
+def reference_predictive_latent(model, xs):
+    """The original predictive_latent: returns (mean, floored variance)."""
+    from textuq.kernel import kernel_diag
+    from textuq.svgp import VARIANCE_FLOOR
+
+    xs, _, _, _, a = _ref_projection(model, xs)
+    n = xs.shape[0]
+    c_n = model.num_classes
+    mean = a.T @ model.variational_means.T
+    base = kernel_diag(xs, model.kernel) - np.sum(a * a, axis=0)
+    variance = np.empty((n, c_n))
+    for c in range(c_n):
+        w = _ref_scale_lower(model, c).T @ a
+        variance[:, c] = base + np.sum(w * w, axis=0)
+    return mean, np.maximum(variance, VARIANCE_FLOOR)
+
+
+def _ref_log_softmax_stats(f, labels):
+    mx = f.max(axis=1, keepdims=True)
+    ex = np.exp(f - mx)
+    denom = ex.sum(axis=1, keepdims=True)
+    lse = (mx + np.log(denom))[:, 0, :]
+    logp = f[np.arange(f.shape[0]), labels, :] - lse
+    return logp, ex / denom
+
+
+def reference_elbo_minibatch(model, features, labels, n_total, noise):
+    mean, variance = reference_predictive_latent(model, features)
+    f = mean[:, :, None] + np.sqrt(variance)[:, :, None] * noise
+    logp, _ = _ref_log_softmax_stats(f, np.asarray(labels))
+    scale = n_total / np.asarray(features).shape[0]
+    return float(scale * np.sum(logp.mean(axis=1)) - reference_kl_divergence(model))
+
+
+def reference_elbo_and_grads(model, features, labels, n_total, noise,
+                             optimize_inducing=False):
+    """The original _elbo_and_grads: returns (elbo, grads by block name)."""
+    from textuq.kernel import (
+        kernel_diag, rbf_ard_input_grads, rbf_ard_param_grads,
+    )
+    from textuq.linalg import cholesky_backward, solve_triangular
+    from textuq.svgp import VARIANCE_FLOOR, _sigmoid
+
+    labels = np.asarray(labels)
+    b = np.asarray(features).shape[0]
+    c_n = model.num_classes
+    s = noise.shape[2]
+    xs, kzz, fac, kzx, a = _ref_projection(model, features)
+    l_kern = fac.lower
+
+    scales = [_ref_scale_lower(model, c) for c in range(c_n)]
+    w_all = [scales[c].T @ a for c in range(c_n)]
+
+    kdiag = kernel_diag(xs, model.kernel)
+    base = kdiag - np.sum(a * a, axis=0)
+    var_raw = np.stack([base + np.sum(w * w, axis=0) for w in w_all], axis=1)
+    clamp = var_raw > VARIANCE_FLOOR
+    var = np.maximum(var_raw, VARIANCE_FLOOR)
+    sigma = np.sqrt(var)
+    mean = a.T @ model.variational_means.T
+
+    f = mean[:, :, None] + sigma[:, :, None] * noise
+    logp, probs = _ref_log_softmax_stats(f, labels)
+    scale = n_total / b
+    elbo = scale * np.sum(logp.mean(axis=1)) - reference_kl_divergence(model)
+
+    dlf = -probs
+    dlf[np.arange(b), labels, :] += 1.0
+    dlf *= scale / s
+    g_mean = dlf.sum(axis=2)
+    g_sigma = (dlf * noise).sum(axis=2)
+    dvar = np.where(clamp, g_sigma / (2.0 * sigma), 0.0)
+
+    dmeans = (a @ g_mean).T - model.variational_means
+
+    da = model.variational_means.T @ g_mean.T
+    col_dvar = dvar.sum(axis=1)
+    da -= 2.0 * a * col_dvar[None, :]
+
+    dscales_raw = np.zeros_like(model.variational_scales_raw)
+    for c in range(c_n):
+        dw = 2.0 * w_all[c] * dvar[:, c][None, :]
+        dl_c = a @ dw.T
+        da += scales[c] @ dw
+        dl_c -= scales[c]
+        dl_c[np.diag_indices_from(dl_c)] += 1.0 / np.diag(scales[c])
+        dl_c = np.tril(dl_c)
+        raw_diag = np.diag(model.variational_scales_raw[c])
+        dl_c[np.diag_indices_from(dl_c)] *= _sigmoid(raw_diag)
+        dscales_raw[c] = dl_c
+
+    kzx_bar = solve_triangular(l_kern, da, trans="T")
+    l_bar = np.tril(-(kzx_bar @ a.T))
+    kzz_bar = cholesky_backward(l_kern, l_bar)
+
+    sig2 = np.exp(model.kernel.log_variance)
+    d_log_var = float(np.sum(col_dvar) * sig2)
+    dlv1, dll1 = rbf_ard_param_grads(model.inducing_inputs, xs, model.kernel, kzx_bar, kzx)
+    dlv2, dll2 = rbf_ard_param_grads(
+        model.inducing_inputs, model.inducing_inputs, model.kernel, kzz_bar, kzz
+    )
+    d_log_var += dlv1 + dlv2
+    d_log_ls = dll1 + dll2
+
+    grads = {
+        "variational_means": dmeans,
+        "variational_scales_raw": dscales_raw,
+        "log_variance": np.array(d_log_var),
+        "log_lengthscales": d_log_ls,
+    }
+    if optimize_inducing:
+        dz = rbf_ard_input_grads(model.inducing_inputs, xs, model.kernel, kzx_bar, kzx)
+        dz += 2.0 * rbf_ard_input_grads(
+            model.inducing_inputs, model.inducing_inputs, model.kernel, kzz_bar, kzz
+        )
+        grads["inducing_inputs"] = dz
+    return float(elbo), grads
+
+
+def reference_predict_proba(model, xs, s=64, seed=0):
+    mean, variance = reference_predictive_latent(model, xs)
+    n, c_n = mean.shape
+    key = np.array([np.uint64(seed % 2**64), np.uint64(0)], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    noise = gen.standard_normal((n, c_n, s))
+    f = mean[:, :, None] + np.sqrt(variance)[:, :, None] * noise
+    mx = f.max(axis=1, keepdims=True)
+    ex = np.exp(f - mx)
+    probs = ex / ex.sum(axis=1, keepdims=True)
+    return probs.mean(axis=2)
+
+
+def reference_fit(model, features, labels, cfg):
+    """The original fit loop around reference_elbo_and_grads: returns the
+    trained model and the per-step objectives."""
+    from textuq.svgp import _epoch_noise
+
+    n = features.shape[0]
+    out = model.copy()
+    caches = {
+        "variational_means": np.zeros_like(out.variational_means),
+        "variational_scales_raw": np.zeros_like(out.variational_scales_raw),
+        "log_variance": np.zeros(()),
+        "log_lengthscales": np.zeros_like(out.kernel.log_lengthscales),
+    }
+    if cfg.optimize_inducing:
+        caches["inducing_inputs"] = np.zeros_like(out.inducing_inputs)
+    shuffle_rng = np.random.default_rng(cfg.seed)
+    objectives = []
+    decay, eps, lr = cfg.rmsprop_decay, cfg.rmsprop_epsilon, cfg.learning_rate
+    for epoch in range(cfg.epochs):
+        perm = shuffle_rng.permutation(n)
+        noise = _epoch_noise(cfg.seed, epoch, n, out.num_classes, cfg.mc_train_samples)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            elbo, grads = reference_elbo_and_grads(
+                out, features[idx], labels[idx], n, noise[idx], cfg.optimize_inducing
+            )
+            for name, g in grads.items():
+                caches[name] = decay * caches[name] + (1.0 - decay) * g * g
+                update = lr * g / (np.sqrt(caches[name]) + eps)
+                if name == "log_variance":
+                    out.kernel.log_variance += float(update)
+                elif name == "log_lengthscales":
+                    out.kernel.log_lengthscales += update
+                elif name == "inducing_inputs":
+                    out.inducing_inputs += update
+                elif name == "variational_means":
+                    out.variational_means += update
+                else:
+                    out.variational_scales_raw += update
+            objectives.append(elbo)
+    return out, objectives

@@ -527,6 +527,70 @@ def test_evaluate_rejects_broken_model_file(pipeline, tmp_path, corrupt, message
     assert f"{model}: {message}" in err
 
 
+def _setting(path, value):
+    """A model-file corruption that replaces the entry at ``path``; a callable
+    value maps the old entry to the new one."""
+    def corrupt(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+    return corrupt
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+@pytest.mark.parametrize("model_key, corrupt, message", [
+    ("gp_model", _setting(("gp", "variational_means"), lambda v: [r[:-1] for r in v]),
+     "variational_means has shape (3, 15), expected (3, 16)"),
+    ("gp_model", _setting(("gp", "variational_scales_raw"), lambda v: v[:2]),
+     "variational_scales_raw has shape (2, 16, 16), expected (3, 16, 16)"),
+    ("gp_model", _setting(("gp", "num_classes"), 2), "num_classes must be 3, got 2"),
+    ("gp_model", _setting(("gp", "log_variance"), "0.5"),
+     "log_variance must be a finite number, got '0.5'"),
+    ("gp_model", _setting(("gp", "jitter"), -1), "jitter must be a positive number, got -1"),
+    ("gp_model", _setting(("predict", "mc_samples"), 0),
+     "predict.mc_samples must be an integer >= 1, got 0"),
+    ("gp_model", _setting(("split", "seed"), -3), "seed must be an integer >= 0, got -3"),
+    ("ens_model", _setting(("ens", "members", 0, "weights"), lambda v: v[:3]),
+     "member 0 must have 4 weights and biases"),
+    ("ens_model", _setting(("ens", "members"), []), "the ensemble has no members"),
+    ("ens_model", _setting(("ens", "members", 0, "bn_running_var", 1, 2), -1e-3),
+     "member 0 bn_running_var must be >= 0"),
+], ids=["gp-means-short", "gp-scales-two-classes", "gp-two-classes", "gp-string-log-variance",
+        "gp-negative-jitter", "zero-mc-samples", "negative-split-seed", "ens-three-weights",
+        "ens-no-members", "ens-negative-running-var"])
+def test_evaluate_rejects_inconsistent_model_file(pipeline, tmp_path, model_key, corrupt,
+                                                  message):
+    payload = json.loads(pipeline[model_key].read_text(encoding="utf-8"))
+    corrupt(payload)
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    outs = [tmp_path / "j", tmp_path / "c", tmp_path / "r"]
+    code, _, err = run_cli([
+        "evaluate", "--model", str(model), "--features", str(pipeline["features"]),
+        "--out-json", str(outs[0]), "--out-csv", str(outs[1]), "--out-reliability", str(outs[2]),
+    ])
+    assert code == 1, err
+    assert err.startswith(f"error: {model}: malformed model file") and err.count("\n") == 1
+    assert message in err
+    assert not any(p.exists() for p in outs)
+
+
+@pytest.mark.parametrize("command", ["synth", "gp", "ens"])
+def test_negative_seed_exits_1_before_reading_inputs(tmp_path, command):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    if command == "synth":
+        argv = ["synth", "--n", "10", "--out-corpus", str(outs[0]),
+                "--out-embeddings", str(outs[1])]
+    else:  # the feature file does not exist: the seed is checked first
+        argv = ["train", "--model", command, "--features", str(tmp_path / "absent.csv"),
+                "--out-model", str(outs[0]), "--out-trace", str(outs[1])]
+    code, _, err = run_cli(argv + ["--seed", "-1"])
+    assert code == 1, err
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+    assert not any(p.exists() for p in outs)
+
+
 def test_train_missing_features_file_exits_1(tmp_path):
     missing = tmp_path / "absent.csv"
     code, _, err = run_cli([

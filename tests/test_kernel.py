@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fd_scalar_attr, fd_wrt, max_rel_err
+from helpers import fd_scalar_attr, fd_wrt, max_rel_err, rbf_ard
 from textuq.errors import DimensionMismatch
 from textuq.kernel import (
     KernelParams,
@@ -11,7 +11,6 @@ from textuq.kernel import (
     kernel_diag,
     kernel_matrix,
     median_heuristic_lengthscale,
-    rbf_ard,
     rbf_ard_input_grads,
     rbf_ard_param_grads,
 )

@@ -3,7 +3,18 @@ import pytest
 import scipy.linalg
 from scipy.special import logsumexp
 
-from helpers import fd_scalar_attr, fd_wrt, make_blobs, max_rel_err
+from helpers import (
+    fd_scalar_attr,
+    fd_wrt,
+    make_blobs,
+    max_rel_err,
+    reference_elbo_and_grads,
+    reference_elbo_minibatch,
+    reference_fit,
+    reference_kl_divergence,
+    reference_predict_proba,
+    reference_predictive_latent,
+)
 from textuq import linalg, svgp
 from textuq.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, TooFewPoints
 from textuq.kernel import KernelParams, kernel_diag, kernel_matrix
@@ -25,7 +36,7 @@ from textuq.svgp import (
 
 
 def set_scale(model, c, target_lower):
-    """Write raw entries so that model.scale_lower(c) equals target_lower."""
+    """Write raw entries so that model.scale_lowers()[c] equals target_lower."""
     raw = np.tril(target_lower, k=-1)
     raw[np.diag_indices_from(raw)] = softplus_inv(np.diag(target_lower))
     model.variational_scales_raw[c] = raw
@@ -101,7 +112,7 @@ class TestInit:
         model = init_model(rng.normal(size=(30, 2)), m=5, seed=0)
         assert np.all(model.variational_means == 0.0)
         for c in range(model.num_classes):
-            assert np.allclose(model.scale_lower(c), np.eye(5), atol=1e-12)
+            assert np.allclose(model.scale_lowers()[c], np.eye(5), atol=1e-12)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
@@ -137,7 +148,7 @@ class TestPredictiveLatent:
         kinv_kzx = np.linalg.solve(kzz_j, kzx)
         kdiag = kernel_diag(xs, model.kernel)
         for c in range(model.num_classes):
-            lc = model.scale_lower(c)
+            lc = model.scale_lowers()[c]
             mu_u = l @ model.variational_means[c]
             s_u = l @ lc @ lc.T @ l.T
             mean = kinv_kzx.T @ mu_u
@@ -206,7 +217,7 @@ class TestKl:
         s = 100_000
         per_draw = np.zeros(s)
         for c in range(c_n):
-            lc = model.scale_lower(c)
+            lc = model.scale_lowers()[c]
             mc = model.variational_means[c]
             eps = draw_rng.standard_normal(size=(s, m))
             v = mc[None, :] + eps @ lc.T
@@ -457,6 +468,8 @@ class TestFit:
             TrainConfig(epochs=-1).validate()
         with pytest.raises(ValueError):
             TrainConfig(mc_predict_samples=0).validate()
+        with pytest.raises(InvalidConfig, match="seed must be an integer >= 0"):
+            TrainConfig(seed=-1).validate()
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_validate_rejects_a_non_finite_learning_rate(self, lr):
@@ -512,3 +525,88 @@ class TestSoftplus:
 
     def test_positive_everywhere(self):
         assert np.all(softplus(np.array([-50.0, -1.0, 0.0, 4.0])) > 0.0)
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def random_model(seed, m, num_classes, n=80, d=4):
+    """A model away from its prior: random means, full lower-triangular scales
+    and perturbed lengthscales, plus n training features."""
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(max(n, m), d))
+    model = init_model(feats, m=m, seed=seed, num_classes=num_classes)
+    model.variational_means = rng.normal(scale=0.5, size=(num_classes, m))
+    raw = np.tril(rng.normal(scale=0.3, size=(num_classes, m, m)), k=-1)
+    raw[:, np.arange(m), np.arange(m)] = rng.normal(scale=0.5, size=(num_classes, m))
+    model.variational_scales_raw = raw
+    model.kernel.log_lengthscales += rng.normal(scale=0.1, size=d)
+    return model, feats
+
+
+def assert_matches_reference(model, xs, labels, noise, optimize_inducing):
+    lat = predictive_latent(model, xs)
+    mean, variance = reference_predictive_latent(model, xs)
+    assert_same_bytes(lat.mean, mean)
+    assert_same_bytes(lat.variance, variance)
+    assert_same_bytes(kl_divergence(model), reference_kl_divergence(model))
+    assert_same_bytes(elbo_minibatch(model, xs, labels, 500, noise),
+                      reference_elbo_minibatch(model, xs, labels, 500, noise))
+    elbo, grads = _elbo_and_grads(model, xs, labels, 500, noise, optimize_inducing)
+    ref_elbo, ref_grads = reference_elbo_and_grads(
+        model, xs, labels, 500, noise, optimize_inducing)
+    assert_same_bytes(elbo, ref_elbo)
+    assert list(grads) == list(ref_grads)
+    for name in grads:
+        assert_same_bytes(grads[name], ref_grads[name])
+    assert_same_bytes(predict_proba(model, xs, s=16, seed=9),
+                      reference_predict_proba(model, xs, s=16, seed=9))
+
+
+class TestMatchesReference:
+    """The stacked forward pass gives the per-class code's bytes."""
+
+    @pytest.mark.parametrize("m", [1, 31, 33, 64])
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("optimize_inducing", [False, True])
+    @pytest.mark.parametrize("batch", [1, 50])
+    def test_every_output_and_gradient_block(self, m, num_classes, optimize_inducing, batch):
+        model, feats = random_model(m + 10 * num_classes, m, num_classes)
+        rng = np.random.default_rng(m)
+        xs = feats[:batch]
+        labels = rng.integers(num_classes, size=batch)
+        noise = rng.normal(size=(batch, num_classes, 8))
+        assert_matches_reference(model, xs, labels, noise, optimize_inducing)
+
+    def test_clamped_variance(self):
+        # inputs on the inducing points with near-zero jitter and scales leave
+        # a latent variance at or below VARIANCE_FLOOR, so the clamp runs
+        model, feats = random_model(3, 3, 3)
+        model.jitter = 1e-14
+        model.kernel.log_lengthscales[:] = np.log(0.05)
+        model.variational_scales_raw[:] = -40.0
+        xs = np.vstack([model.inducing_inputs, feats[:5]])
+        _, variance = reference_predictive_latent(model, xs)
+        assert (variance == svgp.VARIANCE_FLOOR).any()
+        assert (variance > svgp.VARIANCE_FLOOR).any()
+        rng = np.random.default_rng(4)
+        noise = rng.normal(size=(xs.shape[0], 3, 8))
+        assert_matches_reference(model, xs, rng.integers(3, size=xs.shape[0]), noise, True)
+
+    @pytest.mark.parametrize("optimize_inducing", [False, True])
+    def test_two_epoch_fit_with_a_remainder_batch(self, optimize_inducing):
+        model, feats = random_model(7, 33, 3, n=130)
+        labels = np.random.default_rng(8).integers(3, size=130)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=50, mc_train_samples=4,
+                          seed=11, optimize_inducing=optimize_inducing)
+        got, trace = fit(model, feats, labels, cfg)
+        want, objectives = reference_fit(model, feats, labels, cfg)
+        assert len(trace) == 6
+        assert_same_bytes([t.objective for t in trace], objectives)
+        assert_same_bytes(got.kernel.log_variance, want.kernel.log_variance)
+        for name in ("inducing_inputs", "variational_means", "variational_scales_raw"):
+            assert_same_bytes(getattr(got, name), getattr(want, name))
+        assert_same_bytes(got.kernel.log_lengthscales, want.kernel.log_lengthscales)
