@@ -23,18 +23,6 @@ class IsotonicMap:
     breakpoints: np.ndarray  # strictly increasing scores
     values: np.ndarray  # nondecreasing, within [0, 1]
 
-    def validate(self) -> None:
-        if self.breakpoints.shape != self.values.shape or self.breakpoints.ndim != 1:
-            raise LengthMismatch("breakpoints and values must be equal-length vectors")
-        if self.breakpoints.size == 0:
-            raise EmptyInput("empty isotonic map")
-        if np.any(np.diff(self.breakpoints) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if np.any(np.diff(self.values) < 0):
-            raise ValueError("values must be nondecreasing")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
-            raise ValueError("values must lie in [0, 1]")
-
 
 def pava_fit(scores, targets, weights=None) -> IsotonicMap:
     """Weighted least-squares nondecreasing fit of targets against scores.

@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from . import ensemble as ens_mod
 from . import svgp as svgp_mod
 from .calibration import bins_from_csv_text, bins_to_csv_text, calibrate_probs, reliability_bins
-from .errors import InvalidConfig, TextuqError, utf8_input
+from .errors import InvalidConfig, TextuqError, check_int, utf8_input
 from .labels import LABEL_NAMES, POSITIVE
 from .metrics import build_report, report_to_csv_text, report_to_json_text
 from .model_io import ModelMeta, atomic_write, atomic_write_text, load_model, save_model
@@ -227,12 +227,12 @@ def cmd_train(opts) -> int:
     if opts.model == "gp":
         if opts.inducing < 1:
             raise InvalidConfig("m (inducing points) must be >= 1")
+        check_int(opts.mc_predict, "mc_predict", 1)
         cfg = svgp_mod.TrainConfig(
             learning_rate=opts.learning_rate,
             epochs=2 if opts.epochs is None else opts.epochs,
             batch_size=opts.batch_size,
             mc_train_samples=opts.mc_train,
-            mc_predict_samples=opts.mc_predict,
             seed=opts.seed,
             optimize_inducing=opts.optimize_inducing,
         )
@@ -280,6 +280,8 @@ def cmd_evaluate(opts) -> int:
     model, meta = load_model(opts.model)
     examples = corpus_mod.read_features_csv(opts.features)
     _, val, test = corpus_mod.stratified_split(examples, meta.split)
+    if opts.calibrate and not val:
+        raise InvalidConfig("--calibrate needs a non-empty validation split")
     views = corpus_mod.make_test_views(test, seed=meta.split.seed)
 
     if meta.model_type == "gp":

@@ -15,26 +15,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss, check_int
+from .labels import LABEL_NAMES
 from .parallel import usable_cpus
 
 N_HIDDEN_BLOCKS = 3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+BN_MOMENTUM = 0.9
+BN_EPSILON = 1e-5
+# the objective weights the clean and the adversarial loss equally
+ADV_WEIGHT = 0.5
 
 
 @dataclass
 class EnsembleConfig:
     members: int = 5
     hidden_units: int = 200
-    num_classes: int = 3
     learning_rate: float = 3e-3
     epochs: int = 10
     batch_size: int = 500
     fgsm_epsilon: float = 0.01
-    adv_weight: float = 0.5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    bn_momentum: float = 0.9
-    bn_epsilon: float = 1e-5
     seed: int = 0
 
     def validate(self) -> None:
@@ -51,8 +52,6 @@ class EnsembleConfig:
             raise InvalidConfig("learning_rate must be >= 0")
         if self.batch_size < 2:
             raise InvalidConfig("batch_size must be >= 2 (batch norm)")
-        if not 0.0 <= self.adv_weight <= 1.0:
-            raise InvalidConfig("adv_weight must be in [0, 1]")
         if self.fgsm_epsilon < 0.0:
             raise InvalidConfig("fgsm_epsilon must be >= 0")
         check_int(self.seed, "seed", 0)
@@ -68,7 +67,7 @@ class MlpParams:
     bn_shift: list  # 3 arrays of length H (beta)
     bn_running_mean: list  # 3 arrays of length H
     bn_running_var: list  # 3 arrays of length H
-    bn_epsilon: float = 1e-5
+    bn_epsilon: float = BN_EPSILON
 
     @property
     def dim(self) -> int:
@@ -88,17 +87,6 @@ class MlpParams:
             out[f"beta{i}"] = self.bn_shift[i]
         return out
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            bn_scale=[g.copy() for g in self.bn_scale],
-            bn_shift=[b.copy() for b in self.bn_shift],
-            bn_running_mean=[m.copy() for m in self.bn_running_mean],
-            bn_running_var=[v.copy() for v in self.bn_running_var],
-            bn_epsilon=self.bn_epsilon,
-        )
-
 
 @dataclass
 class EnsembleModel:
@@ -107,12 +95,9 @@ class EnsembleModel:
     feature_scale: np.ndarray  # per-dimension std of the training features
 
 
-def init_mlp(
-    dim: int, rng: np.random.Generator, hidden: int = 200, num_classes: int = 3,
-    bn_epsilon: float = 1e-5,
-) -> MlpParams:
+def init_mlp(dim: int, rng: np.random.Generator, hidden: int = 200) -> MlpParams:
     """He-uniform weights, zero biases, identity batch-norm state."""
-    sizes = [dim] + [hidden] * N_HIDDEN_BLOCKS + [num_classes]
+    sizes = [dim] + [hidden] * N_HIDDEN_BLOCKS + [len(LABEL_NAMES)]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / fan_in)
@@ -125,7 +110,6 @@ def init_mlp(
         bn_shift=[np.zeros(hidden) for _ in range(N_HIDDEN_BLOCKS)],
         bn_running_mean=[np.zeros(hidden) for _ in range(N_HIDDEN_BLOCKS)],
         bn_running_var=[np.ones(hidden) for _ in range(N_HIDDEN_BLOCKS)],
-        bn_epsilon=bn_epsilon,
     )
 
 
@@ -325,16 +309,15 @@ def fit_member(
         feature_scale = feature_scale_of(features)
 
     rng = np.random.default_rng(seed)
-    p = init_mlp(d, rng, hidden=cfg.hidden_units, num_classes=cfg.num_classes,
-                 bn_epsilon=cfg.bn_epsilon)
+    p = init_mlp(d, rng, hidden=cfg.hidden_units)
 
     m_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
     v_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
     grads_clean = {k: np.empty_like(v) for k, v in p.trainable().items()}
     grads_adv = {k: np.empty_like(v) for k, v in p.trainable().items()}
     buffers = {}  # batch size -> (activations, adversarial inputs)
-    b1, b2, eps_a, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
-    mom, w = cfg.bn_momentum, cfg.adv_weight
+    b1, b2, eps_a, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
+    mom, w = BN_MOMENTUM, ADV_WEIGHT
     fgsm_step = cfg.fgsm_epsilon * feature_scale
     trace: list[MemberTrace] = []
     step = 0

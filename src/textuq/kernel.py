@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
+MEDIAN_POINTS = 1000
+
 
 @dataclass
 class KernelParams:
@@ -24,9 +26,6 @@ class KernelParams:
     @property
     def dim(self) -> int:
         return self.log_lengthscales.shape[0]
-
-    def variance(self) -> float:
-        return float(np.exp(self.log_variance))
 
     def lengthscales(self) -> np.ndarray:
         return np.exp(self.log_lengthscales)
@@ -97,17 +96,16 @@ def rbf_ard_input_grads(
     return (w @ ys - xs * w.sum(axis=1)[:, None]) / ell2
 
 
-def median_heuristic_lengthscale(
-    features: np.ndarray, rng: np.random.Generator, max_points: int = 1000
-) -> float:
-    """Median pairwise distance of a subsample, divided by sqrt(D).
+def median_heuristic_lengthscale(features: np.ndarray, rng: np.random.Generator) -> float:
+    """Median pairwise distance of a subsample of at most MEDIAN_POINTS
+    rows, divided by sqrt(D).
 
     Falls back to 1.0 when the median distance is zero (duplicated inputs).
     """
     features = np.asarray(features, dtype=np.float64)
     n, d = features.shape
-    if n > max_points:
-        idx = rng.choice(n, size=max_points, replace=False)
+    if n > MEDIAN_POINTS:
+        idx = rng.choice(n, size=MEDIAN_POINTS, replace=False)
         features = features[idx]
     r = np.sum(features * features, axis=1)
     sq = np.maximum(r[:, None] + r[None, :] - 2.0 * (features @ features.T), 0.0)
@@ -117,10 +115,8 @@ def median_heuristic_lengthscale(
     return ell if ell > 0.0 else 1.0
 
 
-def init_kernel_params(
-    features: np.ndarray, rng: np.random.Generator, max_points: int = 1000
-) -> KernelParams:
+def init_kernel_params(features: np.ndarray, rng: np.random.Generator) -> KernelParams:
     """Unit signal variance, all lengthscales from the median heuristic."""
     d = features.shape[1]
-    ell = median_heuristic_lengthscale(features, rng, max_points)
+    ell = median_heuristic_lengthscale(features, rng)
     return KernelParams(log_variance=0.0, log_lengthscales=np.full(d, np.log(ell)))

@@ -16,7 +16,7 @@ into the kernel hyperparameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,8 @@ from .linalg import (
 )
 
 VARIANCE_FLOOR = 1e-12
+RMSPROP_DECAY = 0.9
+RMSPROP_EPSILON = 1e-8
 
 
 def softplus(x):
@@ -70,18 +72,15 @@ class TrainConfig:
     epochs: int = 2
     batch_size: int = 500
     mc_train_samples: int = 8
-    mc_predict_samples: int = 64
     seed: int = 0
     optimize_inducing: bool = False
-    rmsprop_decay: float = 0.9
-    rmsprop_epsilon: float = 1e-8
 
     def validate(self) -> None:
         if not np.isfinite(self.learning_rate):
             raise InvalidConfig(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate < 0.0:
             raise InvalidConfig("learning_rate must be >= 0")
-        if self.batch_size < 1 or self.mc_train_samples < 1 or self.mc_predict_samples < 1:
+        if self.batch_size < 1 or self.mc_train_samples < 1:
             raise InvalidConfig("batch_size and sample counts must be >= 1")
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
@@ -391,7 +390,7 @@ def fit(
     shuffle_rng = np.random.default_rng(cfg.seed)
     trace: list[TraceEntry] = []
     step = 0
-    decay, eps, lr = cfg.rmsprop_decay, cfg.rmsprop_epsilon, cfg.learning_rate
+    decay, eps, lr = RMSPROP_DECAY, RMSPROP_EPSILON, cfg.learning_rate
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         noise = _epoch_noise(cfg.seed, epoch, n, out.num_classes, cfg.mc_train_samples)

@@ -201,12 +201,11 @@ def reference_fit_member(features, labels, cfg, seed, feature_scale):
 
     n, d = features.shape
     rng = np.random.default_rng(seed)
-    p = init_mlp(d, rng, hidden=cfg.hidden_units, num_classes=cfg.num_classes,
-                 bn_epsilon=cfg.bn_epsilon)
+    p = init_mlp(d, rng, hidden=cfg.hidden_units)
+    p.bn_epsilon = 1e-5
     m_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
     v_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
-    b1, b2, lr, mom, w = (cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate,
-                          cfg.bn_momentum, cfg.adv_weight)
+    b1, b2, lr, mom, w = 0.9, 0.999, cfg.learning_rate, 0.9, 0.5
     objectives = []
     t = 0
     for _ in range(cfg.epochs):
@@ -236,7 +235,7 @@ def reference_fit_member(features, labels, cfg, seed, feature_scale):
                 v_state[k] = b2 * v_state[k] + (1 - b2) * g * g
                 mhat = m_state[k] / (1 - b1**t)
                 vhat = v_state[k] / (1 - b2**t)
-                arr -= lr * mhat / (np.sqrt(vhat) + cfg.adam_epsilon)
+                arr -= lr * mhat / (np.sqrt(vhat) + 1e-8)
             objectives.append((1 - w) * loss_clean + w * loss_adv)
     return p, objectives
 
@@ -528,7 +527,7 @@ def reference_fit(model, features, labels, cfg):
         caches["inducing_inputs"] = np.zeros_like(out.inducing_inputs)
     shuffle_rng = np.random.default_rng(cfg.seed)
     objectives = []
-    decay, eps, lr = cfg.rmsprop_decay, cfg.rmsprop_epsilon, cfg.learning_rate
+    decay, eps, lr = 0.9, 1e-8, cfg.learning_rate
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         noise = _epoch_noise(cfg.seed, epoch, n, out.num_classes, cfg.mc_train_samples)

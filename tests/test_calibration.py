@@ -129,18 +129,6 @@ class TestIsotonicApply:
         assert isotonic_apply(self.m, 0.0) == 0.0
         assert isotonic_apply(self.m, 1.0) == 0.8
 
-    def test_validate_rejects_malformed_maps(self):
-        with pytest.raises(LengthMismatch):
-            IsotonicMap(np.array([0.1, 0.2]), np.array([0.5])).validate()
-        with pytest.raises(EmptyInput):
-            IsotonicMap(np.array([]), np.array([])).validate()
-        with pytest.raises(ValueError):
-            IsotonicMap(np.array([0.2, 0.2]), np.array([0.1, 0.2])).validate()
-        with pytest.raises(ValueError):
-            IsotonicMap(np.array([0.1, 0.2]), np.array([0.5, 0.4])).validate()
-        with pytest.raises(ValueError):
-            IsotonicMap(np.array([0.1, 0.2]), np.array([0.5, 1.4])).validate()
-
 
 class TestClassMaps:
     def test_each_column_is_mapped_monotonically(self):

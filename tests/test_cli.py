@@ -6,6 +6,7 @@ artifacts and on reruns. Error paths use throwaway inputs.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
@@ -440,6 +441,7 @@ def test_train_gp_rejects_bad_config_with_one_line(pipeline, tmp_path, flag, val
 @pytest.mark.parametrize("settings", [
     ["--model", "gp", "--learning-rate", "nan"],
     ["--model", "gp", "--inducing", "0"],
+    ["--model", "gp", "--mc-predict", "0"],
     ["--model", "ens", "--members", "0"],
     ["--model", "ens", "--val-fraction", "0.95"],
 ])
@@ -453,6 +455,36 @@ def test_train_checks_the_settings_before_reading_the_features(pipeline, tmp_pat
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "absent.csv" not in err
+
+
+# small settings that train each model family in well under a second
+TINY_TRAIN = {
+    "gp": ["--model", "gp", "--inducing", "8", "--mc-train", "2"],
+    "ens": ["--model", "ens", "--members", "1", "--hidden", "8", "--batch-size", "128"],
+}
+
+
+@pytest.mark.parametrize("model, config", [("gp", "TrainConfig"), ("ens", "EnsembleConfig")])
+def test_train_sets_every_config_field_from_a_flag(pipeline, tmp_path, monkeypatch,
+                                                   model, config):
+    # a field that no flag sets has one value in use, so it belongs in a
+    # module constant next to the code that reads it
+    module = cli.svgp_mod if model == "gp" else cli.ens_mod
+    base = getattr(module, config)
+    keywords = []
+
+    class Recording(base):
+        def __init__(self, **kwargs):
+            keywords.append(set(kwargs))
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(module, config, Recording)
+    code, _, err = run_cli([
+        "train", "--features", str(pipeline["features"]), "--seed", "0", "--epochs", "1",
+        "--out-model", str(tmp_path / "m"), "--out-trace", str(tmp_path / "t"),
+    ] + TINY_TRAIN[model])
+    assert code == 0, err
+    assert keywords == [{f.name for f in dataclasses.fields(base)}]
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
@@ -653,6 +685,34 @@ def test_evaluate_with_calibration_flag(pipeline, tmp_path):
     assert code == 0, err
     payload = json.loads(out_json.read_text(encoding="utf-8"))
     assert set(payload["sets"]) == {"CONSTest", "NegINCONSTest", "CheXINCONSTest"}
+
+
+@pytest.mark.parametrize("model", ["gp", "ens"])
+def test_evaluate_calibrate_with_an_empty_validation_split_exits_1(
+        pipeline, tmp_path, monkeypatch, model):
+    model_path = tmp_path / "m.json"
+    code, out, err = run_cli([
+        "train", "--features", str(pipeline["features"]), "--seed", "3", "--epochs", "1",
+        "--val-fraction", "0.001", "--out-model", str(model_path),
+        "--out-trace", str(tmp_path / "t"),
+    ] + TINY_TRAIN[model])
+    assert code == 0, err
+    assert ", val 0," in out
+
+    def no_prediction(*args, **kwargs):
+        raise AssertionError("predicted before the split was checked")
+
+    monkeypatch.setattr(cli.svgp_mod, "predict_proba", no_prediction)
+    monkeypatch.setattr(cli.ens_mod, "ensemble_predict", no_prediction)
+    outputs = [tmp_path / "e.json", tmp_path / "e.csv", tmp_path / "r.csv"]
+    code, out, err = run_cli([
+        "evaluate", "--model", str(model_path), "--features", str(pipeline["features"]),
+        "--calibrate", "--out-json", str(outputs[0]), "--out-csv", str(outputs[1]),
+        "--out-reliability", str(outputs[2]),
+    ])
+    assert (code, out) == (1, "")
+    assert err == "error: --calibrate needs a non-empty validation split\n"
+    assert not any(path.exists() for path in outputs)
 
 
 def test_evaluate_absent_as_zero_fills_group_rows(pipeline, tmp_path):

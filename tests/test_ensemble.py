@@ -32,8 +32,8 @@ from textuq.ensemble import (
 from textuq.errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss
 
 
-def zero_params(dim=2, hidden=4, num_classes=3):
-    p = init_mlp(dim, np.random.default_rng(0), hidden=hidden, num_classes=num_classes)
+def zero_params(dim=2, hidden=4):
+    p = init_mlp(dim, np.random.default_rng(0), hidden=hidden)
     for w in p.weights:
         w[:] = 0.0
     return p
@@ -52,9 +52,9 @@ def identity_params():
     )
 
 
-def randomized_params(seed, dim=4, hidden=8, num_classes=3):
+def randomized_params(seed, dim=4, hidden=8):
     rng = np.random.default_rng(seed)
-    p = init_mlp(dim, rng, hidden=hidden, num_classes=num_classes)
+    p = init_mlp(dim, rng, hidden=hidden)
     for b in p.biases:
         b += 0.1 * rng.normal(size=b.shape)
     for i in range(3):
@@ -71,8 +71,6 @@ class TestConfig:
             EnsembleConfig(members=0).validate()
         with pytest.raises(ValueError):
             EnsembleConfig(batch_size=1).validate()
-        with pytest.raises(ValueError):
-            EnsembleConfig(adv_weight=1.5).validate()
         with pytest.raises(ValueError):
             EnsembleConfig(fgsm_epsilon=-0.01).validate()
         with pytest.raises(ValueError):

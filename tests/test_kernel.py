@@ -171,6 +171,10 @@ class TestInitialization:
         a = median_heuristic_lengthscale(feats, np.random.default_rng(9))
         b = median_heuristic_lengthscale(feats, np.random.default_rng(9))
         assert a == b
+        # the median of the pairwise distances of 1000 rows drawn without replacement
+        sub = feats[np.random.default_rng(9).choice(3000, size=1000, replace=False)]
+        dist = np.sqrt(((sub[:, None] - sub[None]) ** 2).sum(axis=2))
+        assert a == pytest.approx(np.median(dist[np.triu_indices(1000, k=1)]) / np.sqrt(5.0))
 
     def test_init_kernel_params_shape_and_values(self):
         rng_data = np.random.default_rng(10)

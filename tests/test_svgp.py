@@ -467,7 +467,7 @@ class TestFit:
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1).validate()
         with pytest.raises(ValueError):
-            TrainConfig(mc_predict_samples=0).validate()
+            TrainConfig(mc_train_samples=0).validate()
         with pytest.raises(InvalidConfig, match="seed must be an integer >= 0"):
             TrainConfig(seed=-1).validate()
 
