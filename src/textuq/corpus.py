@@ -12,8 +12,8 @@ feed, carriage return, comma or quote is quoted):
   embeddings    header "vocab_size dimension", then "token v1 .. vD" lines
 
 Feature CSVs are read and written in contiguous pieces, one per worker: a
-forked process per _MIN_CHUNK_BYTES (4 MiB) of CSV text, at most one per
-usable CPU, the caller doing the first piece (parallel.fork_map). Smaller
+forked process per parallel.MIN_CHUNK_BYTES (4 MiB) of CSV text, at most one
+per usable CPU, the caller doing the first piece (parallel.fork_map). Smaller
 files, one CPU, no os.fork or other live threads mean one process. Reads
 cut only at record ends and join the pieces in file order, so the results
 and the bytes written do not depend on the worker count.
@@ -48,13 +48,10 @@ from .errors import (
     utf8_input,
 )
 from .labels import LABEL_NAMES, NEGATIVE, POSITIVE, UNCERTAIN, label_to_index
-from .parallel import fork_map, usable_cpus
+from .parallel import fork_map, workers_for
 
 log = logging.getLogger(__name__)
 
-# Feature-CSV reads and writes run one worker process per this much CSV text,
-# at most one per usable CPU; smaller files stay in the calling process.
-_MIN_CHUNK_BYTES = 4 << 20
 _VALUE_BYTES = 22  # a %.17g feature value and its comma, about
 _BLOCK_BYTES = 1 << 20  # the unit of the readers' and writers' I/O buffers
 
@@ -272,12 +269,6 @@ def featurize(rows, table: EmbeddingTable):
     return examples, flagged
 
 
-def _workers(nbytes: int) -> int:
-    """Processes for nbytes of feature-CSV text: one per _MIN_CHUNK_BYTES,
-    no more than the usable CPUs, and at least one."""
-    return max(1, min(usable_cpus(), nbytes // _MIN_CHUNK_BYTES))
-
-
 def _write_feature_rows(fh, examples, floats) -> None:
     write_row = _csv_row_writer(fh)
     for ex in examples:
@@ -298,7 +289,7 @@ def write_features_csv(path, examples) -> None:
     # the id and label fields go through the csv writer; the floats, which
     # never need quoting, are formatted in one % per row
     floats = ",%.17g" * dim + "\n"
-    k = _workers(len(examples) * dim * _VALUE_BYTES)
+    k = workers_for(len(examples) * dim * _VALUE_BYTES)
     bounds = [len(examples) * i // k for i in range(k + 1)]
     rows_per_block = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
 
@@ -331,7 +322,7 @@ def read_features_csv(path) -> list:
     non-numeric or non-finite value raises MalformedRow naming the line.
 
     The body is parsed in record-aligned byte ranges, one per worker process
-    (see ``_workers``); the ranges' rows are joined in file order. Bytes that
+    (see ``parallel.workers_for``); the ranges' rows are joined in file order. Bytes that
     are not UTF-8 raise NotUtf8 naming the first such line, in any range.
     """
     with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
@@ -344,7 +335,7 @@ def read_features_csv(path) -> list:
             raise MalformedRow(f"{path}: no feature columns")
         body, size = len(line.encode("utf-8")), os.fstat(fh.fileno()).st_size
         parse = functools.partial(_parse_feature_rows, path, dim)
-        ranges = _record_ranges(path, body, size, _workers(size - body))
+        ranges = _record_ranges(path, body, size, workers_for(size - body))
         try:
             try:
                 parts = fork_map(parse, ranges)
@@ -487,12 +478,11 @@ class SplitSpec:
 
     def validate(self) -> None:
         check_int(self.seed, "seed", 0)  # numpy seeds from integers >= 0 only
-        ok = (
-            0.0 < self.val_fraction < 1.0
-            and 0.0 < self.test_fraction < 1.0
-            and self.val_fraction + self.test_fraction < 1.0
-        )
-        if not ok:
+        for name in ("val_fraction", "test_fraction"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:  # NaN included
+                raise FractionOverflow(f"{name} must be above 0 and below 1, got {value}")
+        if not self.val_fraction + self.test_fraction < 1.0:
             raise FractionOverflow(
                 f"val {self.val_fraction} + test {self.test_fraction} must stay below 1"
             )

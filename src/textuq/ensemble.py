@@ -8,8 +8,11 @@ can be checked against finite differences.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,6 +280,97 @@ def feature_scale_of(features: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(features, dtype=np.float64).std(axis=0), 1e-8)
 
 
+class _Buffers:
+    """One worker's batch buffers: the clean and adversarial gradients, and
+    the activations and adversarial inputs per batch size. The members of
+    one ensemble share their shapes, so any of them can use any set."""
+
+    def __init__(self, p: MlpParams):
+        self.grads = tuple({k: np.empty_like(v) for k, v in p.trainable().items()}
+                           for _ in range(2))
+        self._batches = {}
+
+    def batch(self, rows: int, p: MlpParams) -> tuple[_Activations, np.ndarray]:
+        if rows not in self._batches:
+            self._batches[rows] = (_Activations(rows, p), np.empty((rows, p.dim)))
+        return self._batches[rows]
+
+
+class _Stopped(Exception):
+    """A member's turns ended because a lower-index member failed."""
+
+
+class _Turns:
+    """Epoch turns for the members of one ensemble.
+
+    ``workers`` members run an epoch at a time, each with one of ``workers``
+    buffer sets (built on first use). The members wait in one FIFO queue, in
+    member order at first; after each epoch a member queues again behind
+    the members already waiting, so no worker idles while a member has
+    epochs left. When a member fails, the members above it get no further
+    turn and the members below it run on, so the lowest-index failure is
+    the one a serial loop over the members would meet first.
+    """
+
+    def __init__(self, members: int, workers: int):
+        self._cond = threading.Condition()
+        self._queue = collections.deque(range(members))
+        self._free = [None] * workers
+        self._last = members - 1  # the highest member index that gets turns
+
+    @contextlib.contextmanager
+    def epoch(self, member: int, p: MlpParams):
+        """Wait for ``member``'s turn and lend it a buffer set for one epoch."""
+        with self._cond:
+            self._cond.wait_for(lambda: member > self._last
+                                or (self._free and self._queue[0] == member))
+            if member > self._last:
+                raise _Stopped
+            self._queue.popleft()
+            buffers = self._free.pop()
+            self._cond.notify_all()
+        try:
+            if buffers is None:
+                buffers = _Buffers(p)
+            yield buffers
+        finally:
+            with self._cond:
+                self._free.append(buffers)
+                self._queue.append(member)  # leave() takes it out after the last epoch
+                self._cond.notify_all()
+
+    def leave(self, member: int, failed: bool) -> None:
+        """``member`` takes no more turns; after a failure neither do those above it."""
+        with self._cond:
+            if failed:
+                self._last = min(self._last, member)
+            self._queue = collections.deque(
+                m for m in self._queue if m != member and m <= self._last)
+            self._cond.notify_all()
+
+    def stop(self) -> None:
+        """No member gets another turn."""
+        self.leave(-1, failed=True)
+
+
+class _MemberThread(threading.Thread):
+    """Runs ``fit`` (a fit_member call) for one member of fit_ensemble; that
+    call takes its epochs from ``turns``."""
+
+    def __init__(self, turns: _Turns, member: int, fit):
+        super().__init__(name=f"textuq-member-{member}")
+        self.turns, self.member, self._fit = turns, member, fit
+        self.result = self.error = None
+
+    def run(self):
+        try:
+            self.result = self._fit()
+        except BaseException as exc:  # re-raised by fit_ensemble
+            self.error = exc
+        finally:
+            self.turns.leave(self.member, failed=self.error is not None)
+
+
 @dataclass
 class MemberTrace:
     step: int
@@ -297,7 +391,8 @@ def fit_member(
     Adversarial examples are built from the clean pass with its batch
     normalization statistics frozen; running stats are updated from the
     clean pass only.
-    Deterministic for fixed (data, config, seed).
+    Deterministic for fixed (data, config, seed). Under fit_ensemble each
+    epoch waits for the member's turn and uses that turn's batch buffers.
     """
     cfg.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -307,15 +402,17 @@ def fit_member(
         raise DimensionMismatch("empty training set")
     if feature_scale is None:
         feature_scale = feature_scale_of(features)
+    thread = threading.current_thread()
+    if isinstance(thread, _MemberThread):
+        turns, member = thread.turns, thread.member
+    else:
+        turns, member = _Turns(members=1, workers=1), 0
 
     rng = np.random.default_rng(seed)
     p = init_mlp(d, rng, hidden=cfg.hidden_units)
 
     m_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
     v_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
-    grads_clean = {k: np.empty_like(v) for k, v in p.trainable().items()}
-    grads_adv = {k: np.empty_like(v) for k, v in p.trainable().items()}
-    buffers = {}  # batch size -> (activations, adversarial inputs)
     b1, b2, eps_a, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
     mom, w = BN_MOMENTUM, ADV_WEIGHT
     fgsm_step = cfg.fgsm_epsilon * feature_scale
@@ -323,62 +420,62 @@ def fit_member(
     step = 0
     t = 0
     for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            if idx.size < 2:
-                continue  # batch norm cannot normalize a single example
-            if idx.size not in buffers:
-                buffers[idx.size] = (_Activations(idx.size, p), np.empty((idx.size, d)))
-            acts, x_adv = buffers[idx.size]
-            xb, yb = features[idx], labels[idx]
+        with turns.epoch(member, p) as buffers:
+            grads_clean, grads_adv = buffers.grads
+            perm = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                if idx.size < 2:
+                    continue  # batch norm cannot normalize a single example
+                acts, x_adv = buffers.batch(idx.size, p)
+                xb, yb = features[idx], labels[idx]
 
-            logits, _ = _forward_cached(p, xb, None, acts)
-            loss_clean, dlogits = _ce_loss_and_dlogits(logits, yb)
-            _backward(p, acts, dlogits, grads_clean, need_dx=False)
-            for i in range(N_HIDDEN_BLOCKS):
-                p.bn_running_mean[i] = mom * p.bn_running_mean[i] + (1 - mom) * acts.mu[i]
-                p.bn_running_var[i] = mom * p.bn_running_var[i] + (1 - mom) * acts.var[i]
+                logits, _ = _forward_cached(p, xb, None, acts)
+                loss_clean, dlogits = _ce_loss_and_dlogits(logits, yb)
+                _backward(p, acts, dlogits, grads_clean, need_dx=False)
+                for i in range(N_HIDDEN_BLOCKS):
+                    p.bn_running_mean[i] = mom * p.bn_running_mean[i] + (1 - mom) * acts.mu[i]
+                    p.bn_running_var[i] = mom * p.bn_running_var[i] + (1 - mom) * acts.var[i]
 
-            # x_adv = xb + eps * scale * sign(dCE/dxb), the gradient taken
-            # through the clean pass with its batch statistics held constant
-            np.sign(_input_backward(p, acts, dlogits), out=x_adv)
-            x_adv *= fgsm_step
-            x_adv += xb
-            logits_a, _ = _forward_cached(p, x_adv, None, acts)
-            loss_adv, dlogits_a = _ce_loss_and_dlogits(logits_a, yb)
-            _backward(p, acts, dlogits_a, grads_adv, need_dx=False)
+                # x_adv = xb + eps * scale * sign(dCE/dxb), the gradient taken
+                # through the clean pass with its batch statistics held constant
+                np.sign(_input_backward(p, acts, dlogits), out=x_adv)
+                x_adv *= fgsm_step
+                x_adv += xb
+                logits_a, _ = _forward_cached(p, x_adv, None, acts)
+                loss_adv, dlogits_a = _ce_loss_and_dlogits(logits_a, yb)
+                _backward(p, acts, dlogits_a, grads_adv, need_dx=False)
 
-            loss = (1 - w) * loss_clean + w * loss_adv
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(step, loss)
+                loss = (1 - w) * loss_clean + w * loss_adv
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(step, loss)
 
-            t += 1
-            for k, arr in p.trainable().items():
-                # in place, with the operations of
-                #   g = (1 - w) * g_clean + w * g_adv
-                #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-                #   arr -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps_a)
-                g, tmp = grads_clean[k], grads_adv[k]
-                g *= 1 - w
-                tmp *= w
-                g += tmp
-                m, v = m_state[k], v_state[k]
-                m *= b1
-                m += np.multiply(g, 1 - b1, out=tmp)
-                v *= b2
-                np.multiply(g, 1 - b2, out=tmp)
-                tmp *= g
-                v += tmp
-                mhat = np.divide(m, 1 - b1**t, out=tmp)
-                denom = np.divide(v, 1 - b2**t, out=g)
-                np.sqrt(denom, out=denom)
-                denom += eps_a
-                mhat *= lr
-                mhat /= denom
-                arr -= mhat
-            trace.append(MemberTrace(step=step, objective=loss))
-            step += 1
+                t += 1
+                for k, arr in p.trainable().items():
+                    # in place, with the operations of
+                    #   g = (1 - w) * g_clean + w * g_adv
+                    #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+                    #   arr -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps_a)
+                    g, tmp = grads_clean[k], grads_adv[k]
+                    g *= 1 - w
+                    tmp *= w
+                    g += tmp
+                    m, v = m_state[k], v_state[k]
+                    m *= b1
+                    m += np.multiply(g, 1 - b1, out=tmp)
+                    v *= b2
+                    np.multiply(g, 1 - b2, out=tmp)
+                    tmp *= g
+                    v += tmp
+                    mhat = np.divide(m, 1 - b1**t, out=tmp)
+                    denom = np.divide(v, 1 - b2**t, out=g)
+                    np.sqrt(denom, out=denom)
+                    denom += eps_a
+                    mhat *= lr
+                    mhat /= denom
+                    arr -= mhat
+                trace.append(MemberTrace(step=step, objective=loss))
+                step += 1
     return p, trace
 
 
@@ -408,24 +505,38 @@ def fit_ensemble(
 ) -> tuple[EnsembleModel, list[list[MemberTrace]]]:
     """Train cfg.members independent networks with seeds cfg.seed + index.
 
-    Members train concurrently in ``_worker_count`` threads (numpy releases
-    the GIL in matmuls and ufuncs). A member's bits depend only on its seed
-    and the BLAS thread count, so the model does not depend on the worker
-    count; results are collected in member order, and the first failing
-    member's error is raised after unstarted members are cancelled.
+    Each member's fit_member call runs in a thread of its own, and
+    ``_worker_count`` members run an epoch at a time (numpy releases the GIL
+    in matmuls and ufuncs). Epochs are handed out in turn (see ``_Turns``),
+    so 5 members of 2 epochs on 2 workers take 5 epoch-rounds, not the 6 of
+    whole members. A member's bits depend only on its seed and the BLAS
+    thread count, so the model does not depend on the worker count; results
+    come back in member order, and the lowest-index failing member's error
+    is raised.
     """
     cfg.validate()
     scale = feature_scale_of(features)
-    pool = ThreadPoolExecutor(max_workers=_worker_count(cfg.members))
+    turns = _Turns(cfg.members, _worker_count(cfg.members))
+    threads = [
+        _MemberThread(turns, i, functools.partial(
+            fit_member, features, labels, cfg, seed=cfg.seed + i, feature_scale=scale))
+        for i in range(cfg.members)
+    ]
     try:
-        futures = [
-            pool.submit(fit_member, features, labels, cfg, seed=cfg.seed + i,
-                        feature_scale=scale)
-            for i in range(cfg.members)
-        ]
-        members, traces = zip(*(f.result() for f in futures))
-    finally:
-        pool.shutdown(cancel_futures=True)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        turns.stop()  # the started members end at their next turn
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+        raise
+    for thread in threads:
+        if thread.error is not None:
+            raise thread.error
+    members, traces = zip(*(thread.result for thread in threads))
     return EnsembleModel(members=list(members), fgsm_epsilon=cfg.fgsm_epsilon,
                          feature_scale=scale), list(traces)
 

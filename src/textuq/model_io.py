@@ -2,7 +2,10 @@
 
 JSON keeps every float via the shortest round-tripping decimal form, so a
 save/load cycle reproduces arrays bit for bit and identical models produce
-byte-identical files. The file also records the split settings and the
+byte-identical files. An ensemble's members, nearly all of its file, are
+encoded in forked worker processes and spliced into the document
+``json.dumps(payload, sort_keys=True)`` would give, so the bytes do not
+depend on the worker count. The file also records the split settings and the
 prediction sampling settings used at training time, so evaluation can
 rebuild the exact train/val/test partition without leaking test data.
 """
@@ -21,6 +24,7 @@ from .ensemble import N_HIDDEN_BLOCKS, EnsembleModel, MlpParams
 from .errors import InvalidConfig, TextuqError, check_int
 from .kernel import KernelParams
 from .labels import LABEL_NAMES
+from .parallel import fork_map, workers_for
 from .svgp import SvgpModel
 
 FORMAT_TAG = "textuq-model-v1"
@@ -116,17 +120,40 @@ _BN_KEYS = ("bn_scale", "bn_shift", "bn_running_mean", "bn_running_var")
 _LAYER_KEYS = ("weights", "biases") + _BN_KEYS
 
 
+# the ensemble payload's member list, which _members_json fills in
+_NO_MEMBERS = '"members": []'
+_FLOAT_BYTES = 22  # a float's shortest repr and its ", ", about
+
+
 def _ens_payload(model: EnsembleModel) -> dict:
-    members = []
-    for p in model.members:
-        block = {key: [a.tolist() for a in getattr(p, key)] for key in _LAYER_KEYS}
-        block["bn_epsilon"] = float(p.bn_epsilon)
-        members.append(block)
     return {
-        "members": members,
+        "members": [],
         "fgsm_epsilon": float(model.fgsm_epsilon),
         "feature_scale": model.feature_scale.tolist(),
     }
+
+
+def _member_payload(p: MlpParams) -> dict:
+    block = {key: [a.tolist() for a in getattr(p, key)] for key in _LAYER_KEYS}
+    block["bn_epsilon"] = float(p.bn_epsilon)
+    return block
+
+
+def _members_json(members: list) -> list:
+    """The inside of the members' JSON list as json.dumps(sort_keys=True)
+    writes it, in pieces of contiguous members: one forked process per
+    parallel.MIN_CHUNK_BYTES of output, at most one per usable CPU, the
+    caller doing the first piece (parallel.fork_map)."""
+    floats = sum(a.size for p in members for key in _LAYER_KEYS for a in getattr(p, key))
+    k = min(len(members), workers_for(floats * _FLOAT_BYTES))
+    bounds = [len(members) * i // k for i in range(k + 1)]
+
+    def encode(i):
+        blocks = (json.dumps(_member_payload(p), sort_keys=True)
+                  for p in members[bounds[i]:bounds[i + 1]])
+        return ((", " if i else "") + ", ".join(blocks)).encode("utf-8")
+
+    return fork_map(encode, range(k))
 
 
 def _member_from_payload(mb: dict, k: int, dim: int) -> MlpParams:
@@ -165,6 +192,9 @@ def _ens_from_payload(block: dict) -> EnsembleModel:
 
 
 def save_model(path, model, meta: ModelMeta) -> None:
+    """Write the model and its metadata as one JSON document, sorted keys,
+    through atomic_write. An ensemble's members are encoded first, in worker
+    processes (see ``_members_json``); a failure there leaves no file."""
     if meta.model_type == "gp":
         if not isinstance(model, SvgpModel):
             raise InvalidConfig("meta says gp but model is not an SvgpModel")
@@ -189,7 +219,19 @@ def save_model(path, model, meta: ModelMeta) -> None:
         },
         meta.model_type: block,
     }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    text = json.dumps(payload, sort_keys=True) + "\n"
+    if meta.model_type == "ens":
+        head, tail = text.split(_NO_MEMBERS)
+        pieces = [head.encode("utf-8"), b'"members": [', *_members_json(model.members),
+                  b"]", tail.encode("utf-8")]
+    else:
+        pieces = [text.encode("utf-8")]
+
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            fh.writelines(pieces)
+
+    atomic_write(path, write)
 
 
 def load_model(path):

@@ -11,6 +11,10 @@ import pickle
 import signal
 import threading
 
+# Text to format or parse is split over one worker process per this many
+# bytes, at most one per usable CPU; less stays in the calling process.
+MIN_CHUNK_BYTES = 4 << 20
+
 
 def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask, or the CPU count
@@ -18,6 +22,12 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1  # pragma: no cover - platforms without CPU affinity
+
+
+def workers_for(nbytes: int) -> int:
+    """Processes for nbytes of text: one per MIN_CHUNK_BYTES, no more than
+    the usable CPUs, and at least one."""
+    return max(1, min(usable_cpus(), nbytes // MIN_CHUNK_BYTES))
 
 
 def fork_map(fn, items) -> list:

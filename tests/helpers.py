@@ -551,3 +551,49 @@ def reference_fit(model, features, labels, cfg):
                     out.variational_scales_raw += update
             objectives.append(elbo)
     return out, objectives
+
+
+def reference_save_model(path, model, meta):
+    """The original save_model: the whole payload in one json.dumps, written
+    as UTF-8 text (no validation of model against meta)."""
+    import json
+
+    if meta.model_type == "gp":
+        block = {
+            "log_variance": float(model.kernel.log_variance),
+            "log_lengthscales": model.kernel.log_lengthscales.tolist(),
+            "inducing_inputs": model.inducing_inputs.tolist(),
+            "variational_means": model.variational_means.tolist(),
+            "variational_scales_raw": model.variational_scales_raw.tolist(),
+            "jitter": float(model.jitter),
+            "num_classes": int(model.num_classes),
+        }
+    else:
+        members = []
+        for p in model.members:
+            mb = {key: [a.tolist() for a in getattr(p, key)]
+                  for key in ("weights", "biases", "bn_scale", "bn_shift",
+                              "bn_running_mean", "bn_running_var")}
+            mb["bn_epsilon"] = float(p.bn_epsilon)
+            members.append(mb)
+        block = {
+            "members": members,
+            "fgsm_epsilon": float(model.fgsm_epsilon),
+            "feature_scale": model.feature_scale.tolist(),
+        }
+    payload = {
+        "format": "textuq-model-v1",
+        "model_type": meta.model_type,
+        "split": {
+            "val_fraction": meta.split.val_fraction,
+            "test_fraction": meta.split.test_fraction,
+            "seed": meta.split.seed,
+        },
+        "predict": {
+            "mc_samples": meta.mc_predict_samples,
+            "seed": meta.predict_seed,
+        },
+        meta.model_type: block,
+    }
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -457,6 +457,22 @@ def test_train_checks_the_settings_before_reading_the_features(pipeline, tmp_pat
         assert "absent.csv" not in err
 
 
+@pytest.mark.parametrize("fractions, message", [
+    (["--val-fraction", "0"], "val_fraction must be above 0 and below 1, got 0.0"),
+    (["--test-fraction", "1"], "test_fraction must be above 0 and below 1, got 1.0"),
+    (["--val-fraction", "0.6", "--test-fraction", "0.5"],
+     "val 0.6 + test 0.5 must stay below 1"),
+])
+def test_train_names_the_split_fraction_check_that_failed(pipeline, tmp_path, fractions,
+                                                          message):
+    out_model = tmp_path / "m"
+    code, out, err = run_cli(pipeline["gp_args"] + [
+        "--out-model", str(out_model), "--out-trace", str(tmp_path / "t")] + fractions)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert not out_model.exists()
+
+
 # small settings that train each model family in well under a second
 TINY_TRAIN = {
     "gp": ["--model", "gp", "--inducing", "8", "--mc-train", "2"],

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import logging
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from helpers import (
     reference_write_features_csv,
 )
 from textuq import corpus as corpus_mod
+from textuq import parallel
 from textuq.corpus import (
     CorpusRow,
     EmbeddingTable,
@@ -534,8 +536,8 @@ def in_workers(k, block_bytes=None):
         return fork_map(fn, items)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corpus_mod, "usable_cpus", lambda: k)
-        mp.setattr(corpus_mod, "_MIN_CHUNK_BYTES", 1)
+        mp.setattr(parallel, "usable_cpus", lambda: k)
+        mp.setattr(parallel, "MIN_CHUNK_BYTES", 1)
         mp.setattr(corpus_mod, "fork_map", counting_fork_map)
         if block_bytes is not None:
             mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
@@ -561,17 +563,6 @@ def _examples(n, dim, ids=None):
 
 class TestFeaturesCsvInWorkers:
     """Reads and writes split over forked workers give the one-process results."""
-
-    @pytest.mark.parametrize("cpus, nbytes, want", [
-        (4, 0, 1),
-        (4, (8 << 20) - 1, 1),  # one worker per full 4 MiB
-        (4, 8 << 20, 2),
-        (4, 100 << 20, 4),  # never more than the usable CPUs
-        (1, 100 << 20, 1),
-    ])
-    def test_worker_rule(self, monkeypatch, cpus, nbytes, want):
-        monkeypatch.setattr(corpus_mod, "usable_cpus", lambda: cpus)
-        assert corpus_mod._workers(nbytes) == want
 
     @given(
         rows=st.lists(
@@ -796,12 +787,16 @@ class TestSplitSpec:
     def test_default_is_valid(self):
         SplitSpec().validate()
 
-    @pytest.mark.parametrize(
-        "val,test",
-        [(0.0, 0.1), (0.1, 0.0), (0.5, 0.5), (-0.1, 0.1), (0.1, 1.0)],
-    )
-    def test_rejects_degenerate_fractions(self, val, test):
-        with pytest.raises(FractionOverflow):
+    @pytest.mark.parametrize("val, test, message", [
+        (0.0, 0.1, "val_fraction must be above 0"),
+        (0.1, 0.0, "test_fraction must be above 0"),
+        (0.5, 0.5, "val 0.5 + test 0.5 must stay below 1"),
+        (-0.1, 0.1, "val_fraction must be above 0"),
+        (0.1, 1.0, "test_fraction must be above 0 and below 1, got 1.0"),
+        (float("nan"), 0.1, "val_fraction must be above 0 and below 1, got nan"),
+    ])
+    def test_rejects_degenerate_fractions(self, val, test, message):
+        with pytest.raises(FractionOverflow, match=re.escape(message)):
             SplitSpec(val_fraction=val, test_fraction=test).validate()
 
 

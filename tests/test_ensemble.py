@@ -1,4 +1,8 @@
+import collections
 import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from helpers import (
     mlp_arrays,
     reference_fit_member,
 )
+from textuq import ensemble as ensemble_mod
 from textuq.ensemble import (
     EnsembleConfig,
     EnsembleModel,
@@ -19,6 +24,7 @@ from textuq.ensemble import (
     _ce_loss_and_dlogits,
     _forward_cached,
     _input_backward,
+    _Turns,
     _worker_count,
     ensemble_predict,
     feature_scale_of,
@@ -307,15 +313,16 @@ class TestMatchesReferenceStep:
             ref = reference_fit_member(feats, labels, self.cfg, self.cfg.seed + i, scale)
             self.assert_same(member, trace, *ref)
 
-    def test_fit_ensemble_in_two_worker_threads(self, two_workers):
-        # 3 members on 2 workers: the third waits for a free thread, and the
-        # results still come back in member order
-        cfg = dataclasses.replace(self.cfg, members=3)
-        assert _worker_count(cfg.members) == 2
+    @pytest.mark.parametrize("members, epochs", [(5, 2), (3, 3), (1, 3), (2, 0)])
+    def test_fit_ensemble_in_two_worker_threads(self, two_workers, members, epochs):
+        # more members than workers: members wait for turns, epoch by epoch,
+        # and the results still come back in member order
+        cfg = dataclasses.replace(self.cfg, members=members, epochs=epochs)
+        assert _worker_count(cfg.members) == min(2, members)
         feats, labels = self.data()
         scale = feature_scale_of(feats)
         model, traces = fit_ensemble(feats, labels, cfg)
-        assert len(model.members) == len(traces) == 3
+        assert len(model.members) == len(traces) == members
         for i, (member, trace) in enumerate(zip(model.members, traces)):
             ref = reference_fit_member(feats, labels, cfg, cfg.seed + i, scale)
             self.assert_same(member, trace, *ref)
@@ -352,6 +359,97 @@ class TestFitEnsembleFailure:
         with pytest.raises(NonFiniteLoss) as excinfo:
             fit_ensemble(feats, labels, cfg)
         assert excinfo.value.step == 0
+
+    def test_the_lowest_index_members_error_is_raised(self, two_workers):
+        # at this learning rate every member diverges, at a step its seed
+        # decides; member 0's step is not the earliest, so on 2 workers
+        # member 1 usually fails first
+        rng = np.random.default_rng(14)
+        feats, labels = rng.normal(size=(40, 3)), rng.integers(0, 3, size=40)
+        cfg = EnsembleConfig(members=4, hidden_units=8, epochs=3, batch_size=4,
+                             learning_rate=1e77, seed=3)
+        steps = []
+        for i in range(cfg.members):
+            with pytest.raises(NonFiniteLoss) as excinfo:
+                fit_member(feats, labels, cfg, seed=cfg.seed + i)
+            steps.append(excinfo.value.step)
+        assert steps[0] > min(steps[1:])
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many interleavings
+        try:
+            for _ in range(10):
+                with pytest.raises(NonFiniteLoss) as excinfo:
+                    fit_ensemble(feats, labels, cfg)
+                assert excinfo.value.step == steps[0]
+        finally:
+            sys.setswitchinterval(switch)
+        assert threading.active_count() == 1
+
+
+class TestTurns:
+    def test_workers_share_the_epochs_in_turn(self):
+        # 7 members of 4 epochs on 3 workers, with a short switch interval:
+        # never more than 3 members in an epoch, never one buffer set in two,
+        # no member's second turn before every member's first, and every
+        # epoch run once
+        members, workers, epochs = 7, 3, 4
+        turns = _Turns(members, workers)
+        p = init_mlp(2, np.random.default_rng(0), hidden=4)
+        lock = threading.Lock()
+        first_round = threading.Barrier(workers)  # breaks unless 3 members run at once
+        running, in_use, order, peak, clashes = set(), set(), [], [0], []
+
+        def member(i):
+            for _ in range(epochs):
+                with turns.epoch(i, p) as buffers:
+                    with lock:
+                        if id(buffers) in in_use:
+                            clashes.append(i)
+                        running.add(i)
+                        in_use.add(id(buffers))
+                        order.append(i)
+                        peak[0] = max(peak[0], len(running))
+                        first = len(order) <= workers
+                    if first:
+                        first_round.wait(timeout=10)
+                    time.sleep(0.001)
+                    with lock:
+                        running.discard(i)
+                        in_use.discard(id(buffers))
+            turns.leave(i, failed=False)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=member, args=(i,)) for i in range(members)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert clashes == []
+        assert sorted(order[:members]) == list(range(members))  # all first turns come first
+        assert sorted(order) == sorted(list(range(members)) * epochs)
+        assert peak[0] == workers
+
+    def test_no_more_activation_sets_than_workers(self, two_workers, monkeypatch):
+        built = collections.Counter()
+
+        class Counted(ensemble_mod._Activations):
+            def __init__(self, rows, p):
+                built[rows] += 1
+                super().__init__(rows, p)
+
+        monkeypatch.setattr(ensemble_mod, "_Activations", Counted)
+        rng = np.random.default_rng(51)
+        # 23 rows in batches of 7: batches of 7 and a 2-row remainder
+        feats, labels = rng.normal(size=(23, 5)), rng.integers(0, 3, size=23)
+        fit_ensemble(feats, labels, EnsembleConfig(members=5, hidden_units=8, epochs=2,
+                                                   batch_size=7))
+        assert set(built) == {7, 2}
+        assert max(built.values()) <= 2
 
 
 class TestEnsemble:

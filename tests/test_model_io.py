@@ -1,8 +1,13 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import reference_save_model
+from textuq import model_io, parallel
 from textuq.corpus import SplitSpec
 from textuq.ensemble import EnsembleConfig, fit_ensemble
 from textuq.errors import InvalidConfig
@@ -22,11 +27,28 @@ def gp_model(seed=0):
     return model
 
 
-def ens_model(seed=0):
+def ens_model(seed=0, members=2):
     rng = np.random.default_rng(seed)
     feats, labels = rng.normal(size=(20, 3)), rng.integers(0, 3, size=20)
-    cfg = EnsembleConfig(members=2, hidden_units=4, epochs=1, batch_size=10, seed=seed)
+    cfg = EnsembleConfig(members=members, hidden_units=4, epochs=1, batch_size=10, seed=seed)
     return fit_ensemble(feats, labels, cfg)[0]
+
+
+def encode_in(monkeypatch, workers):
+    """save_model encodes an ensemble's members in up to ``workers``
+    processes, whatever the model size. Returns the list of the item counts
+    fork_map is called with."""
+    calls = []
+
+    def counting_fork_map(fn, items):
+        items = list(items)
+        calls.append(len(items))
+        return parallel.fork_map(fn, items)
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(parallel, "MIN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(model_io, "fork_map", counting_fork_map)
+    return calls
 
 
 class TestGpRoundTrip:
@@ -75,6 +97,86 @@ class TestEnsRoundTrip:
             for i in range(3):
                 assert np.array_equal(got.bn_running_mean[i], orig.bn_running_mean[i])
                 assert np.array_equal(got.bn_running_var[i], orig.bn_running_var[i])
+
+
+class TestMatchesReferenceWriter:
+    """save_model against a copy of the original one-json.dumps writer
+    (tests/helpers.py), byte for byte."""
+
+    ENS_META = ModelMeta(model_type="ens", split=SplitSpec(0.2, 0.15, seed=4),
+                         mc_predict_samples=8, predict_seed=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("members", [1, 2, 5])
+    def test_ensemble(self, tmp_path, monkeypatch, members, workers):
+        calls = encode_in(monkeypatch, workers)
+        model = ens_model(seed=members, members=members)
+        save_model(tmp_path / "new.json", model, self.ENS_META)
+        reference_save_model(tmp_path / "ref.json", model, self.ENS_META)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert calls == [min(members, workers)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gp(self, tmp_path, monkeypatch, workers):
+        calls = encode_in(monkeypatch, workers)
+        model = gp_model(seed=3)
+        save_model(tmp_path / "new.json", model, META)
+        reference_save_model(tmp_path / "ref.json", model, META)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert calls == []  # a GP model is encoded in the calling process
+
+    def test_a_failing_encoder_process_leaves_no_file(self, tmp_path, monkeypatch):
+        encode_in(monkeypatch, 2)
+        caller, member_payload = os.getpid(), model_io._member_payload
+
+        def fails_in_a_child(p):
+            if os.getpid() != caller:
+                raise RuntimeError("encoder failed")
+            return member_payload(p)
+
+        monkeypatch.setattr(model_io, "_member_payload", fails_in_a_child)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            save_model(tmp_path / "model.json", ens_model(), self.ENS_META)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_save_after_an_unpinned_blas_fit(self, tmp_path):
+        # unpinned, OpenBLAS runs threads of its own and the ensemble trains
+        # on one worker; the save still forks its encoder and writes the
+        # original bytes
+        script = """
+import sys
+from pathlib import Path
+import numpy as np
+from helpers import reference_save_model
+from textuq import parallel
+from textuq.corpus import SplitSpec
+from textuq.ensemble import EnsembleConfig, _worker_count, fit_ensemble
+from textuq.model_io import ModelMeta, save_model
+
+out = Path(sys.argv[1])
+rng = np.random.default_rng(7)
+feats, labels = rng.normal(size=(300, 20)), rng.integers(0, 3, size=300)
+cfg = EnsembleConfig(members=3, hidden_units=32, epochs=2, batch_size=64)
+assert _worker_count(cfg.members) == 1
+model = fit_ensemble(feats, labels, cfg)[0]
+parallel.usable_cpus = lambda: 2
+parallel.MIN_CHUNK_BYTES = 1
+spawn, children = parallel._spawn, []
+parallel._spawn = lambda fn, item: children.append(spawn(fn, item)) or children[-1]
+meta = ModelMeta(model_type="ens", split=SplitSpec())
+save_model(out / "new.json", model, meta)
+reference_save_model(out / "ref.json", model, meta)
+print(len(children))
+"""
+        tests = Path(__file__).resolve().parent
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1\n"  # one encoder process besides the caller
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 class TestValidation:

@@ -8,7 +8,7 @@ import pytest
 
 from textuq import parallel
 from textuq.errors import MalformedRow
-from textuq.parallel import fork_map, usable_cpus
+from textuq.parallel import fork_map, usable_cpus, workers_for
 
 
 @pytest.fixture
@@ -48,6 +48,19 @@ class TestUsableCpus:
         assert usable_cpus() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert usable_cpus() == 1
+
+
+class TestWorkersFor:
+    @pytest.mark.parametrize("cpus, nbytes, want", [
+        (4, 0, 1),
+        (4, (8 << 20) - 1, 1),  # one worker per full 4 MiB
+        (4, 8 << 20, 2),
+        (4, 100 << 20, 4),  # never more than the usable CPUs
+        (1, 100 << 20, 1),
+    ])
+    def test_rule(self, monkeypatch, cpus, nbytes, want):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        assert workers_for(nbytes) == want
 
 
 class TestForkMap:
