@@ -177,6 +177,15 @@ def _stack(examples):
     return xs, ys
 
 
+def _split(examples, spec):
+    """stratified_split, refusing a split that leaves nothing to evaluate."""
+    train, val, test = corpus_mod.stratified_split(examples, spec)
+    if not test:
+        raise InvalidConfig(f"test fraction {spec.test_fraction} of {len(examples)} rows "
+                            "leaves the test split empty")
+    return train, val, test
+
+
 def cmd_prepare(opts) -> int:
     rows = corpus_mod.read_corpus_csv(opts.corpus)
     table = corpus_mod.load_embeddings(opts.embeddings)
@@ -249,7 +258,7 @@ def cmd_train(opts) -> int:
     cfg.validate()
 
     examples = corpus_mod.read_features_csv(opts.features)
-    train, val, test = corpus_mod.stratified_split(examples, spec)
+    train, val, test = _split(examples, spec)
     xs, ys = _stack(train)
     print(f"split: train {len(train)}, val {len(val)}, test {len(test)}")
 
@@ -279,7 +288,7 @@ def cmd_train(opts) -> int:
 def cmd_evaluate(opts) -> int:
     model, meta = load_model(opts.model)
     examples = corpus_mod.read_features_csv(opts.features)
-    _, val, test = corpus_mod.stratified_split(examples, meta.split)
+    _, val, test = _split(examples, meta.split)
     if opts.calibrate and not val:
         raise InvalidConfig("--calibrate needs a non-empty validation split")
     views = corpus_mod.make_test_views(test, seed=meta.split.seed)

@@ -16,7 +16,8 @@ forked process per parallel.MIN_CHUNK_BYTES (4 MiB) of CSV text, at most one
 per usable CPU, the caller doing the first piece (parallel.fork_map). Smaller
 files, one CPU, no os.fork or other live threads mean one process. Reads
 cut only at record ends and join the pieces in file order, so the results
-and the bytes written do not depend on the worker count.
+and the bytes written do not depend on the worker count. featurize pools
+the rows in the pieces the writer will write them in.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ log = logging.getLogger(__name__)
 
 _VALUE_BYTES = 22  # a %.17g feature value and its comma, about
 _BLOCK_BYTES = 1 << 20  # the unit of the readers' and writers' I/O buffers
+_POOL_BLOCK_BYTES = 1 << 18  # the sums of one block of pooled rows: they stay in cache
 
 
 # ---------------------------------------------------------------- text
@@ -252,11 +254,20 @@ def write_corpus_csv(path, rows) -> None:
 
 
 def featurize(rows, table: EmbeddingTable):
-    """Mean-pooled features per corpus row; returns (examples, all-OOV ids)."""
+    """Mean-pooled features per corpus row; returns (examples, all-OOV ids).
+
+    Row for row the bits embed_mean gives (see ``_pool``). The rows are
+    pooled in contiguous pieces, one per worker, split as
+    write_features_csv splits the rows it writes (parallel.fork_map).
+    """
+    k = workers_for(len(rows) * table.dimension * _VALUE_BYTES)
+    bounds = [len(rows) * i // k for i in range(k + 1)]
+    parts = fork_map(lambda i: _pool(rows[bounds[i]:bounds[i + 1]], table), range(k))
+    features = np.concatenate([f for f, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
     examples, flagged = [], []
-    for row in rows:
-        vec, all_oov = embed_mean(preprocess_text(row.text), table)
-        if all_oov:
+    for row, vec, count in zip(rows, features, counts):
+        if not count:
             flagged.append(row.id)
         examples.append(
             LabelledExample(
@@ -267,6 +278,38 @@ def featurize(rows, table: EmbeddingTable):
             )
         )
     return examples, flagged
+
+
+def _pool(rows, table: EmbeddingTable):
+    """(features, in-vocabulary token counts) of ``rows``, features as embed_mean
+    computes them: a row's known token vectors added in sorted-token order to
+    +0.0, then divided by their count; +0.0 for a row with none.
+
+    The rows are summed in blocks, longest first, one token position at a
+    time. At each position the rows still adding are a prefix of the block,
+    so no row is padded and each row sees only its own additions."""
+    n, dim = len(rows), table.dimension
+    token_lists = [preprocess_text(row.text) for row in rows]
+    # the tokens in use, numbered in sorted order: sorted ids are sorted tokens
+    vocab = sorted(table.vectors.keys() & set(itertools.chain.from_iterable(token_lists)))
+    ids = {t: i for i, t in enumerate(vocab)}
+    id_lists = [sorted([ids[t] for t in tokens if t in ids]) for tokens in token_lists]
+    vectors = np.array([table.vectors[t] for t in vocab], np.float64).reshape(len(vocab), dim)
+    counts = np.fromiter(map(len, id_lists), np.intp, n)
+    flat = np.fromiter(itertools.chain.from_iterable(id_lists), np.intp, int(counts.sum()))
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(-counts, kind="stable")
+    out = np.empty((n, dim))
+    rows_per_block = max(1, _POOL_BLOCK_BYTES // (8 * dim))
+    for lo in range(0, n, rows_per_block):
+        block = order[lo:lo + rows_per_block]
+        lengths, first = counts[block], starts[block]
+        acc = np.zeros((len(block), dim))
+        for j in range(lengths[0]):
+            live = np.count_nonzero(lengths > j)
+            acc[:live] += vectors[flat[first[:live] + j]]
+        out[block] = acc / np.maximum(lengths, 1)[:, None]
+    return out, counts
 
 
 def _write_feature_rows(fh, examples, floats) -> None:

@@ -1,17 +1,17 @@
-"""Model files: one JSON document per trained model.
+"""Model files: one JSON document per trained model, tagged textuq-model-v2.
 
-JSON keeps every float via the shortest round-tripping decimal form, so a
-save/load cycle reproduces arrays bit for bit and identical models produce
-byte-identical files. An ensemble's members, nearly all of its file, are
-encoded in forked worker processes and spliced into the document
-``json.dumps(payload, sort_keys=True)`` would give, so the bytes do not
-depend on the worker count. The file also records the split settings and the
-prediction sampling settings used at training time, so evaluation can
-rebuild the exact train/val/test partition without leaking test data.
+An array is stored as its shape and the base64 of its little-endian, C-order
+float64 bytes, so a save/load cycle copies bits, and with sorted keys
+identical models give byte-identical files. The document is written one
+piece at a time and never held whole. It also records the split and
+prediction settings used at training time, so evaluation can rebuild the
+exact train/val/test partition. A textuq-model-v1 file (decimal arrays) is
+refused with a request to retrain.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -24,10 +24,11 @@ from .ensemble import N_HIDDEN_BLOCKS, EnsembleModel, MlpParams
 from .errors import InvalidConfig, TextuqError, check_int
 from .kernel import KernelParams
 from .labels import LABEL_NAMES
-from .parallel import fork_map, workers_for
 from .svgp import SvgpModel
 
-FORMAT_TAG = "textuq-model-v1"
+FORMAT_TAG = "textuq-model-v2"
+_V1_TAG = "textuq-model-v1"
+_F64 = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -64,24 +65,45 @@ def atomic_write_text(path, text: str) -> None:
 def _gp_payload(model: SvgpModel) -> dict:
     return {
         "log_variance": float(model.kernel.log_variance),
-        "log_lengthscales": model.kernel.log_lengthscales.tolist(),
-        "inducing_inputs": model.inducing_inputs.tolist(),
-        "variational_means": model.variational_means.tolist(),
-        "variational_scales_raw": model.variational_scales_raw.tolist(),
+        "log_lengthscales": model.kernel.log_lengthscales,
+        "inducing_inputs": model.inducing_inputs,
+        "variational_means": model.variational_means,
+        "variational_scales_raw": model.variational_scales_raw,
         "jitter": float(model.jitter),
         "num_classes": int(model.num_classes),
     }
 
 
+def _encode_array(value) -> dict:
+    """The JSON encoder's hook for arrays: {"data": base64 of the float64
+    little-endian C-order bytes, "shape": [...]}."""
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"cannot store a {type(value).__name__} in a model file")
+    data = base64.b64encode(value.astype(_F64, copy=False).tobytes())
+    return {"data": data.decode("ascii"), "shape": list(value.shape)}
+
+
 def _array(value, name: str, shape: tuple) -> np.ndarray:
-    """``value`` as an array of finite numbers with the given shape; a None
-    in ``shape`` stands for any size >= 1."""
-    arr = np.array(value)
-    if arr.ndim != len(shape) or any(
-        n < 1 if want is None else n != want for n, want in zip(arr.shape, shape)
+    """The finite float64 array an encoded-array object holds, which must
+    have the given shape; a None in ``shape`` stands for any size >= 1."""
+    if not isinstance(value, dict) or set(value) != {"data", "shape"}:
+        raise InvalidConfig(f"{name} must be an object with keys data and shape")
+    dims = value["shape"]
+    dims = tuple(dims) if isinstance(dims, list) else dims
+    if not isinstance(dims, tuple) or len(dims) != len(shape) or not all(
+        type(n) is int and (n >= 1 if want is None else n == want)
+        for n, want in zip(dims, shape)
     ):
-        raise InvalidConfig(f"{name} has shape {arr.shape}, expected {shape}")
-    if arr.dtype.kind not in "if" or not np.isfinite(arr).all():
+        raise InvalidConfig(f"{name} has shape {dims!r}, expected {shape}")
+    try:
+        raw = base64.b64decode(value["data"], validate=True)
+    except (TypeError, ValueError):  # not a string, not ASCII, or not base64
+        raise InvalidConfig(f"{name} data must be a base64 string") from None
+    if len(raw) != _F64.itemsize * math.prod(dims):
+        raise InvalidConfig(f"{name} data holds {len(raw)} bytes, but shape {dims} "
+                            f"needs {_F64.itemsize * math.prod(dims)}")
+    arr = np.frombuffer(raw, _F64).astype(np.float64).reshape(dims)
+    if not np.isfinite(arr).all():
         raise InvalidConfig(f"{name} must hold finite numbers")
     return arr
 
@@ -120,40 +142,18 @@ _BN_KEYS = ("bn_scale", "bn_shift", "bn_running_mean", "bn_running_var")
 _LAYER_KEYS = ("weights", "biases") + _BN_KEYS
 
 
-# the ensemble payload's member list, which _members_json fills in
-_NO_MEMBERS = '"members": []'
-_FLOAT_BYTES = 22  # a float's shortest repr and its ", ", about
-
-
 def _ens_payload(model: EnsembleModel) -> dict:
     return {
-        "members": [],
+        "members": [_member_payload(p) for p in model.members],
         "fgsm_epsilon": float(model.fgsm_epsilon),
-        "feature_scale": model.feature_scale.tolist(),
+        "feature_scale": model.feature_scale,
     }
 
 
 def _member_payload(p: MlpParams) -> dict:
-    block = {key: [a.tolist() for a in getattr(p, key)] for key in _LAYER_KEYS}
+    block = {key: list(getattr(p, key)) for key in _LAYER_KEYS}
     block["bn_epsilon"] = float(p.bn_epsilon)
     return block
-
-
-def _members_json(members: list) -> list:
-    """The inside of the members' JSON list as json.dumps(sort_keys=True)
-    writes it, in pieces of contiguous members: one forked process per
-    parallel.MIN_CHUNK_BYTES of output, at most one per usable CPU, the
-    caller doing the first piece (parallel.fork_map)."""
-    floats = sum(a.size for p in members for key in _LAYER_KEYS for a in getattr(p, key))
-    k = min(len(members), workers_for(floats * _FLOAT_BYTES))
-    bounds = [len(members) * i // k for i in range(k + 1)]
-
-    def encode(i):
-        blocks = (json.dumps(_member_payload(p), sort_keys=True)
-                  for p in members[bounds[i]:bounds[i + 1]])
-        return ((", " if i else "") + ", ".join(blocks)).encode("utf-8")
-
-    return fork_map(encode, range(k))
 
 
 def _member_from_payload(mb: dict, k: int, dim: int) -> MlpParams:
@@ -193,8 +193,7 @@ def _ens_from_payload(block: dict) -> EnsembleModel:
 
 def save_model(path, model, meta: ModelMeta) -> None:
     """Write the model and its metadata as one JSON document, sorted keys,
-    through atomic_write. An ensemble's members are encoded first, in worker
-    processes (see ``_members_json``); a failure there leaves no file."""
+    through atomic_write, encoding each array as the writer reaches it."""
     if meta.model_type == "gp":
         if not isinstance(model, SvgpModel):
             raise InvalidConfig("meta says gp but model is not an SvgpModel")
@@ -219,36 +218,36 @@ def save_model(path, model, meta: ModelMeta) -> None:
         },
         meta.model_type: block,
     }
-    text = json.dumps(payload, sort_keys=True) + "\n"
-    if meta.model_type == "ens":
-        head, tail = text.split(_NO_MEMBERS)
-        pieces = [head.encode("utf-8"), b'"members": [', *_members_json(model.members),
-                  b"]", tail.encode("utf-8")]
-    else:
-        pieces = [text.encode("utf-8")]
+    encoder = json.JSONEncoder(sort_keys=True, default=_encode_array)
 
     def write(tmp):
-        with open(tmp, "wb") as fh:
-            fh.writelines(pieces)
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
+            fh.writelines(encoder.iterencode(payload))
+            fh.write("\n")
 
     atomic_write(path, write)
 
 
 def load_model(path):
     """Returns (model, ModelMeta); a file that is not a well-formed
-    textuq-model-v1 document raises InvalidConfig naming the path.
+    textuq-model-v2 document raises InvalidConfig naming the path.
 
-    Well-formed means: every array holds finite numbers in the shape the
-    others imply, with one output per label; the jitter and the batch-norm
-    epsilons are > 0, the running variances >= 0, an ensemble has at least
-    one member, the split is valid, the seeds are integers >= 0 and the
+    Well-formed means: every array is valid base64 of as many float64 bytes
+    as its shape needs, holds finite numbers, and has the shape the others
+    imply, with one output per label; the jitter and the batch-norm epsilons
+    are > 0, the running variances >= 0, an ensemble has at least one
+    member, the split is valid, the seeds are integers >= 0 and the
     prediction sample count is >= 1."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:  # JSON syntax or text encoding
+        except (ValueError, RecursionError) as exc:  # JSON syntax, text encoding or nesting
             raise InvalidConfig(f"{path}: not a JSON model file ({exc})") from None
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_TAG:
+    tag = payload.get("format") if isinstance(payload, dict) else None
+    if tag == _V1_TAG:
+        raise InvalidConfig(f"{path}: a {_V1_TAG} file, which this version no longer "
+                            f"reads; train the model again to write {FORMAT_TAG}")
+    if tag != FORMAT_TAG:
         raise InvalidConfig(f"{path}: not a {FORMAT_TAG} file")
     try:
         meta = ModelMeta(

@@ -1,7 +1,9 @@
 """Independent pieces of work on every usable CPU, in forked processes.
 
 A forked child gets a copy-on-write image of the caller, so its input needs
-no pickling; only its result travels back, pickled through a pipe.
+no pickling; only its result travels back, pickled through a pipe. The
+feature-CSV codec is the one user of ``workers_for``; ``corpus.featurize``
+pools its rows in the pieces the CSV writer will write.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Shared test utilities: finite differences, brute-force oracles, samplers."""
 
+import base64
+
 import numpy as np
 
 
@@ -553,47 +555,14 @@ def reference_fit(model, features, labels, cfg):
     return out, objectives
 
 
-def reference_save_model(path, model, meta):
-    """The original save_model: the whole payload in one json.dumps, written
-    as UTF-8 text (no validation of model against meta)."""
-    import json
+def encode_array(arr):
+    """An array as a textuq-model-v2 file stores it: its shape and the base64
+    of its little-endian, C-order float64 bytes."""
+    raw = np.asarray(arr, dtype="<f8").tobytes(order="C")
+    return {"data": base64.b64encode(raw).decode("ascii"), "shape": list(np.shape(arr))}
 
-    if meta.model_type == "gp":
-        block = {
-            "log_variance": float(model.kernel.log_variance),
-            "log_lengthscales": model.kernel.log_lengthscales.tolist(),
-            "inducing_inputs": model.inducing_inputs.tolist(),
-            "variational_means": model.variational_means.tolist(),
-            "variational_scales_raw": model.variational_scales_raw.tolist(),
-            "jitter": float(model.jitter),
-            "num_classes": int(model.num_classes),
-        }
-    else:
-        members = []
-        for p in model.members:
-            mb = {key: [a.tolist() for a in getattr(p, key)]
-                  for key in ("weights", "biases", "bn_scale", "bn_shift",
-                              "bn_running_mean", "bn_running_var")}
-            mb["bn_epsilon"] = float(p.bn_epsilon)
-            members.append(mb)
-        block = {
-            "members": members,
-            "fgsm_epsilon": float(model.fgsm_epsilon),
-            "feature_scale": model.feature_scale.tolist(),
-        }
-    payload = {
-        "format": "textuq-model-v1",
-        "model_type": meta.model_type,
-        "split": {
-            "val_fraction": meta.split.val_fraction,
-            "test_fraction": meta.split.test_fraction,
-            "seed": meta.split.seed,
-        },
-        "predict": {
-            "mc_samples": meta.mc_predict_samples,
-            "seed": meta.predict_seed,
-        },
-        meta.model_type: block,
-    }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+
+def decode_array(obj):
+    """The array a textuq-model-v2 array object holds."""
+    raw = base64.b64decode(obj["data"], validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()

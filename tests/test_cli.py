@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import decode_array, encode_array
 from textuq import cli
 from textuq.corpus import load_embeddings, read_corpus_csv, read_features_csv
 from textuq.model_io import load_model
@@ -473,6 +474,35 @@ def test_train_names_the_split_fraction_check_that_failed(pipeline, tmp_path, fr
     assert not out_model.exists()
 
 
+@pytest.mark.parametrize("model", ["gp", "ens"])
+def test_train_names_an_empty_test_split(pipeline, tmp_path, model):
+    outputs = [tmp_path / "m", tmp_path / "t"]
+    code, out, err = run_cli([
+        "train", "--features", str(pipeline["features"]), "--seed", "3",
+        "--test-fraction", "0.001", "--out-model", str(outputs[0]),
+        "--out-trace", str(outputs[1]),
+    ] + TINY_TRAIN[model])
+    assert (code, out) == (1, "")
+    assert err == "error: test fraction 0.001 of 400 rows leaves the test split empty\n"
+    assert not any(path.exists() for path in outputs)
+
+
+def test_evaluate_names_an_empty_test_split(pipeline, tmp_path):
+    payload = json.loads(pipeline["gp_model"].read_text(encoding="utf-8"))
+    payload["split"]["test_fraction"] = 0.001
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    outputs = [tmp_path / "e.json", tmp_path / "e.csv", tmp_path / "r.csv"]
+    code, out, err = run_cli([
+        "evaluate", "--model", str(model), "--features", str(pipeline["features"]),
+        "--out-json", str(outputs[0]), "--out-csv", str(outputs[1]),
+        "--out-reliability", str(outputs[2]),
+    ])
+    assert (code, out) == (1, "")
+    assert err == "error: test fraction 0.001 of 400 rows leaves the test split empty\n"
+    assert not any(path.exists() for path in outputs)
+
+
 # small settings that train each model family in well under a second
 TINY_TRAIN = {
     "gp": ["--model", "gp", "--inducing", "8", "--mc-train", "2"],
@@ -559,8 +589,12 @@ def _without_split(text):
 
 @pytest.mark.parametrize("corrupt, message", [
     (lambda text: text[: len(text) // 2], "not a JSON model file"),
+    (lambda text: "[" * 100_000, "not a JSON model file"),
     (_without_split, "missing key 'split'"),
-], ids=["not-json", "no-split"])
+    (lambda text: text.replace('"textuq-model-v2"', '"textuq-model-v1"'),
+     "a textuq-model-v1 file, which this version no longer reads; "
+     "train the model again to write textuq-model-v2"),
+], ids=["not-json", "nested-too-deep", "no-split", "v1"])
 def test_evaluate_rejects_broken_model_file(pipeline, tmp_path, corrupt, message):
     model = tmp_path / "broken.json"
     model.write_text(corrupt(pipeline["ens_model"].read_text(encoding="utf-8")),
@@ -586,11 +620,24 @@ def _setting(path, value):
     return corrupt
 
 
+def _array_edit(path, edit):
+    """A model-file corruption that decodes the array at ``path``, maps it
+    through ``edit`` and stores the result encoded again."""
+    return _setting(path, lambda obj: encode_array(edit(decode_array(obj))))
+
+
+def _with_entry(flat_index, value):
+    def edit(arr):
+        arr.flat[flat_index] = value
+        return arr
+    return edit
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize("model_key, corrupt, message", [
-    ("gp_model", _setting(("gp", "variational_means"), lambda v: [r[:-1] for r in v]),
+    ("gp_model", _array_edit(("gp", "variational_means"), lambda v: v[:, :-1]),
      "variational_means has shape (3, 15), expected (3, 16)"),
-    ("gp_model", _setting(("gp", "variational_scales_raw"), lambda v: v[:2]),
+    ("gp_model", _array_edit(("gp", "variational_scales_raw"), lambda v: v[:2]),
      "variational_scales_raw has shape (2, 16, 16), expected (3, 16, 16)"),
     ("gp_model", _setting(("gp", "num_classes"), 2), "num_classes must be 3, got 2"),
     ("gp_model", _setting(("gp", "log_variance"), "0.5"),
@@ -602,11 +649,23 @@ def _setting(path, value):
     ("ens_model", _setting(("ens", "members", 0, "weights"), lambda v: v[:3]),
      "member 0 must have 4 weights and biases"),
     ("ens_model", _setting(("ens", "members"), []), "the ensemble has no members"),
-    ("ens_model", _setting(("ens", "members", 0, "bn_running_var", 1, 2), -1e-3),
+    ("ens_model", _array_edit(("ens", "members", 0, "bn_running_var", 1), _with_entry(2, -1e-3)),
      "member 0 bn_running_var must be >= 0"),
+    ("gp_model", _setting(("gp", "variational_means", "data"), lambda d: d[:8] + "*" + d[8:]),
+     "variational_means data must be a base64 string"),
+    ("gp_model", _setting(("gp", "log_lengthscales", "data"), lambda d: d[:-4]),
+     "log_lengthscales data holds 63 bytes, but shape (8,) needs 64"),
+    ("gp_model", _setting(("gp", "log_lengthscales", "shape"), [8.0]),
+     "log_lengthscales has shape (8.0,), expected (8,)"),
+    ("ens_model", _array_edit(("ens", "members", 0, "weights", 0), _with_entry(5, np.nan)),
+     "member 0 weights[0] must hold finite numbers"),
+    ("gp_model", _setting(("gp", "log_lengthscales"), lambda obj: decode_array(obj).tolist()),
+     "log_lengthscales must be an object with keys data and shape"),
 ], ids=["gp-means-short", "gp-scales-two-classes", "gp-two-classes", "gp-string-log-variance",
         "gp-negative-jitter", "zero-mc-samples", "negative-split-seed", "ens-three-weights",
-        "ens-no-members", "ens-negative-running-var"])
+        "ens-no-members", "ens-negative-running-var", "gp-invalid-base64",
+        "gp-bytes-short-of-shape", "gp-float-in-shape", "ens-nan-weight",
+        "gp-array-as-list"])
 def test_evaluate_rejects_inconsistent_model_file(pipeline, tmp_path, model_key, corrupt,
                                                   message):
     payload = json.loads(pipeline[model_key].read_text(encoding="utf-8"))

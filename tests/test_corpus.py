@@ -761,6 +761,42 @@ class TestFeaturize:
         assert np.array_equal(examples[0].features, [0.5, 0.5])
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_embed_mean_bit_for_bit_on_the_criterion_5_corpus(self, workers):
+        # what `synth --n 10000 --seed 5 --dim 200` writes
+        rows = synth_generate(SynthConfig(n=10000), seed=5)
+        table = synth_embeddings(dim=200, seed=6)
+        with in_workers(workers) as calls:
+            examples, flagged = featurize(rows, table)
+        assert calls == [workers] and flagged == []
+        assert [ex.id for ex in examples] == [row.id for row in rows]
+        for row, ex in zip(rows, examples):
+            want, _ = embed_mean(preprocess_text(row.text), table)
+            assert ex.features.tobytes() == want.tobytes(), row.id
+
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", "-0", "zzz", "qq", "A", "b!"]),
+                     max_size=12).map(" ".join),
+            max_size=9,
+        ),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_matches_embed_mean_on_duplicate_oov_and_empty_rows(self, texts, workers):
+        # "-0" is a -0.0 vector: only a +0.0 start keeps it from the sum's sign
+        table = EmbeddingTable(dimension=3, vectors={
+            "a": np.array([1.0, -2.5, 1e-300]), "b": np.array([0.1, 0.2, -1e300]),
+            "c": np.array([5e-324, -0.0, 3.0]), "0": np.array([-0.0, -0.0, -0.0]),
+        })
+        rows = [CorpusRow(id=f"r{i}", text=t, primary_label=0, secondary_label=None)
+                for i, t in enumerate(texts)]
+        with in_workers(workers):
+            examples, flagged = featurize(rows, table)
+        want = [embed_mean(preprocess_text(t), table) for t in texts]
+        assert flagged == [row.id for row, (_, oov) in zip(rows, want) if oov]
+        assert [ex.features.tobytes() for ex in examples] == [v.tobytes() for v, _ in want]
+
+
 def labelled(i, primary, secondary, value=None):
     feats = np.array([float(i), 0.0]) if value is None else np.asarray(value, dtype=float)
     return LabelledExample(id=f"x{i}", features=feats, primary_label=primary,

@@ -1,21 +1,21 @@
+import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import reference_save_model
-from textuq import model_io, parallel
+from helpers import decode_array
+from textuq import model_io
 from textuq.corpus import SplitSpec
 from textuq.ensemble import EnsembleConfig, fit_ensemble
 from textuq.errors import InvalidConfig
 from textuq.model_io import ModelMeta, atomic_write, atomic_write_text, load_model, save_model
-from textuq.svgp import init_model
+from textuq.svgp import TrainConfig, fit, init_model
 
 META = ModelMeta(model_type="gp", split=SplitSpec(0.1, 0.1, seed=3),
                  mc_predict_samples=16, predict_seed=9)
+ENS_META = ModelMeta(model_type="ens", split=SplitSpec(0.2, 0.15, seed=4),
+                     mc_predict_samples=8, predict_seed=2)
 
 
 def gp_model(seed=0):
@@ -32,23 +32,6 @@ def ens_model(seed=0, members=2):
     feats, labels = rng.normal(size=(20, 3)), rng.integers(0, 3, size=20)
     cfg = EnsembleConfig(members=members, hidden_units=4, epochs=1, batch_size=10, seed=seed)
     return fit_ensemble(feats, labels, cfg)[0]
-
-
-def encode_in(monkeypatch, workers):
-    """save_model encodes an ensemble's members in up to ``workers``
-    processes, whatever the model size. Returns the list of the item counts
-    fork_map is called with."""
-    calls = []
-
-    def counting_fork_map(fn, items):
-        items = list(items)
-        calls.append(len(items))
-        return parallel.fork_map(fn, items)
-
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
-    monkeypatch.setattr(parallel, "MIN_CHUNK_BYTES", 1)
-    monkeypatch.setattr(model_io, "fork_map", counting_fork_map)
-    return calls
 
 
 class TestGpRoundTrip:
@@ -98,85 +81,96 @@ class TestEnsRoundTrip:
                 assert np.array_equal(got.bn_running_mean[i], orig.bn_running_mean[i])
                 assert np.array_equal(got.bn_running_var[i], orig.bn_running_var[i])
 
+    def test_identical_saves_are_byte_identical(self, tmp_path):
+        model = ens_model(members=3)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(a, model, ENS_META)
+        save_model(b, model, ENS_META)
+        assert a.read_bytes() == b.read_bytes()
 
-class TestMatchesReferenceWriter:
-    """save_model against a copy of the original one-json.dumps writer
-    (tests/helpers.py), byte for byte."""
 
-    ENS_META = ModelMeta(model_type="ens", split=SplitSpec(0.2, 0.15, seed=4),
-                         mc_predict_samples=8, predict_seed=2)
+def trained_gp():
+    rng = np.random.default_rng(4)
+    feats, labels = rng.normal(size=(40, 3)), rng.integers(0, 3, size=40)
+    cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=20, mc_train_samples=2)
+    return fit(init_model(feats, m=6, seed=4), feats, labels, cfg)[0]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("members", [1, 2, 5])
-    def test_ensemble(self, tmp_path, monkeypatch, members, workers):
-        calls = encode_in(monkeypatch, workers)
-        model = ens_model(seed=members, members=members)
-        save_model(tmp_path / "new.json", model, self.ENS_META)
-        reference_save_model(tmp_path / "ref.json", model, self.ENS_META)
-        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
-        assert calls == [min(members, workers)]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_gp(self, tmp_path, monkeypatch, workers):
-        calls = encode_in(monkeypatch, workers)
-        model = gp_model(seed=3)
-        save_model(tmp_path / "new.json", model, META)
-        reference_save_model(tmp_path / "ref.json", model, META)
-        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
-        assert calls == []  # a GP model is encoded in the calling process
+def model_arrays(model):
+    """Every array of a GP or an ensemble, by a name that says where it sits."""
+    if hasattr(model, "members"):
+        out = {"feature_scale": model.feature_scale}
+        for k, p in enumerate(model.members):
+            for key in model_io._LAYER_KEYS:
+                out.update({f"{k}.{key}[{i}]": a for i, a in enumerate(getattr(p, key))})
+        return out
+    return {"log_lengthscales": model.kernel.log_lengthscales,
+            "inducing_inputs": model.inducing_inputs,
+            "variational_means": model.variational_means,
+            "variational_scales_raw": model.variational_scales_raw}
 
-    def test_a_failing_encoder_process_leaves_no_file(self, tmp_path, monkeypatch):
-        encode_in(monkeypatch, 2)
-        caller, member_payload = os.getpid(), model_io._member_payload
 
-        def fails_in_a_child(p):
-            if os.getpid() != caller:
+def same_bits(a, b):
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("make, meta", [
+    (trained_gp, META), (lambda: ens_model(members=3), ENS_META),
+], ids=["gp", "ens"])
+class TestFormatV2:
+    def test_every_array_round_trips_bit_for_bit(self, tmp_path, make, meta):
+        model = make()
+        save_model(tmp_path / "m.json", model, meta)
+        loaded, back = load_model(tmp_path / "m.json")
+        assert back == meta
+        want, got = model_arrays(model), model_arrays(loaded)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert same_bits(got[name], arr), name
+
+    def test_arrays_are_stored_as_float64_little_endian_base64(self, tmp_path, make, meta):
+        model = make()
+        save_model(tmp_path / "m.json", model, meta)
+        doc = json.loads((tmp_path / "m.json").read_text(encoding="ascii"))
+        assert doc["format"] == "textuq-model-v2"
+        block = doc[meta.model_type]
+        if meta.model_type == "gp":
+            stored = {name: block[name] for name in model_arrays(model)}
+        else:
+            stored = {"feature_scale": block["feature_scale"]}
+            for k, mb in enumerate(block["members"]):
+                for key in model_io._LAYER_KEYS:
+                    stored.update({f"{k}.{key}[{i}]": a for i, a in enumerate(mb[key])})
+        for name, arr in model_arrays(model).items():
+            assert set(stored[name]) == {"data", "shape"}
+            assert same_bits(decode_array(stored[name]), arr), name
+
+    def test_an_encoder_failure_leaves_neither_the_model_nor_its_temp_file(
+            self, tmp_path, monkeypatch, make, meta):
+        encode, calls = model_io._encode_array, []
+
+        def fails_on_the_third_array(value):
+            calls.append(value)
+            if len(calls) == 3:
                 raise RuntimeError("encoder failed")
-            return member_payload(p)
+            return encode(value)
 
-        monkeypatch.setattr(model_io, "_member_payload", fails_in_a_child)
+        monkeypatch.setattr(model_io, "_encode_array", fails_on_the_third_array)
         with pytest.raises(RuntimeError, match="encoder failed"):
-            save_model(tmp_path / "model.json", ens_model(), self.ENS_META)
+            save_model(tmp_path / "m.json", make(), meta)
         assert os.listdir(tmp_path) == []
 
-    def test_a_save_after_an_unpinned_blas_fit(self, tmp_path):
-        # unpinned, OpenBLAS runs threads of its own and the ensemble trains
-        # on one worker; the save still forks its encoder and writes the
-        # original bytes
-        script = """
-import sys
-from pathlib import Path
-import numpy as np
-from helpers import reference_save_model
-from textuq import parallel
-from textuq.corpus import SplitSpec
-from textuq.ensemble import EnsembleConfig, _worker_count, fit_ensemble
-from textuq.model_io import ModelMeta, save_model
 
-out = Path(sys.argv[1])
-rng = np.random.default_rng(7)
-feats, labels = rng.normal(size=(300, 20)), rng.integers(0, 3, size=300)
-cfg = EnsembleConfig(members=3, hidden_units=32, epochs=2, batch_size=64)
-assert _worker_count(cfg.members) == 1
-model = fit_ensemble(feats, labels, cfg)[0]
-parallel.usable_cpus = lambda: 2
-parallel.MIN_CHUNK_BYTES = 1
-spawn, children = parallel._spawn, []
-parallel._spawn = lambda fn, item: children.append(spawn(fn, item)) or children[-1]
-meta = ModelMeta(model_type="ens", split=SplitSpec())
-save_model(out / "new.json", model, meta)
-reference_save_model(out / "ref.json", model, meta)
-print(len(children))
-"""
-        tests = Path(__file__).resolve().parent
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "1\n"  # one encoder process besides the caller
-        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+@pytest.mark.parametrize("value", [-0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308])
+def test_extreme_values_round_trip_bit_for_bit(tmp_path, value):
+    model = gp_model()
+    model.variational_means[1, 2] = value
+    model.inducing_inputs[0, 1] = value
+    save_model(tmp_path / "m.json", model, META)
+    loaded, _ = load_model(tmp_path / "m.json")
+    assert same_bits(loaded.variational_means, model.variational_means)
+    assert same_bits(loaded.inducing_inputs, model.inducing_inputs)
 
 
 class TestValidation:
@@ -200,6 +194,12 @@ class TestValidation:
             load_model(path)
         path.write_text("[1, 2, 3]\n", encoding="utf-8")
         with pytest.raises(InvalidConfig):
+            load_model(path)
+
+    def test_rejects_a_v1_file_asking_for_a_retrain(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"format": "textuq-model-v1", "model_type": "gp"}\n', encoding="utf-8")
+        with pytest.raises(InvalidConfig, match="no longer reads; train the model again"):
             load_model(path)
 
 
