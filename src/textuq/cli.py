@@ -103,9 +103,6 @@ SYNTH_OPTS = [
     Opt("out_corpus", str, _REQUIRED, "corpus CSV to write"),
     Opt("out_embeddings", str, _REQUIRED, "embedding file to write"),
     Opt("dim", int, 200, "embedding dimension"),
-    Opt("negative_weight", float, 0.5, "share of negatives among consistent rows"),
-    Opt("cannot_exclude_weight", float, 0.5, "share of cannot-exclude among disagreements"),
-    Opt("filler_count", int, 35, "context tokens per report (fixed multiset)"),
 ]
 
 TRAIN_OPTS = [
@@ -209,13 +206,7 @@ def cmd_prepare(opts) -> int:
 
 
 def cmd_synth(opts) -> int:
-    cfg = corpus_mod.SynthConfig(
-        n=opts.n,
-        disagreement=opts.disagreement,
-        negative_weight=opts.negative_weight,
-        cannot_exclude_weight=opts.cannot_exclude_weight,
-        filler_count=opts.filler_count,
-    )
+    cfg = corpus_mod.SynthConfig(n=opts.n, disagreement=opts.disagreement)
     rows = corpus_mod.synth_generate(cfg, opts.seed)
     # embeddings get their own stream so they stay independent of the text draws
     table = corpus_mod.synth_embeddings(opts.dim, opts.seed + 1)
@@ -268,15 +259,15 @@ def cmd_train(opts) -> int:
         meta = ModelMeta("gp", spec, mc_predict_samples=opts.mc_predict,
                          predict_seed=opts.seed)
         trace_lines = ["step,objective"]
-        trace_lines += ["%d,%.17g" % (t.step, t.objective) for t in trace]
-        final = trace[-1].objective if trace else float("nan")
+        trace_lines += ["%d,%.17g" % row for row in enumerate(trace)]
+        final = trace[-1] if trace else float("nan")
     else:
         model, traces = ens_mod.fit_ensemble(xs, ys, cfg)
         meta = ModelMeta("ens", spec)
         trace_lines = ["member,step,objective"]
         for member, tr in enumerate(traces):
-            trace_lines += ["%d,%d,%.17g" % (member, t.step, t.objective) for t in tr]
-        final = traces[-1][-1].objective if traces and traces[-1] else float("nan")
+            trace_lines += ["%d,%d,%.17g" % (member, *row) for row in enumerate(tr)]
+        final = traces[-1][-1] if traces and traces[-1] else float("nan")
 
     save_model(opts.out_model, model, meta)
     atomic_write_text(opts.out_trace, "\n".join(trace_lines) + "\n")

@@ -17,7 +17,7 @@ per usable CPU, the caller doing the first piece (parallel.fork_map). Smaller
 files, one CPU, no os.fork or other live threads mean one process. Reads
 cut only at record ends and join the pieces in file order, so the results
 and the bytes written do not depend on the worker count. featurize pools
-the rows in the pieces the writer will write them in.
+the rows in the pieces the writer will write them in (``_row_pieces``).
 """
 
 from __future__ import annotations
@@ -253,16 +253,20 @@ def write_corpus_csv(path, rows) -> None:
             write_row([row.id, row.text, LABEL_NAMES[row.primary_label], secondary])
 
 
+def _row_pieces(rows, dim: int) -> list:
+    """``rows`` of ``dim`` features cut into contiguous pieces, one per worker
+    their feature-CSV text gets; featurize pools, and the writer writes, in them."""
+    k = workers_for(len(rows) * dim * _VALUE_BYTES)
+    return [rows[len(rows) * i // k:len(rows) * (i + 1) // k] for i in range(k)]
+
+
 def featurize(rows, table: EmbeddingTable):
     """Mean-pooled features per corpus row; returns (examples, all-OOV ids).
 
-    Row for row the bits embed_mean gives (see ``_pool``). The rows are
-    pooled in contiguous pieces, one per worker, split as
-    write_features_csv splits the rows it writes (parallel.fork_map).
+    Row for row the bits embed_mean gives (see ``_pool``). Each of
+    ``_row_pieces`` is pooled by its own worker (parallel.fork_map).
     """
-    k = workers_for(len(rows) * table.dimension * _VALUE_BYTES)
-    bounds = [len(rows) * i // k for i in range(k + 1)]
-    parts = fork_map(lambda i: _pool(rows[bounds[i]:bounds[i + 1]], table), range(k))
+    parts = fork_map(lambda piece: _pool(piece, table), _row_pieces(rows, table.dimension))
     features = np.concatenate([f for f, _ in parts])
     counts = np.concatenate([c for _, c in parts])
     examples, flagged = [], []
@@ -332,8 +336,7 @@ def write_features_csv(path, examples) -> None:
     # the id and label fields go through the csv writer; the floats, which
     # never need quoting, are formatted in one % per row
     floats = ",%.17g" * dim + "\n"
-    k = workers_for(len(examples) * dim * _VALUE_BYTES)
-    bounds = [len(examples) * i // k for i in range(k + 1)]
+    pieces = _row_pieces(examples, dim)
     rows_per_block = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -342,7 +345,7 @@ def write_features_csv(path, examples) -> None:
         def write_part(i):
             # the caller writes the first rows to the file; a worker process
             # formats its rows into UTF-8 blocks for the caller to append
-            rows = examples[bounds[i]:bounds[i + 1]]
+            rows = pieces[i]
             if i == 0:
                 _write_feature_rows(fh, rows, floats)
                 return []
@@ -353,7 +356,7 @@ def write_features_csv(path, examples) -> None:
                 blocks.append(buf.getvalue().encode("utf-8"))
             return blocks
 
-        parts = fork_map(write_part, range(k))
+        parts = fork_map(write_part, range(len(pieces)))
         fh.flush()
         for block in itertools.chain.from_iterable(parts):
             fh.buffer.write(block)
@@ -721,24 +724,23 @@ _TEMPLATES = {
 }
 
 
+NEGATIVE_WEIGHT = 0.5  # negative vs positive among consistent rows
+CANNOT_EXCLUDE_WEIGHT = 0.5  # cannot-exclude vs suggestive among inconsistent rows
+FILLER_COUNT = 35  # tokens in every template's context multiset; ~43 per report in all
+
+
 @dataclass(frozen=True)
 class SynthConfig:
+    """The row count and the disagreement rate; the rest are constants."""
+
     n: int
     disagreement: float = 0.04
-    negative_weight: float = 0.5  # negative vs positive among consistent rows
-    cannot_exclude_weight: float = 0.5  # template mix among inconsistent rows
-    filler_count: int = 35  # fixed per-report context budget; ~43 tokens total
 
     def validate(self) -> None:
         if self.n < 1:
             raise InvalidConfig("n must be >= 1")
         if not 0.0 <= self.disagreement <= 1.0:
             raise InvalidConfig("disagreement must be in [0, 1]")
-        for name in ("negative_weight", "cannot_exclude_weight"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise InvalidConfig(f"{name} must be in [0, 1]")
-        if self.filler_count < 0:
-            raise InvalidConfig("filler_count must be >= 0")
 
 
 def synth_vocabulary() -> list:
@@ -749,11 +751,6 @@ def synth_vocabulary() -> list:
             if tok != "{c}":
                 tokens.add(tok)
     return sorted(tokens)
-
-
-def _context_tokens(context: tuple, count: int) -> list:
-    # fixed multiset per template: cycle the context pool up to the budget
-    return [context[i % len(context)] for i in range(count)]
 
 
 def synth_generate(cfg: SynthConfig, seed: int) -> list:
@@ -771,13 +768,12 @@ def synth_generate(cfg: SynthConfig, seed: int) -> list:
     rows = []
     for i in range(cfg.n):
         if rng.random() < cfg.disagreement:
-            name = "cannot_exclude" if rng.random() < cfg.cannot_exclude_weight else "suggestive"
+            name = "cannot_exclude" if rng.random() < CANNOT_EXCLUDE_WEIGHT else "suggestive"
         else:
-            name = "negative" if rng.random() < cfg.negative_weight else "positive"
+            name = "negative" if rng.random() < NEGATIVE_WEIGHT else "positive"
         finding, impression, context, primary, secondary = _TEMPLATES[name]
         cond = CONDITIONS[rng.integers(len(CONDITIONS))]
-        base = _context_tokens(context, cfg.filler_count)
-        filler = [base[j] for j in rng.permutation(len(base))]
+        filler = [context[j] for j in rng.permutation(len(context))]
         cut = int(rng.integers(0, len(filler) + 1))
         tokens = (
             filler[:cut]

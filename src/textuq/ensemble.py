@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -353,30 +352,6 @@ class _Turns:
         self.leave(-1, failed=True)
 
 
-class _MemberThread(threading.Thread):
-    """Runs ``fit`` (a fit_member call) for one member of fit_ensemble; that
-    call takes its epochs from ``turns``."""
-
-    def __init__(self, turns: _Turns, member: int, fit):
-        super().__init__(name=f"textuq-member-{member}")
-        self.turns, self.member, self._fit = turns, member, fit
-        self.result = self.error = None
-
-    def run(self):
-        try:
-            self.result = self._fit()
-        except BaseException as exc:  # re-raised by fit_ensemble
-            self.error = exc
-        finally:
-            self.turns.leave(self.member, failed=self.error is not None)
-
-
-@dataclass
-class MemberTrace:
-    step: int
-    objective: float
-
-
 # a diverging step overflows; its NonFiniteLoss is the one report of that
 @np.errstate(over="ignore", invalid="ignore")
 def fit_member(
@@ -385,14 +360,17 @@ def fit_member(
     cfg: EnsembleConfig,
     seed: int,
     feature_scale: np.ndarray | None = None,
-) -> tuple[MlpParams, list[MemberTrace]]:
+    turn: tuple[_Turns, int] | None = None,
+) -> tuple[MlpParams, list[float]]:
     """Train one member: Adam on 1/2 clean CE + 1/2 CE on FGSM-perturbed inputs.
 
     Adversarial examples are built from the clean pass with its batch
     normalization statistics frozen; running stats are updated from the
-    clean pass only.
-    Deterministic for fixed (data, config, seed). Under fit_ensemble each
-    epoch waits for the member's turn and uses that turn's batch buffers.
+    clean pass only. Returns the member and its objective at every step.
+    Deterministic for fixed (data, config, seed). ``turn`` is the
+    ``(turns, member)`` pair of a fit_ensemble member: each epoch waits for
+    that member's turn and uses the turn's batch buffers. With None the
+    member runs alone, on a private one-worker ``_Turns``.
     """
     cfg.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -402,11 +380,7 @@ def fit_member(
         raise DimensionMismatch("empty training set")
     if feature_scale is None:
         feature_scale = feature_scale_of(features)
-    thread = threading.current_thread()
-    if isinstance(thread, _MemberThread):
-        turns, member = thread.turns, thread.member
-    else:
-        turns, member = _Turns(members=1, workers=1), 0
+    turns, member = turn or (_Turns(members=1, workers=1), 0)
 
     rng = np.random.default_rng(seed)
     p = init_mlp(d, rng, hidden=cfg.hidden_units)
@@ -416,8 +390,7 @@ def fit_member(
     b1, b2, eps_a, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
     mom, w = BN_MOMENTUM, ADV_WEIGHT
     fgsm_step = cfg.fgsm_epsilon * feature_scale
-    trace: list[MemberTrace] = []
-    step = 0
+    trace = []
     t = 0
     for _ in range(cfg.epochs):
         with turns.epoch(member, p) as buffers:
@@ -448,7 +421,7 @@ def fit_member(
 
                 loss = (1 - w) * loss_clean + w * loss_adv
                 if not np.isfinite(loss):
-                    raise NonFiniteLoss(step, loss)
+                    raise NonFiniteLoss(len(trace), loss)
 
                 t += 1
                 for k, arr in p.trainable().items():
@@ -474,8 +447,7 @@ def fit_member(
                     mhat *= lr
                     mhat /= denom
                     arr -= mhat
-                trace.append(MemberTrace(step=step, objective=loss))
-                step += 1
+                trace.append(loss)
     return p, trace
 
 
@@ -502,10 +474,11 @@ def _worker_count(members: int) -> int:
 
 def fit_ensemble(
     features: np.ndarray, labels: np.ndarray, cfg: EnsembleConfig
-) -> tuple[EnsembleModel, list[list[MemberTrace]]]:
-    """Train cfg.members independent networks with seeds cfg.seed + index.
+) -> tuple[EnsembleModel, list[list[float]]]:
+    """Train cfg.members independent networks with seeds cfg.seed + index;
+    returns the model and each member's objectives.
 
-    Each member's fit_member call runs in a thread of its own, and
+    Each member's fit_member call runs in an executor thread of its own, and
     ``_worker_count`` members run an epoch at a time (numpy releases the GIL
     in matmuls and ufuncs). Epochs are handed out in turn (see ``_Turns``),
     so 5 members of 2 epochs on 2 workers take 5 epoch-rounds, not the 6 of
@@ -514,29 +487,31 @@ def fit_ensemble(
     come back in member order, and the lowest-index failing member's error
     is raised.
     """
+    # imported on first use: only ensemble training needs it, and every command imports cli
+    from concurrent.futures import ThreadPoolExecutor
+
     cfg.validate()
     scale = feature_scale_of(features)
     turns = _Turns(cfg.members, _worker_count(cfg.members))
-    threads = [
-        _MemberThread(turns, i, functools.partial(
-            fit_member, features, labels, cfg, seed=cfg.seed + i, feature_scale=scale))
-        for i in range(cfg.members)
-    ]
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    except BaseException:
-        turns.stop()  # the started members end at their next turn
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-        raise
-    for thread in threads:
-        if thread.error is not None:
-            raise thread.error
-    members, traces = zip(*(thread.result for thread in threads))
+
+    def fit(member):
+        # a member leaves the turns when it ends; a failed one takes those above it along
+        try:
+            result = fit_member(features, labels, cfg, cfg.seed + member, scale,
+                                (turns, member))
+        except BaseException:
+            turns.leave(member, failed=True)
+            raise
+        turns.leave(member, failed=False)
+        return result
+
+    with ThreadPoolExecutor(cfg.members, thread_name_prefix="textuq-member") as pool:
+        try:
+            futures = [pool.submit(fit, i) for i in range(cfg.members)]
+            members, traces = zip(*(future.result() for future in futures))
+        except BaseException:
+            turns.stop()  # the members end at their next turn; leaving the pool joins them
+            raise
     return EnsembleModel(members=list(members), fgsm_epsilon=cfg.fgsm_epsilon,
                          feature_scale=scale), list(traces)
 

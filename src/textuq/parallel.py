@@ -2,8 +2,8 @@
 
 A forked child gets a copy-on-write image of the caller, so its input needs
 no pickling; only its result travels back, pickled through a pipe. The
-feature-CSV codec is the one user of ``workers_for``; ``corpus.featurize``
-pools its rows in the pieces the CSV writer will write.
+feature-CSV codec is the one user of ``workers_for``: ``corpus._row_pieces``
+splits rows by it for both ``corpus.featurize`` and the CSV writer.
 """
 
 from __future__ import annotations

@@ -139,12 +139,6 @@ class SvgpModel:
         )
 
 
-@dataclass
-class TraceEntry:
-    step: int
-    objective: float
-
-
 def init_model(
     train_features: np.ndarray,
     m: int = 300,
@@ -358,8 +352,9 @@ def fit(
     features: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
-) -> tuple[SvgpModel, list[TraceEntry]]:
-    """RMSProp ascent on the minibatch ELBO; returns a new model and the trace.
+) -> tuple[SvgpModel, list[float]]:
+    """RMSProp ascent on the minibatch ELBO; returns a new model and the
+    objective at every step.
 
     Deterministic for a fixed (data, config, seed): epoch shuffling comes from
     cfg.seed and per-example MC noise from a counter-based generator keyed by
@@ -388,8 +383,7 @@ def fit(
     caches["log_variance"] = np.zeros(())
 
     shuffle_rng = np.random.default_rng(cfg.seed)
-    trace: list[TraceEntry] = []
-    step = 0
+    trace = []
     decay, eps, lr = RMSPROP_DECAY, RMSPROP_EPSILON, cfg.learning_rate
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
@@ -402,9 +396,9 @@ def fit(
                 )
             except NonFiniteMatrix:
                 # the last update overflowed the kernel: no objective exists here
-                raise NonFiniteLoss(step, float("nan")) from None
+                raise NonFiniteLoss(len(trace), float("nan")) from None
             if not np.isfinite(elbo):
-                raise NonFiniteLoss(step, elbo)
+                raise NonFiniteLoss(len(trace), elbo)
             for name, g in grads.items():
                 caches[name] = decay * caches[name] + (1.0 - decay) * g * g
                 update = lr * g / (np.sqrt(caches[name]) + eps)
@@ -412,8 +406,7 @@ def fit(
                     out.kernel.log_variance += float(update)
                 else:
                     params[name] += update
-            trace.append(TraceEntry(step=step, objective=elbo))
-            step += 1
+            trace.append(elbo)
     return out, trace
 
 

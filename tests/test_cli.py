@@ -178,6 +178,40 @@ def test_synth_invalid_config_exits_1(tmp_path):
     assert err.startswith("error:")
 
 
+def test_synth_sets_every_config_field_from_a_flag(tmp_path, monkeypatch):
+    keywords = []
+
+    class Recording(cli.corpus_mod.SynthConfig):
+        def __init__(self, **kwargs):
+            keywords.append(set(kwargs))
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(cli.corpus_mod, "SynthConfig", Recording)
+    code, _, err = run_cli([
+        "synth", "--n", "10", "--seed", "0", "--dim", "4",
+        "--out-corpus", str(tmp_path / "c.csv"), "--out-embeddings", str(tmp_path / "e.txt"),
+    ])
+    assert code == 0, err
+    assert keywords == [{f.name for f in dataclasses.fields(cli.corpus_mod.SynthConfig)}]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_synth_rejects_a_removed_setting(tmp_path, how):
+    # the template mix and the context length are constants, not settings
+    argv = ["synth", "--n", "10", "--seed", "0", "--out-corpus", str(tmp_path / "c.csv"),
+            "--out-embeddings", str(tmp_path / "e.txt")]
+    if how == "flag":
+        argv += ["--filler-count", "35"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("negative_weight = 0.5\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    code, _, err = run_cli(argv)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "c.csv").exists()
+
+
 # ---- config files and option resolution --------------------------------
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import io
@@ -943,12 +944,6 @@ class TestSynthConfig:
             SynthConfig(n=0).validate()
         with pytest.raises(InvalidConfig):
             SynthConfig(n=10, disagreement=1.5).validate()
-        with pytest.raises(InvalidConfig):
-            SynthConfig(n=10, negative_weight=-0.1).validate()
-        with pytest.raises(InvalidConfig):
-            SynthConfig(n=10, cannot_exclude_weight=2.0).validate()
-        with pytest.raises(InvalidConfig):
-            SynthConfig(n=10, filler_count=-1).validate()
 
 
 class TestSynthGenerate:
@@ -984,6 +979,20 @@ class TestSynthGenerate:
         rows = synth_generate(SynthConfig(n=100), seed=5)
         for row in rows:
             assert set(preprocess_text(row.text)) <= vocab
+
+    def test_every_report_holds_its_templates_whole_context(self):
+        # each template's context multiset has FILLER_COUNT tokens, and a
+        # report carries it whole around the cue, then the impression
+        templates = corpus_mod._TEMPLATES.values()
+        assert {len(context) for _, _, context, _, _ in templates} == {corpus_mod.FILLER_COUNT}
+        for row in synth_generate(SynthConfig(n=200, disagreement=0.2), seed=8):
+            tokens = row.text.split()
+            owners = [(finding, impression) for finding, impression, context, _, _ in templates
+                      if not collections.Counter(context) - collections.Counter(tokens)]
+            assert len(owners) == 1
+            finding, impression = owners[0]
+            assert tokens[-len(impression):] == list(impression)
+            assert len(tokens) == corpus_mod.FILLER_COUNT + len(finding) + len(impression)
 
     def test_featurization_never_flags_synth_rows(self):
         rows = synth_generate(SynthConfig(n=50), seed=6)

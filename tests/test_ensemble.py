@@ -1,8 +1,10 @@
 import collections
+import contextlib
 import dataclasses
 import sys
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -250,14 +252,14 @@ class TestFitMember:
         for i in range(3):
             assert np.array_equal(a.bn_running_mean[i], b.bn_running_mean[i])
             assert np.array_equal(a.bn_running_var[i], b.bn_running_var[i])
-        assert [t.objective for t in trace_a] == [t.objective for t in trace_b]
+        assert trace_a == trace_b
 
     def test_trace_skips_single_example_remainder(self):
         feats, labels = self.data(13, n=5)
         cfg = self.small_cfg(batch_size=2)  # 2 + 2 + 1, remainder dropped
         _, trace = fit_member(feats, labels, cfg, seed=0)
         assert len(trace) == 2 * 2
-        assert [t.step for t in trace] == list(range(4))
+        assert all(type(t) is float for t in trace)  # a row's step is its position
 
     def test_non_finite_loss_reports_the_step(self):
         feats, labels = self.data(14)
@@ -295,7 +297,7 @@ class TestMatchesReferenceStep:
         assert set(got) == set(want)
         for name in want:
             assert np.array_equal(got[name], want[name]), name
-        assert [t.objective for t in trace] == ref_objectives
+        assert trace == ref_objectives
 
     def test_fit_member(self):
         feats, labels = self.data()
@@ -312,6 +314,33 @@ class TestMatchesReferenceStep:
         for i, (member, trace) in enumerate(zip(model.members, traces)):
             ref = reference_fit_member(feats, labels, self.cfg, self.cfg.seed + i, scale)
             self.assert_same(member, trace, *ref)
+
+    @pytest.mark.parametrize("thread", ["plain", "executor"])
+    def test_fit_member_called_in_a_worker_thread_runs_alone(self, monkeypatch, thread):
+        # a direct call builds its own one-worker turns, whatever thread makes it
+        built = []
+        init = _Turns.__init__
+
+        def recording_init(turns, members, workers):
+            built.append((members, workers))
+            init(turns, members, workers)
+
+        monkeypatch.setattr(_Turns, "__init__", recording_init)
+        feats, labels = self.data()
+        scale = feature_scale_of(feats)
+        args = (feats, labels, self.cfg, 9)
+        if thread == "plain":
+            out = []
+            worker = threading.Thread(target=lambda: out.append(fit_member(*args)))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            member, trace = out[0]
+        else:
+            with ThreadPoolExecutor(1, thread_name_prefix="textuq-member") as pool:
+                member, trace = pool.submit(fit_member, *args).result()
+        assert built == [(1, 1)]
+        self.assert_same(member, trace, *reference_fit_member(feats, labels, self.cfg, 9, scale))
 
     @pytest.mark.parametrize("members, epochs", [(5, 2), (3, 3), (1, 3), (2, 0)])
     def test_fit_ensemble_in_two_worker_threads(self, two_workers, members, epochs):
@@ -384,6 +413,46 @@ class TestFitEnsembleFailure:
         finally:
             sys.setswitchinterval(switch)
         assert threading.active_count() == 1
+
+    def test_an_interrupted_wait_stops_and_joins_every_member(self, two_workers, monkeypatch):
+        # the caller's wait raises KeyboardInterrupt, as Ctrl-C would, while
+        # both workers are in an epoch, so no turn is handed out meanwhile
+        events, lock = [], threading.Lock()
+        busy, stopped = threading.Semaphore(0), threading.Event()
+        epoch, stop = _Turns.epoch, _Turns.stop
+
+        @contextlib.contextmanager
+        def recorded_epoch(turns, member, p):
+            with epoch(turns, member, p) as buffers:
+                with lock:
+                    events.append(member)
+                busy.release()
+                stopped.wait(timeout=10)
+                yield buffers
+
+        def recorded_stop(turns):
+            stop(turns)
+            with lock:
+                events.append("stop")
+            stopped.set()
+
+        def interrupted_result(future, timeout=None):
+            for _ in range(2):
+                assert busy.acquire(timeout=10)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_Turns, "epoch", recorded_epoch)
+        monkeypatch.setattr(_Turns, "stop", recorded_stop)
+        monkeypatch.setattr(Future, "result", interrupted_result)
+        rng = np.random.default_rng(52)
+        feats, labels = rng.normal(size=(23, 5)), rng.integers(0, 3, size=23)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            fit_ensemble(feats, labels, EnsembleConfig(members=5, hidden_units=8, epochs=3,
+                                                       batch_size=7))
+        assert threading.active_count() == before
+        # members 0 and 1 ran their first epoch; nobody started one after the stop
+        assert sorted(events[:2]) == [0, 1] and events[2:] == ["stop"]
 
 
 class TestTurns:
