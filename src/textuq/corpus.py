@@ -150,21 +150,6 @@ def write_embeddings(path, table: EmbeddingTable) -> None:
             fh.write(f"{token} {vals}\n")
 
 
-def embed_mean(tokens, table: EmbeddingTable):
-    """Mean of in-vocabulary token vectors; returns (vector, all_oov_flag).
-
-    Tokens are summed in sorted order so the float result cannot depend on
-    token order. All-out-of-vocabulary inputs give the zero vector, flagged.
-    """
-    known = sorted(t for t in tokens if t in table.vectors)
-    if not known:
-        return np.zeros(table.dimension), True
-    acc = np.zeros(table.dimension)
-    for t in known:
-        acc += table.vectors[t]
-    return acc / len(known), False
-
-
 # ---------------------------------------------------------------- corpus IO
 
 
@@ -263,7 +248,8 @@ def _row_pieces(rows, dim: int) -> list:
 def featurize(rows, table: EmbeddingTable):
     """Mean-pooled features per corpus row; returns (examples, all-OOV ids).
 
-    Row for row the bits embed_mean gives (see ``_pool``). Each of
+    Row for row the bits of the test oracle ``embed_mean`` in
+    tests/helpers.py (see ``_pool``). Each of
     ``_row_pieces`` is pooled by its own worker (parallel.fork_map).
     """
     parts = fork_map(lambda piece: _pool(piece, table), _row_pieces(rows, table.dimension))
@@ -285,9 +271,10 @@ def featurize(rows, table: EmbeddingTable):
 
 
 def _pool(rows, table: EmbeddingTable):
-    """(features, in-vocabulary token counts) of ``rows``, features as embed_mean
-    computes them: a row's known token vectors added in sorted-token order to
-    +0.0, then divided by their count; +0.0 for a row with none.
+    """(features, in-vocabulary token counts) of ``rows``, features as the
+    test oracle ``embed_mean`` in tests/helpers.py computes them: a row's
+    known token vectors added in sorted-token order to +0.0, then divided
+    by their count; +0.0 for a row with none.
 
     The rows are summed in blocks, longest first, one token position at a
     time. At each position the rows still adding are a prefix of the block,

@@ -8,8 +8,6 @@ can be checked against finite differences.
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import os
 import threading
 from dataclasses import dataclass
@@ -295,82 +293,45 @@ class _Buffers:
         return self._batches[rows]
 
 
-class _Stopped(Exception):
-    """A member's turns ended because a lower-index member failed."""
+class _Workers:
+    """The epoch workers of one ensemble: a thread pool whose FIFO queue
+    hands out the members' epochs, and one ``_Buffers`` set per worker
+    thread, built on first use."""
+
+    def __init__(self, count: int):
+        # imported on first use: only ensemble training needs it, and every command imports cli
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.pool = ThreadPoolExecutor(count, thread_name_prefix="textuq-epoch")
+        self._local = threading.local()
+
+    def run(self, epoch, p: MlpParams):
+        """Queue ``epoch(buffers)`` behind the epochs already waiting, and
+        return its result, or raise its error, once a worker has run it."""
+        return self.pool.submit(self._run, epoch, p).result()
+
+    def _run(self, epoch, p: MlpParams):
+        if not hasattr(self._local, "buffers"):
+            self._local.buffers = _Buffers(p)
+        return epoch(self._local.buffers)
 
 
-class _Turns:
-    """Epoch turns for the members of one ensemble.
-
-    ``workers`` members run an epoch at a time, each with one of ``workers``
-    buffer sets (built on first use). The members wait in one FIFO queue, in
-    member order at first; after each epoch a member queues again behind
-    the members already waiting, so no worker idles while a member has
-    epochs left. When a member fails, the members above it get no further
-    turn and the members below it run on, so the lowest-index failure is
-    the one a serial loop over the members would meet first.
-    """
-
-    def __init__(self, members: int, workers: int):
-        self._cond = threading.Condition()
-        self._queue = collections.deque(range(members))
-        self._free = [None] * workers
-        self._last = members - 1  # the highest member index that gets turns
-
-    @contextlib.contextmanager
-    def epoch(self, member: int, p: MlpParams):
-        """Wait for ``member``'s turn and lend it a buffer set for one epoch."""
-        with self._cond:
-            self._cond.wait_for(lambda: member > self._last
-                                or (self._free and self._queue[0] == member))
-            if member > self._last:
-                raise _Stopped
-            self._queue.popleft()
-            buffers = self._free.pop()
-            self._cond.notify_all()
-        try:
-            if buffers is None:
-                buffers = _Buffers(p)
-            yield buffers
-        finally:
-            with self._cond:
-                self._free.append(buffers)
-                self._queue.append(member)  # leave() takes it out after the last epoch
-                self._cond.notify_all()
-
-    def leave(self, member: int, failed: bool) -> None:
-        """``member`` takes no more turns; after a failure neither do those above it."""
-        with self._cond:
-            if failed:
-                self._last = min(self._last, member)
-            self._queue = collections.deque(
-                m for m in self._queue if m != member and m <= self._last)
-            self._cond.notify_all()
-
-    def stop(self) -> None:
-        """No member gets another turn."""
-        self.leave(-1, failed=True)
-
-
-# a diverging step overflows; its NonFiniteLoss is the one report of that
-@np.errstate(over="ignore", invalid="ignore")
 def fit_member(
     features: np.ndarray,
     labels: np.ndarray,
     cfg: EnsembleConfig,
     seed: int,
     feature_scale: np.ndarray | None = None,
-    turn: tuple[_Turns, int] | None = None,
+    workers: _Workers | None = None,
 ) -> tuple[MlpParams, list[float]]:
     """Train one member: Adam on 1/2 clean CE + 1/2 CE on FGSM-perturbed inputs.
 
     Adversarial examples are built from the clean pass with its batch
     normalization statistics frozen; running stats are updated from the
     clean pass only. Returns the member and its objective at every step.
-    Deterministic for fixed (data, config, seed). ``turn`` is the
-    ``(turns, member)`` pair of a fit_ensemble member: each epoch waits for
-    that member's turn and uses the turn's batch buffers. With None the
-    member runs alone, on a private one-worker ``_Turns``.
+    Deterministic for fixed (data, config, seed). Each epoch runs on
+    ``workers`` (see fit_ensemble) when given, else in the calling thread
+    with one buffer set of its own.
     """
     cfg.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -380,7 +341,6 @@ def fit_member(
         raise DimensionMismatch("empty training set")
     if feature_scale is None:
         feature_scale = feature_scale_of(features)
-    turns, member = turn or (_Turns(members=1, workers=1), 0)
 
     rng = np.random.default_rng(seed)
     p = init_mlp(d, rng, hidden=cfg.hidden_units)
@@ -392,62 +352,74 @@ def fit_member(
     fgsm_step = cfg.fgsm_epsilon * feature_scale
     trace = []
     t = 0
-    for _ in range(cfg.epochs):
-        with turns.epoch(member, p) as buffers:
-            grads_clean, grads_adv = buffers.grads
-            perm = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                if idx.size < 2:
-                    continue  # batch norm cannot normalize a single example
-                acts, x_adv = buffers.batch(idx.size, p)
-                xb, yb = features[idx], labels[idx]
 
-                logits, _ = _forward_cached(p, xb, None, acts)
-                loss_clean, dlogits = _ce_loss_and_dlogits(logits, yb)
-                _backward(p, acts, dlogits, grads_clean, need_dx=False)
-                for i in range(N_HIDDEN_BLOCKS):
-                    p.bn_running_mean[i] = mom * p.bn_running_mean[i] + (1 - mom) * acts.mu[i]
-                    p.bn_running_var[i] = mom * p.bn_running_var[i] + (1 - mom) * acts.var[i]
+    # a diverging step overflows; its NonFiniteLoss is the one report of that.
+    # numpy's error state is per thread, so it is set where the epoch runs.
+    @np.errstate(over="ignore", invalid="ignore")
+    def epoch(buffers: _Buffers) -> None:
+        nonlocal t
+        grads_clean, grads_adv = buffers.grads
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            if idx.size < 2:
+                continue  # batch norm cannot normalize a single example
+            acts, x_adv = buffers.batch(idx.size, p)
+            xb, yb = features[idx], labels[idx]
 
-                # x_adv = xb + eps * scale * sign(dCE/dxb), the gradient taken
-                # through the clean pass with its batch statistics held constant
-                np.sign(_input_backward(p, acts, dlogits), out=x_adv)
-                x_adv *= fgsm_step
-                x_adv += xb
-                logits_a, _ = _forward_cached(p, x_adv, None, acts)
-                loss_adv, dlogits_a = _ce_loss_and_dlogits(logits_a, yb)
-                _backward(p, acts, dlogits_a, grads_adv, need_dx=False)
+            logits, _ = _forward_cached(p, xb, None, acts)
+            loss_clean, dlogits = _ce_loss_and_dlogits(logits, yb)
+            _backward(p, acts, dlogits, grads_clean, need_dx=False)
+            for i in range(N_HIDDEN_BLOCKS):
+                p.bn_running_mean[i] = mom * p.bn_running_mean[i] + (1 - mom) * acts.mu[i]
+                p.bn_running_var[i] = mom * p.bn_running_var[i] + (1 - mom) * acts.var[i]
 
-                loss = (1 - w) * loss_clean + w * loss_adv
-                if not np.isfinite(loss):
-                    raise NonFiniteLoss(len(trace), loss)
+            # x_adv = xb + eps * scale * sign(dCE/dxb), the gradient taken
+            # through the clean pass with its batch statistics held constant
+            np.sign(_input_backward(p, acts, dlogits), out=x_adv)
+            x_adv *= fgsm_step
+            x_adv += xb
+            logits_a, _ = _forward_cached(p, x_adv, None, acts)
+            loss_adv, dlogits_a = _ce_loss_and_dlogits(logits_a, yb)
+            _backward(p, acts, dlogits_a, grads_adv, need_dx=False)
 
-                t += 1
-                for k, arr in p.trainable().items():
-                    # in place, with the operations of
-                    #   g = (1 - w) * g_clean + w * g_adv
-                    #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-                    #   arr -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps_a)
-                    g, tmp = grads_clean[k], grads_adv[k]
-                    g *= 1 - w
-                    tmp *= w
-                    g += tmp
-                    m, v = m_state[k], v_state[k]
-                    m *= b1
-                    m += np.multiply(g, 1 - b1, out=tmp)
-                    v *= b2
-                    np.multiply(g, 1 - b2, out=tmp)
-                    tmp *= g
-                    v += tmp
-                    mhat = np.divide(m, 1 - b1**t, out=tmp)
-                    denom = np.divide(v, 1 - b2**t, out=g)
-                    np.sqrt(denom, out=denom)
-                    denom += eps_a
-                    mhat *= lr
-                    mhat /= denom
-                    arr -= mhat
-                trace.append(loss)
+            loss = (1 - w) * loss_clean + w * loss_adv
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(len(trace), loss)
+
+            t += 1
+            for k, arr in p.trainable().items():
+                # in place, with the operations of
+                #   g = (1 - w) * g_clean + w * g_adv
+                #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+                #   arr -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps_a)
+                g, tmp = grads_clean[k], grads_adv[k]
+                g *= 1 - w
+                tmp *= w
+                g += tmp
+                m, v = m_state[k], v_state[k]
+                m *= b1
+                m += np.multiply(g, 1 - b1, out=tmp)
+                v *= b2
+                np.multiply(g, 1 - b2, out=tmp)
+                tmp *= g
+                v += tmp
+                mhat = np.divide(m, 1 - b1**t, out=tmp)
+                denom = np.divide(v, 1 - b2**t, out=g)
+                np.sqrt(denom, out=denom)
+                denom += eps_a
+                mhat *= lr
+                mhat /= denom
+                arr -= mhat
+            trace.append(loss)
+
+    if workers is None:
+        buffers = _Buffers(p)
+        for _ in range(cfg.epochs):
+            epoch(buffers)
+    else:
+        for _ in range(cfg.epochs):
+            workers.run(epoch, p)
     return p, trace
 
 
@@ -478,39 +450,31 @@ def fit_ensemble(
     """Train cfg.members independent networks with seeds cfg.seed + index;
     returns the model and each member's objectives.
 
-    Each member's fit_member call runs in an executor thread of its own, and
-    ``_worker_count`` members run an epoch at a time (numpy releases the GIL
-    in matmuls and ufuncs). Epochs are handed out in turn (see ``_Turns``),
-    so 5 members of 2 epochs on 2 workers take 5 epoch-rounds, not the 6 of
-    whole members. A member's bits depend only on its seed and the BLAS
-    thread count, so the model does not depend on the worker count; results
-    come back in member order, and the lowest-index failing member's error
-    is raised.
+    Each member's fit_member call runs in a member thread of its own, and
+    hands its epochs one at a time to ``_worker_count`` worker threads
+    (numpy releases the GIL in matmuls and ufuncs). A member asks for its
+    next epoch only when its last one ends, so it queues behind the members
+    already waiting, and 5 members of 2 epochs on 2 workers take 5
+    epoch-rounds, not the 6 of whole members. A member's bits depend only on
+    its seed and the BLAS thread count, so the model does not depend on the
+    worker count; results are read in member order, so the lowest-index
+    failing member's error is raised.
     """
     # imported on first use: only ensemble training needs it, and every command imports cli
     from concurrent.futures import ThreadPoolExecutor
 
     cfg.validate()
     scale = feature_scale_of(features)
-    turns = _Turns(cfg.members, _worker_count(cfg.members))
-
-    def fit(member):
-        # a member leaves the turns when it ends; a failed one takes those above it along
+    workers = _Workers(_worker_count(cfg.members))
+    with workers.pool, ThreadPoolExecutor(cfg.members, thread_name_prefix="textuq-member") as pool:
         try:
-            result = fit_member(features, labels, cfg, cfg.seed + member, scale,
-                                (turns, member))
-        except BaseException:
-            turns.leave(member, failed=True)
-            raise
-        turns.leave(member, failed=False)
-        return result
-
-    with ThreadPoolExecutor(cfg.members, thread_name_prefix="textuq-member") as pool:
-        try:
-            futures = [pool.submit(fit, i) for i in range(cfg.members)]
+            futures = [pool.submit(fit_member, features, labels, cfg, cfg.seed + i, scale, workers)
+                       for i in range(cfg.members)]
             members, traces = zip(*(future.result() for future in futures))
         except BaseException:
-            turns.stop()  # the members end at their next turn; leaving the pool joins them
+            # queued epochs are cancelled and a member's next one is refused;
+            # leaving both pools joins every thread
+            workers.pool.shutdown(wait=False, cancel_futures=True)
             raise
     return EnsembleModel(members=list(members), fgsm_epsilon=cfg.fgsm_epsilon,
                          feature_scale=scale), list(traces)

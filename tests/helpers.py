@@ -1,5 +1,7 @@
 """Shared test utilities: finite differences, brute-force oracles, samplers."""
 
+from __future__ import annotations
+
 import base64
 
 import numpy as np
@@ -326,6 +328,21 @@ def reference_read_features_csv(path):
                 )
             )
     return examples
+
+
+def embed_mean(tokens, table: EmbeddingTable):
+    """Mean of in-vocabulary token vectors; returns (vector, all_oov_flag).
+
+    Tokens are summed in sorted order so the float result cannot depend on
+    token order. All-out-of-vocabulary inputs give the zero vector, flagged.
+    """
+    known = sorted(t for t in tokens if t in table.vectors)
+    if not known:
+        return np.zeros(table.dimension), True
+    acc = np.zeros(table.dimension)
+    for t in known:
+        acc += table.vectors[t]
+    return acc / len(known), False
 
 
 def reference_preprocess_text(raw):

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    embed_mean,
     reference_preprocess_text,
     reference_read_features_csv,
     reference_write_features_csv,
@@ -25,7 +26,6 @@ from textuq.corpus import (
     LabelledExample,
     SplitSpec,
     SynthConfig,
-    embed_mean,
     featurize,
     load_embeddings,
     make_test_views,

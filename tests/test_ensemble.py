@@ -1,5 +1,4 @@
 import collections
-import contextlib
 import dataclasses
 import sys
 import threading
@@ -26,8 +25,8 @@ from textuq.ensemble import (
     _ce_loss_and_dlogits,
     _forward_cached,
     _input_backward,
-    _Turns,
     _worker_count,
+    _Workers,
     ensemble_predict,
     feature_scale_of,
     fit_ensemble,
@@ -315,31 +314,25 @@ class TestMatchesReferenceStep:
             ref = reference_fit_member(feats, labels, self.cfg, self.cfg.seed + i, scale)
             self.assert_same(member, trace, *ref)
 
-    @pytest.mark.parametrize("thread", ["plain", "executor"])
-    def test_fit_member_called_in_a_worker_thread_runs_alone(self, monkeypatch, thread):
-        # a direct call builds its own one-worker turns, whatever thread makes it
-        built = []
-        init = _Turns.__init__
-
-        def recording_init(turns, members, workers):
-            built.append((members, workers))
-            init(turns, members, workers)
-
-        monkeypatch.setattr(_Turns, "__init__", recording_init)
+    @pytest.mark.parametrize("thread", ["main", "executor"])
+    def test_a_direct_call_starts_no_thread(self, monkeypatch, thread):
+        # without workers every epoch runs in the calling thread, whichever it is
         feats, labels = self.data()
         scale = feature_scale_of(feats)
-        args = (feats, labels, self.cfg, 9)
-        if thread == "plain":
-            out = []
-            worker = threading.Thread(target=lambda: out.append(fit_member(*args)))
-            worker.start()
-            worker.join(timeout=60)
-            assert not worker.is_alive()
-            member, trace = out[0]
+
+        def refuse(thread):
+            raise AssertionError(f"fit_member started thread {thread.name}")
+
+        def call():
+            with monkeypatch.context() as patch:
+                patch.setattr(threading.Thread, "start", refuse)
+                return fit_member(feats, labels, self.cfg, 9)
+
+        if thread == "main":
+            member, trace = call()
         else:
-            with ThreadPoolExecutor(1, thread_name_prefix="textuq-member") as pool:
-                member, trace = pool.submit(fit_member, *args).result()
-        assert built == [(1, 1)]
+            with ThreadPoolExecutor(1) as pool:
+                member, trace = pool.submit(call).result(timeout=60)
         self.assert_same(member, trace, *reference_fit_member(feats, labels, self.cfg, 9, scale))
 
     @pytest.mark.parametrize("members, epochs", [(5, 2), (3, 3), (1, 3), (2, 0)])
@@ -416,34 +409,38 @@ class TestFitEnsembleFailure:
 
     def test_an_interrupted_wait_stops_and_joins_every_member(self, two_workers, monkeypatch):
         # the caller's wait raises KeyboardInterrupt, as Ctrl-C would, while
-        # both workers are in an epoch, so no turn is handed out meanwhile
+        # both workers are in an epoch and the other members' first epochs
+        # are queued; the running epochs end only after the pool is shut down
         events, lock = [], threading.Lock()
-        busy, stopped = threading.Semaphore(0), threading.Event()
-        epoch, stop = _Turns.epoch, _Turns.stop
+        busy, shut = threading.Semaphore(0), threading.Event()
+        run, result, shutdown = _Workers.run, Future.result, ThreadPoolExecutor.shutdown
 
-        @contextlib.contextmanager
-        def recorded_epoch(turns, member, p):
-            with epoch(turns, member, p) as buffers:
+        def recorded_run(workers, epoch, p):
+            def recorded(buffers):
                 with lock:
-                    events.append(member)
+                    events.append("epoch")
                 busy.release()
-                stopped.wait(timeout=10)
-                yield buffers
-
-        def recorded_stop(turns):
-            stop(turns)
-            with lock:
-                events.append("stop")
-            stopped.set()
+                shut.wait(timeout=10)
+                return epoch(buffers)
+            return run(workers, recorded, p)
 
         def interrupted_result(future, timeout=None):
+            if threading.current_thread() is not threading.main_thread():
+                return result(future, timeout)  # a member waiting for its epoch
             for _ in range(2):
                 assert busy.acquire(timeout=10)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(_Turns, "epoch", recorded_epoch)
-        monkeypatch.setattr(_Turns, "stop", recorded_stop)
+        def recorded_shutdown(pool, wait=True, *, cancel_futures=False):
+            shutdown(pool, wait, cancel_futures=cancel_futures)
+            if cancel_futures:
+                with lock:
+                    events.append("shutdown")
+                shut.set()
+
+        monkeypatch.setattr(_Workers, "run", recorded_run)
         monkeypatch.setattr(Future, "result", interrupted_result)
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", recorded_shutdown)
         rng = np.random.default_rng(52)
         feats, labels = rng.normal(size=(23, 5)), rng.integers(0, 3, size=23)
         before = threading.active_count()
@@ -451,55 +448,58 @@ class TestFitEnsembleFailure:
             fit_ensemble(feats, labels, EnsembleConfig(members=5, hidden_units=8, epochs=3,
                                                        batch_size=7))
         assert threading.active_count() == before
-        # members 0 and 1 ran their first epoch; nobody started one after the stop
-        assert sorted(events[:2]) == [0, 1] and events[2:] == ["stop"]
+        # two epochs ran; the queued ones were cancelled, and none started after the shutdown
+        assert events == ["epoch", "epoch", "shutdown"]
 
 
 class TestTurns:
     def test_workers_share_the_epochs_in_turn(self):
         # 7 members of 4 epochs on 3 workers, with a short switch interval:
-        # never more than 3 members in an epoch, never one buffer set in two,
-        # no member's second turn before every member's first, and every
-        # epoch run once
-        members, workers, epochs = 7, 3, 4
-        turns = _Turns(members, workers)
+        # never more than 3 epochs at once, never one buffer set in two,
+        # every epoch run once, and no member's second epoch before every
+        # member's first
+        members, workers, epochs, gap = 7, 3, 4, 0.02
+        pool = _Workers(workers)
         p = init_mlp(2, np.random.default_rng(0), hidden=4)
         lock = threading.Lock()
-        first_round = threading.Barrier(workers)  # breaks unless 3 members run at once
+        began = []
+        first_round = threading.Barrier(  # breaks unless 3 epochs run at once
+            workers, action=lambda: began.append(time.monotonic()))
         running, in_use, order, peak, clashes = set(), set(), [], [0], []
+
+        def epoch(i, buffers):
+            with lock:
+                if id(buffers) in in_use:
+                    clashes.append(i)
+                running.add(i)
+                in_use.add(id(buffers))
+                order.append(i)
+                peak[0] = max(peak[0], len(running))
+                k = len(order)
+            if k <= workers:
+                first_round.wait(timeout=10)
+            # the k-th epoch ends k gaps after the first round began: the first
+            # ends after every member thread has started, and no two workers
+            # take an epoch off the queue at once
+            time.sleep(max(0.0, began[0] + k * gap - time.monotonic()))
+            with lock:
+                running.discard(i)
+                in_use.discard(id(buffers))
 
         def member(i):
             for _ in range(epochs):
-                with turns.epoch(i, p) as buffers:
-                    with lock:
-                        if id(buffers) in in_use:
-                            clashes.append(i)
-                        running.add(i)
-                        in_use.add(id(buffers))
-                        order.append(i)
-                        peak[0] = max(peak[0], len(running))
-                        first = len(order) <= workers
-                    if first:
-                        first_round.wait(timeout=10)
-                    time.sleep(0.001)
-                    with lock:
-                        running.discard(i)
-                        in_use.discard(id(buffers))
-            turns.leave(i, failed=False)
+                pool.run(lambda buffers: epoch(i, buffers), p)
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=member, args=(i,)) for i in range(members)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
+            with pool.pool, ThreadPoolExecutor(members) as member_pool:
+                for future in [member_pool.submit(member, i) for i in range(members)]:
+                    future.result(timeout=30)
         finally:
             sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
         assert clashes == []
-        assert sorted(order[:members]) == list(range(members))  # all first turns come first
+        assert sorted(order[:members]) == list(range(members))  # all first epochs come first
         assert sorted(order) == sorted(list(range(members)) * epochs)
         assert peak[0] == workers
 

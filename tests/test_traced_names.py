@@ -6,6 +6,7 @@ checks catch that in the unit suite. The tracer module is loaded from its
 file and never installed.
 """
 
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -16,7 +17,7 @@ import numpy as np
 import textuq.calibration
 import textuq.cli
 import textuq.model_io
-from textuq import svgp
+from textuq import ensemble, svgp
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -54,3 +55,24 @@ def test_kzz_is_built_from_one_object_passed_twice(monkeypatch):
     feats = np.random.default_rng(0).normal(size=(20, 2))
     svgp.predictive_latent(svgp.init_model(feats, m=4), feats)
     assert calls == [True, False]
+
+
+def test_fit_ensemble_calls_the_module_level_fit_member_once_per_member(monkeypatch):
+    # ensemble.steps adds up the traces of the fit_member calls the tracer sees
+    count_steps = load_tracing().HOOKS["ensemble.fit_member"]
+    counts, calls = collections.Counter(), []
+    original = ensemble.fit_member
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(len(result[1]))
+        count_steps(counts, args, kwargs, result)
+        return result
+
+    monkeypatch.setattr(ensemble, "fit_member", spy)
+    rng = np.random.default_rng(0)
+    feats, labels = rng.normal(size=(23, 3)), rng.integers(0, 3, size=23)
+    cfg = ensemble.EnsembleConfig(members=3, hidden_units=4, epochs=2, batch_size=7)
+    _, traces = ensemble.fit_ensemble(feats, labels, cfg)
+    assert calls == [2 * 4] * cfg.members
+    assert counts["ensemble.steps"] == sum(map(len, traces)) == 3 * 2 * 4
