@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from . import ensemble as ens_mod
 from . import svgp as svgp_mod
 from .calibration import bins_from_csv_text, bins_to_csv_text, calibrate_probs, reliability_bins
-from .errors import InvalidConfig, TextuqError, check_int, utf8_input
+from .errors import DimensionMismatch, InvalidConfig, TextuqError, check_int, utf8_input
 from .labels import LABEL_NAMES, POSITIVE
 from .metrics import build_report, report_to_csv_text, report_to_json_text
 from .model_io import ModelMeta, atomic_write, atomic_write_text, load_model, save_model
@@ -168,40 +168,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _stack(examples):
-    xs = np.stack([ex.features for ex in examples])
-    ys = np.array([ex.primary_label for ex in examples])
-    return xs, ys
-
-
-def _split(examples, spec):
-    """stratified_split, refusing a split that leaves nothing to evaluate."""
-    train, val, test = corpus_mod.stratified_split(examples, spec)
-    if not test:
-        raise InvalidConfig(f"test fraction {spec.test_fraction} of {len(examples)} rows "
+def _split(table, spec):
+    """stratified_split's row positions, refusing a split that leaves
+    nothing to evaluate."""
+    train, val, test = corpus_mod.stratified_split(table, spec)
+    if not len(test):
+        raise InvalidConfig(f"test fraction {spec.test_fraction} of {len(table)} rows "
                             "leaves the test split empty")
     return train, val, test
 
 
 def cmd_prepare(opts) -> int:
     rows = corpus_mod.read_corpus_csv(opts.corpus)
-    table = corpus_mod.load_embeddings(opts.embeddings)
-    examples, flagged = corpus_mod.featurize(rows, table)
-    atomic_write(opts.out, lambda p: corpus_mod.write_features_csv(p, examples))
-    for c, name in enumerate(LABEL_NAMES):
-        count = sum(1 for ex in examples if ex.primary_label == c)
+    embeddings = corpus_mod.load_embeddings(opts.embeddings)
+    table, flagged = corpus_mod.featurize(rows, embeddings)
+    atomic_write(opts.out, lambda p: corpus_mod.write_features_csv(p, table))
+    for name, count in zip(LABEL_NAMES, np.bincount(table.labels, minlength=len(LABEL_NAMES))):
         print(f"class {name}: {count}")
-    consistent = sum(
-        1 for ex in examples
-        if ex.secondary_label is not None and ex.secondary_label == ex.primary_label
-    )
-    inconsistent = sum(
-        1 for ex in examples
-        if ex.secondary_label is not None and ex.secondary_label != ex.primary_label
-    )
-    print(f"agreement: consistent {consistent}, inconsistent {inconsistent}")
+    labelled = table.secondary != corpus_mod.NO_LABEL
+    agree = table.labels == table.secondary
+    print(f"agreement: consistent {np.count_nonzero(agree)}, "
+          f"inconsistent {np.count_nonzero(labelled & ~agree)}")
     print(f"all-OOV examples: {len(flagged)}")
-    print(f"wrote {len(examples)} feature rows to {opts.out}")
+    print(f"wrote {len(table)} feature rows to {opts.out}")
     return 0
 
 
@@ -248,9 +237,9 @@ def cmd_train(opts) -> int:
         )
     cfg.validate()
 
-    examples = corpus_mod.read_features_csv(opts.features)
-    train, val, test = _split(examples, spec)
-    xs, ys = _stack(train)
+    table = corpus_mod.read_features_csv(opts.features)
+    train, val, test = _split(table, spec)
+    xs, ys = table.features[train], table.labels[train]
     print(f"split: train {len(train)}, val {len(val)}, test {len(test)}")
 
     if opts.model == "gp":
@@ -278,11 +267,15 @@ def cmd_train(opts) -> int:
 
 def cmd_evaluate(opts) -> int:
     model, meta = load_model(opts.model)
-    examples = corpus_mod.read_features_csv(opts.features)
-    _, val, test = _split(examples, meta.split)
-    if opts.calibrate and not val:
+    table = corpus_mod.read_features_csv(opts.features)
+    dim = model.dim if meta.model_type == "gp" else model.members[0].dim
+    if table.features.shape[1] != dim:
+        raise DimensionMismatch(f"{opts.features} has {table.features.shape[1]} features "
+                                f"per row, but the model takes {dim}")
+    _, val, test = _split(table, meta.split)
+    if opts.calibrate and not len(val):
         raise InvalidConfig("--calibrate needs a non-empty validation split")
-    views = corpus_mod.make_test_views(test, seed=meta.split.seed)
+    views = corpus_mod.make_test_views(table.take(test), seed=meta.split.seed)
 
     if meta.model_type == "gp":
         def predict(xs):
@@ -294,10 +287,9 @@ def cmd_evaluate(opts) -> int:
             return ens_mod.ensemble_predict(model, xs)
 
     if opts.calibrate:
-        val_xs, val_ys = _stack(val)
-        val_probs = predict(val_xs)
+        val_probs = predict(table.features[val])
         probs_of = {
-            name: calibrate_probs(val_probs, val_ys, predict(view.features))
+            name: calibrate_probs(val_probs, table.labels[val], predict(view.features))
             for name, view in views.items()
         }
     else:

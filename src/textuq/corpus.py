@@ -2,6 +2,11 @@
 dual-labeller agreement partitioning, stratified splits, evaluation views,
 and a synthetic dual-labeller report generator.
 
+From the feature CSV to the models the data is one FeatureTable: ids, an
+(n, D) feature matrix and int64 primary and secondary label columns. Splits
+are sorted row positions into it, and a view is a table whose ``labels`` are
+the labels it is scored on.
+
 File formats (all UTF-8, LF line endings; a text field holding a line
 feed, carriage return, comma or quote is quoted):
   corpus CSV    id,text,primary_label,secondary_label (labels as words;
@@ -16,8 +21,7 @@ forked process per parallel.MIN_CHUNK_BYTES (4 MiB) of CSV text, at most one
 per usable CPU, the caller doing the first piece (parallel.fork_map). Smaller
 files, one CPU, no os.fork or other live threads mean one process. Reads
 cut only at record ends and join the pieces in file order, so the results
-and the bytes written do not depend on the worker count. featurize pools
-the rows in the pieces the writer will write them in (``_row_pieces``).
+and the bytes written do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 import os
 import unicodedata
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,6 +54,8 @@ from .errors import (
 )
 from .labels import LABEL_NAMES, NEGATIVE, POSITIVE, UNCERTAIN, label_to_index
 from .parallel import fork_map, workers_for
+
+NO_LABEL = -1  # a FeatureTable's secondary label for a row that has none
 
 log = logging.getLogger(__name__)
 
@@ -161,12 +167,22 @@ class CorpusRow:
     secondary_label: int | None
 
 
-@dataclass
-class LabelledExample:
-    id: str
-    features: np.ndarray
-    primary_label: int
-    secondary_label: int | None
+@dataclass(frozen=True)
+class FeatureTable:
+    """Labelled feature rows as columns, one entry per row in each."""
+
+    ids: np.ndarray  # (n,) object array of str
+    features: np.ndarray  # (n, D) float64
+    labels: np.ndarray  # (n,) int64 primary labels
+    secondary: np.ndarray  # (n,) int64 secondary labels, NO_LABEL where absent
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, positions) -> FeatureTable:
+        """The rows at ``positions`` (an index array or a slice), in that order."""
+        return FeatureTable(self.ids[positions], self.features[positions],
+                            self.labels[positions], self.secondary[positions])
 
 
 def _csv_records(path, lines, first_line=1):
@@ -238,36 +254,19 @@ def write_corpus_csv(path, rows) -> None:
             write_row([row.id, row.text, LABEL_NAMES[row.primary_label], secondary])
 
 
-def _row_pieces(rows, dim: int) -> list:
-    """``rows`` of ``dim`` features cut into contiguous pieces, one per worker
-    their feature-CSV text gets; featurize pools, and the writer writes, in them."""
-    k = workers_for(len(rows) * dim * _VALUE_BYTES)
-    return [rows[len(rows) * i // k:len(rows) * (i + 1) // k] for i in range(k)]
-
-
 def featurize(rows, table: EmbeddingTable):
-    """Mean-pooled features per corpus row; returns (examples, all-OOV ids).
+    """Mean-pooled features of corpus rows as a FeatureTable, and the ids of
+    the rows with no in-vocabulary token (their features are zero).
 
     Row for row the bits of the test oracle ``embed_mean`` in
-    tests/helpers.py (see ``_pool``). Each of
-    ``_row_pieces`` is pooled by its own worker (parallel.fork_map).
+    tests/helpers.py (see ``_pool``).
     """
-    parts = fork_map(lambda piece: _pool(piece, table), _row_pieces(rows, table.dimension))
-    features = np.concatenate([f for f, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    examples, flagged = [], []
-    for row, vec, count in zip(rows, features, counts):
-        if not count:
-            flagged.append(row.id)
-        examples.append(
-            LabelledExample(
-                id=row.id,
-                features=vec,
-                primary_label=row.primary_label,
-                secondary_label=row.secondary_label,
-            )
-        )
-    return examples, flagged
+    features, counts = _pool(rows, table)
+    ids = np.array([row.id for row in rows], dtype=object)
+    labels = np.array([row.primary_label for row in rows], np.int64)
+    secondary = np.array([NO_LABEL if row.secondary_label is None else row.secondary_label
+                          for row in rows], np.int64)
+    return FeatureTable(ids, features, labels, secondary), ids[counts == 0].tolist()
 
 
 def _pool(rows, table: EmbeddingTable):
@@ -303,27 +302,24 @@ def _pool(rows, table: EmbeddingTable):
     return out, counts
 
 
-def _write_feature_rows(fh, examples, floats) -> None:
+def _write_feature_rows(fh, table: FeatureTable, floats) -> None:
     write_row = _csv_row_writer(fh)
-    for ex in examples:
-        secondary = "" if ex.secondary_label is None else LABEL_NAMES[ex.secondary_label]
-        write_row([ex.id, LABEL_NAMES[ex.primary_label], secondary],
-                  floats % tuple(ex.features.tolist()))
+    for ident, label, secondary, x in zip(table.ids, table.labels.tolist(),
+                                          table.secondary.tolist(), table.features.tolist()):
+        secondary = "" if secondary == NO_LABEL else LABEL_NAMES[secondary]
+        write_row([ident, LABEL_NAMES[label], secondary], floats % tuple(x))
 
 
-def write_features_csv(path, examples) -> None:
-    if not examples:
+def write_features_csv(path, table: FeatureTable) -> None:
+    n = len(table)
+    if not n:
         raise EmptyInput("no examples to write")
-    dim = len(examples[0].features)
-    for ex in examples:
-        if len(ex.features) != dim:
-            raise DimensionMismatch(
-                f"example {ex.id!r} has {len(ex.features)} features, expected {dim}"
-            )
+    dim = table.features.shape[1]
     # the id and label fields go through the csv writer; the floats, which
     # never need quoting, are formatted in one % per row
     floats = ",%.17g" * dim + "\n"
-    pieces = _row_pieces(examples, dim)
+    k = workers_for(n * dim * _VALUE_BYTES)
+    bounds = [n * i // k for i in range(k + 1)]
     rows_per_block = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -332,27 +328,27 @@ def write_features_csv(path, examples) -> None:
         def write_part(i):
             # the caller writes the first rows to the file; a worker process
             # formats its rows into UTF-8 blocks for the caller to append
-            rows = pieces[i]
             if i == 0:
-                _write_feature_rows(fh, rows, floats)
+                _write_feature_rows(fh, table.take(slice(0, bounds[1])), floats)
                 return []
             blocks = []
-            for start in range(0, len(rows), rows_per_block):
+            for start in range(bounds[i], bounds[i + 1], rows_per_block):
                 buf = io.StringIO()
-                _write_feature_rows(buf, rows[start:start + rows_per_block], floats)
+                stop = min(start + rows_per_block, bounds[i + 1])
+                _write_feature_rows(buf, table.take(slice(start, stop)), floats)
                 blocks.append(buf.getvalue().encode("utf-8"))
             return blocks
 
-        parts = fork_map(write_part, range(len(pieces)))
+        parts = fork_map(write_part, range(k))
         fh.flush()
         for block in itertools.chain.from_iterable(parts):
             fh.buffer.write(block)
 
 
-def read_features_csv(path) -> list:
-    """Feature rows; each example's features are a row view of one (n, D)
-    matrix. Blank lines are skipped. A row with the wrong field count or a
-    non-numeric or non-finite value raises MalformedRow naming the line.
+def read_features_csv(path) -> FeatureTable:
+    """The feature rows of a feature CSV as one table. Blank lines are
+    skipped. A row with the wrong field count or a non-numeric or non-finite
+    value raises MalformedRow naming the line.
 
     The body is parsed in record-aligned byte ranges, one per worker process
     (see ``parallel.workers_for``); the ranges' rows are joined in file order. Bytes that
@@ -382,23 +378,14 @@ def read_features_csv(path) -> list:
         except ValueError as exc:
             fh.seek(body)
             raise _bad_row(path, fh, dim) or MalformedRow(f"{path}: {exc}") from None
-        ids, primaries, secondaries, xs = zip(*parts)
-        features = np.concatenate(xs)
+        ids, primaries, secondaries, features = (np.concatenate(c) for c in zip(*parts))
         if not np.isfinite(features).all():
             fh.seek(body)
             raise _bad_row(path, fh, dim) or MalformedRow(f"{path}: non-finite feature value")
-    chain = itertools.chain.from_iterable
-    return [
-        LabelledExample(
-            id=ident,
-            features=x,
-            primary_label=label_to_index(primary),
-            secondary_label=None if secondary == "" else label_to_index(secondary),
-        )
-        for ident, primary, secondary, x in zip(
-            chain(ids), chain(primaries), chain(secondaries), features
-        )
-    ]
+    labels = np.array([label_to_index(w) for w in primaries], np.int64)
+    secondary = np.array([NO_LABEL if w == "" else label_to_index(w) for w in secondaries],
+                         np.int64)
+    return FeatureTable(ids, features, labels, secondary)
 
 
 def _record_ranges(path, start, stop, k) -> list:
@@ -449,7 +436,7 @@ def _parse_feature_rows(path, dim, span):
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(_lines_before(fh, start, stop), dtype=row_type,
                                delimiter=",", quotechar='"', comments=None, ndmin=1)
-    return table["id"].tolist(), table["label"].tolist(), table["secondary"].tolist(), table["x"]
+    return table["id"], table["label"], table["secondary"], table["x"]
 
 
 def _lines_before(fh, pos, stop):
@@ -490,17 +477,21 @@ def _bad_row(path, fh, dim) -> MalformedRow | None:
 # ---------------------------------------------------------------- splits
 
 
-def partition_by_agreement(examples):
-    """(consistent, inconsistent) by primary == secondary; exhaustive, disjoint."""
-    consistent, inconsistent = [], []
-    for ex in examples:
-        if ex.secondary_label is None:
-            raise MissingSecondaryLabel(ex.id)
-        if ex.primary_label == ex.secondary_label:
-            consistent.append(ex)
-        else:
-            inconsistent.append(ex)
-    return consistent, inconsistent
+def _agreement(table: FeatureTable) -> np.ndarray:
+    """The mask of the rows whose two labels agree."""
+    missing = np.flatnonzero(table.secondary == NO_LABEL)
+    if missing.size:
+        raise MissingSecondaryLabel(
+            f"row {table.ids[missing[0]]!r} has no secondary label, and the "
+            "agreement split needs one on every row")
+    return table.labels == table.secondary
+
+
+def partition_by_agreement(table: FeatureTable):
+    """(consistent, inconsistent) row positions by primary == secondary;
+    exhaustive, disjoint, each in table order."""
+    agree = _agreement(table)
+    return np.flatnonzero(agree), np.flatnonzero(~agree)
 
 
 @dataclass(frozen=True)
@@ -542,72 +533,50 @@ def _largest_remainder(sizes, fraction, target, caps):
     return alloc
 
 
-def stratified_split(examples, spec: SplitSpec):
-    """Deterministic (train, val, test) stratified by class x agreement.
+def stratified_split(table: FeatureTable, spec: SplitSpec):
+    """Deterministic (train, val, test) row positions, each sorted,
+    stratified by class x agreement.
 
     Global val/test sizes are round(fraction * N); strata get floor shares
     plus largest-remainder top-ups, so per-stratum proportions stay within
     one example of the target.
     """
     spec.validate()
-    if not examples:
+    n = len(table)
+    if not n:
         raise EmptyInput("nothing to split")
-    strata: dict = {}
-    for i, ex in enumerate(examples):
-        if ex.secondary_label is None:
-            raise MissingSecondaryLabel(ex.id)
-        key = (ex.primary_label, ex.primary_label == ex.secondary_label)
-        strata.setdefault(key, []).append(i)
-
-    n = len(examples)
-    keys = sorted(strata)
-    sizes = [len(strata[k]) for k in keys]
+    # strata in (class, agreement) order, each one's rows in table order
+    stratum = 2 * table.labels + _agreement(table)
+    keys, sizes = np.unique(stratum, return_counts=True)
+    sizes = sizes.tolist()
     val_alloc = _largest_remainder(sizes, spec.val_fraction, round(spec.val_fraction * n), sizes)
     caps = [s - v for s, v in zip(sizes, val_alloc)]
     test_alloc = _largest_remainder(sizes, spec.test_fraction, round(spec.test_fraction * n), caps)
 
     rng = np.random.default_rng(spec.seed)
-    train_idx, val_idx, test_idx = [], [], []
+    train, val, test = [], [], []
     for key, n_val, n_test in zip(keys, val_alloc, test_alloc):
-        members = np.array(strata[key])
+        members = np.flatnonzero(stratum == key)
         shuffled = members[rng.permutation(len(members))]
-        val_idx.extend(shuffled[:n_val])
-        test_idx.extend(shuffled[n_val : n_val + n_test])
-        train_idx.extend(shuffled[n_val + n_test :])
-    return (
-        [examples[i] for i in sorted(train_idx)],
-        [examples[i] for i in sorted(val_idx)],
-        [examples[i] for i in sorted(test_idx)],
-    )
+        val.append(shuffled[:n_val])
+        test.append(shuffled[n_val : n_val + n_test])
+        train.append(shuffled[n_val + n_test :])
+    return tuple(np.sort(np.concatenate(part)) for part in (train, val, test))
 
 
 # ---------------------------------------------------------------- test views
 
 
-@dataclass
-class TestView:
-    ids: list
-    features: np.ndarray  # (n, D)
-    labels: np.ndarray  # (n,) class indices
+def make_test_views(test: FeatureTable, seed: int) -> dict:
+    """The three evaluation views of the test split, as tables whose
+    ``labels`` are the labels each view is scored on.
 
-
-def _view(examples, labels) -> TestView:
-    return TestView(
-        ids=[ex.id for ex in examples],
-        features=np.stack([ex.features for ex in examples]),
-        labels=np.array(labels),
-    )
-
-
-def make_test_views(test_examples, seed: int) -> dict:
-    """The three evaluation views of the test split.
-
-    NegINCONSTest scores the disagreement examples against the secondary
+    NegINCONSTest scores the disagreement rows against the secondary
     labels, CheXINCONSTest against the primary ones, and CONSTest is a
-    seeded size-matched subsample of the agreement examples.
+    seeded size-matched subsample of the agreement rows.
     """
-    consistent, inconsistent = partition_by_agreement(test_examples)
-    if not inconsistent:
+    consistent, inconsistent = partition_by_agreement(test)
+    if not len(inconsistent):
         raise InconsistentSetEmpty("test split has no labeller-disagreement examples")
     if len(consistent) < len(inconsistent):
         raise TooFewPoints(
@@ -616,11 +585,11 @@ def make_test_views(test_examples, seed: int) -> dict:
         )
     rng = np.random.default_rng(seed)
     pick = np.sort(rng.choice(len(consistent), size=len(inconsistent), replace=False))
-    cons_sample = [consistent[i] for i in pick]
+    incons = test.take(inconsistent)
     return {
-        "NegINCONSTest": _view(inconsistent, [ex.secondary_label for ex in inconsistent]),
-        "CheXINCONSTest": _view(inconsistent, [ex.primary_label for ex in inconsistent]),
-        "CONSTest": _view(cons_sample, [ex.primary_label for ex in cons_sample]),
+        "NegINCONSTest": replace(incons, labels=incons.secondary),
+        "CheXINCONSTest": incons,
+        "CONSTest": test.take(consistent[pick]),
     }
 
 

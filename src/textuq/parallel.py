@@ -2,8 +2,8 @@
 
 A forked child gets a copy-on-write image of the caller, so its input needs
 no pickling; only its result travels back, pickled through a pipe. The
-feature-CSV codec is the one user of ``workers_for``: ``corpus._row_pieces``
-splits rows by it for both ``corpus.featurize`` and the CSV writer.
+feature-CSV reader and writer in ``corpus`` are the users of both
+``workers_for`` and ``fork_map``.
 """
 
 from __future__ import annotations

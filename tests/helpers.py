@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,23 +254,25 @@ def mlp_arrays(p):
     return out
 
 
-def reference_write_features_csv(path, examples):
+def reference_write_features_csv(path, table):
     """The original feature-CSV writer: one csv.writer row per example with
     every float formatted separately. The corpus tests assert that
     textuq.corpus.write_features_csv writes the same bytes."""
     import csv
 
+    from textuq.corpus import NO_LABEL
     from textuq.labels import LABEL_NAMES
 
-    dim = len(examples[0].features)
+    dim = table.features.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
-        for ex in examples:
-            secondary = "" if ex.secondary_label is None else LABEL_NAMES[ex.secondary_label]
+        for i in range(len(table)):
+            secondary = table.secondary[i]
+            secondary = "" if secondary == NO_LABEL else LABEL_NAMES[secondary]
             writer.writerow(
-                [ex.id, LABEL_NAMES[ex.primary_label], secondary]
-                + ["%.17g" % v for v in ex.features]
+                [table.ids[i], LABEL_NAMES[table.labels[i]], secondary]
+                + ["%.17g" % v for v in table.features[i]]
             )
 
 
@@ -289,11 +292,11 @@ def blas_env(monkeypatch, cpus, openblas=None, omp=None):
 def reference_read_features_csv(path):
     """The original feature-CSV reader: one csv.reader row and one
     float() per value at a time. The corpus tests assert that
-    textuq.corpus.read_features_csv returns the same examples and raises
+    textuq.corpus.read_features_csv returns the same table and raises
     the same errors."""
     import csv
 
-    from textuq.corpus import LabelledExample
+    from textuq.corpus import NO_LABEL, FeatureTable
     from textuq.errors import MalformedRow
     from textuq.labels import label_to_index
 
@@ -305,7 +308,7 @@ def reference_read_features_csv(path):
         dim = len(header) - 3
         if dim < 1:
             raise MalformedRow(f"{path}: no feature columns")
-        examples = []
+        ids, rows, labels, secondaries = [], [], [], []
         for lineno, rec in enumerate(reader, start=2):
             if len(rec) != dim + 3:
                 raise MalformedRow(
@@ -319,15 +322,16 @@ def reference_read_features_csv(path):
                 raise MalformedRow(
                     f"{path} line {lineno}: non-finite feature value in row {rec[0]!r}"
                 )
-            examples.append(
-                LabelledExample(
-                    id=rec[0],
-                    features=features,
-                    primary_label=label_to_index(rec[1]),
-                    secondary_label=None if rec[2] == "" else label_to_index(rec[2]),
-                )
-            )
-    return examples
+            ids.append(rec[0])
+            rows.append(features)
+            labels.append(label_to_index(rec[1]))
+            secondaries.append(NO_LABEL if rec[2] == "" else label_to_index(rec[2]))
+    return FeatureTable(
+        ids=np.array(ids, dtype=object),
+        features=np.array(rows, dtype=np.float64).reshape(len(rows), dim),
+        labels=np.array(labels, dtype=np.int64),
+        secondary=np.array(secondaries, dtype=np.int64),
+    )
 
 
 def embed_mean(tokens, table: EmbeddingTable):
@@ -583,3 +587,106 @@ def decode_array(obj):
     """The array a textuq-model-v2 array object holds."""
     raw = base64.b64decode(obj["data"], validate=True)
     return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
+
+
+# ---- reference splits and test views ----------------------------------------
+# Frozen copies of the original list-based stratified_split and
+# make_test_views, over one record per row. The corpus tests assert that the
+# table versions pick the same rows in the same order.
+
+
+@dataclass
+class ReferenceExample:
+    id: str
+    features: np.ndarray
+    primary_label: int
+    secondary_label: int | None
+
+
+def reference_examples(table):
+    """One ReferenceExample per table row, None for a missing secondary label."""
+    from textuq.corpus import NO_LABEL
+
+    return [
+        ReferenceExample(table.ids[i], table.features[i], int(table.labels[i]),
+                         None if table.secondary[i] == NO_LABEL else int(table.secondary[i]))
+        for i in range(len(table))
+    ]
+
+
+def reference_partition_by_agreement(examples):
+    from textuq.errors import MissingSecondaryLabel
+
+    consistent, inconsistent = [], []
+    for ex in examples:
+        if ex.secondary_label is None:
+            raise MissingSecondaryLabel(ex.id)
+        if ex.primary_label == ex.secondary_label:
+            consistent.append(ex)
+        else:
+            inconsistent.append(ex)
+    return consistent, inconsistent
+
+
+def reference_stratified_split(examples, spec):
+    """The original stratified_split: (train, val, test) lists of examples."""
+    from textuq.corpus import _largest_remainder
+    from textuq.errors import EmptyInput, MissingSecondaryLabel
+
+    spec.validate()
+    if not examples:
+        raise EmptyInput("nothing to split")
+    strata: dict = {}
+    for i, ex in enumerate(examples):
+        if ex.secondary_label is None:
+            raise MissingSecondaryLabel(ex.id)
+        key = (ex.primary_label, ex.primary_label == ex.secondary_label)
+        strata.setdefault(key, []).append(i)
+
+    n = len(examples)
+    keys = sorted(strata)
+    sizes = [len(strata[k]) for k in keys]
+    val_alloc = _largest_remainder(sizes, spec.val_fraction, round(spec.val_fraction * n), sizes)
+    caps = [s - v for s, v in zip(sizes, val_alloc)]
+    test_alloc = _largest_remainder(sizes, spec.test_fraction, round(spec.test_fraction * n), caps)
+
+    rng = np.random.default_rng(spec.seed)
+    train_idx, val_idx, test_idx = [], [], []
+    for key, n_val, n_test in zip(keys, val_alloc, test_alloc):
+        members = np.array(strata[key])
+        shuffled = members[rng.permutation(len(members))]
+        val_idx.extend(shuffled[:n_val])
+        test_idx.extend(shuffled[n_val : n_val + n_test])
+        train_idx.extend(shuffled[n_val + n_test :])
+    return (
+        [examples[i] for i in sorted(train_idx)],
+        [examples[i] for i in sorted(val_idx)],
+        [examples[i] for i in sorted(test_idx)],
+    )
+
+
+def reference_make_test_views(test_examples, seed):
+    """The original make_test_views: {view: (ids, features, labels)}."""
+    from textuq.errors import InconsistentSetEmpty, TooFewPoints
+
+    consistent, inconsistent = reference_partition_by_agreement(test_examples)
+    if not inconsistent:
+        raise InconsistentSetEmpty("test split has no labeller-disagreement examples")
+    if len(consistent) < len(inconsistent):
+        raise TooFewPoints(
+            f"cannot size-match: {len(consistent)} consistent vs "
+            f"{len(inconsistent)} inconsistent test examples"
+        )
+    rng = np.random.default_rng(seed)
+    pick = np.sort(rng.choice(len(consistent), size=len(inconsistent), replace=False))
+    cons_sample = [consistent[i] for i in pick]
+
+    def view(examples, labels):
+        return ([ex.id for ex in examples], np.stack([ex.features for ex in examples]),
+                np.array(labels))
+
+    return {
+        "NegINCONSTest": view(inconsistent, [ex.secondary_label for ex in inconsistent]),
+        "CheXINCONSTest": view(inconsistent, [ex.primary_label for ex in inconsistent]),
+        "CONSTest": view(cons_sample, [ex.primary_label for ex in cons_sample]),
+    }

@@ -72,11 +72,11 @@ def test_prepare_toy_corpus_counts_and_features(toy_dir):
     assert "all-OOV examples: 1" in out
     assert f"wrote 6 feature rows to {out_path}" in out
 
-    examples = read_features_csv(str(out_path))
-    assert [ex.id for ex in examples] == ["r0", "r1", "r2", "r3", "r4", "r5"]
+    table = read_features_csv(str(out_path))
+    assert table.ids.tolist() == ["r0", "r1", "r2", "r3", "r4", "r5"]
     # r0 = mean of no=(1,0) and edema=(0,1); r4 is all-OOV so it gets zeros
-    assert np.array_equal(examples[0].features, [0.5, 0.5])
-    assert np.array_equal(examples[4].features, [0.0, 0.0])
+    assert np.array_equal(table.features[0], [0.5, 0.5])
+    assert np.array_equal(table.features[4], [0.0, 0.0])
 
 
 def test_prepare_rerun_is_byte_identical(toy_dir):
@@ -150,9 +150,9 @@ def test_synth_round_trips_through_prepare(tmp_path):
     ])
     assert code == 0, err
     assert "all-OOV examples: 0" in out
-    examples = read_features_csv(str(feats))
-    assert len(examples) == 1000
-    assert examples[0].features.shape == (8,)
+    table = read_features_csv(str(feats))
+    assert len(table) == 1000
+    assert table.features.shape == (1000, 8)
 
 
 def test_synth_rerun_is_byte_identical(tmp_path):
@@ -613,6 +613,54 @@ def test_train_rejects_bad_feature_values(tmp_path, bad_row, message):
     assert code == 1, err
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{path} {message}" in err
+
+
+@pytest.mark.parametrize("model", ["gp", "ens"])
+def test_train_names_a_row_without_a_secondary_label(toy_dir, tmp_path, model):
+    # the toy corpus's r3 has no secondary label
+    feats = toy_dir / "features.csv"
+    assert run_cli(["prepare", "--corpus", str(toy_dir / "corpus.csv"),
+                    "--embeddings", str(toy_dir / "emb.txt"), "--out", str(feats)])[0] == 0
+    outputs = [tmp_path / "m", tmp_path / "t"]
+    code, out, err = run_cli([
+        "train", "--features", str(feats), "--seed", "0",
+        "--out-model", str(outputs[0]), "--out-trace", str(outputs[1]),
+    ] + TINY_TRAIN[model])
+    assert (code, out) == (1, "")
+    assert err == ("error: row 'r3' has no secondary label, and the agreement split "
+                   "needs one on every row\n")
+    assert not any(path.exists() for path in outputs)
+
+
+def test_evaluate_names_a_row_without_a_secondary_label(pipeline, tmp_path):
+    header = "id,label,secondary_label," + ",".join(f"f{i}" for i in range(8)) + "\n"
+    zeros = ",0" * 8 + "\n"
+    feats = tmp_path / "features.csv"
+    feats.write_text(header + "a,negative,negative" + zeros + "b,positive," + zeros,
+                     encoding="utf-8")
+    code, out, err = run_cli([
+        "evaluate", "--model", str(pipeline["gp_model"]), "--features", str(feats),
+        "--out-json", str(tmp_path / "e.json"), "--out-csv", str(tmp_path / "e.csv"),
+        "--out-reliability", str(tmp_path / "r.csv"),
+    ])
+    assert (code, out) == (1, "")
+    assert err == ("error: row 'b' has no secondary label, and the agreement split "
+                   "needs one on every row\n")
+
+
+@pytest.mark.parametrize("model", ["gp", "ens"])
+def test_evaluate_names_a_feature_width_the_model_does_not_take(pipeline, tmp_path, model):
+    # the pipeline's models take 8 features per row
+    feats = _feature_file(tmp_path, ["r0,negative,negative,0.5,0.7\n"])
+    outputs = [tmp_path / "e.json", tmp_path / "e.csv", tmp_path / "r.csv"]
+    code, out, err = run_cli([
+        "evaluate", "--model", str(pipeline[f"{model}_model"]), "--features", str(feats),
+        "--out-json", str(outputs[0]), "--out-csv", str(outputs[1]),
+        "--out-reliability", str(outputs[2]),
+    ])
+    assert (code, out) == (1, "")
+    assert err == f"error: {feats} has 2 features per row, but the model takes 8\n"
+    assert not any(path.exists() for path in outputs)
 
 
 def _without_split(text):

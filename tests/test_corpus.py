@@ -14,16 +14,20 @@ from hypothesis import strategies as st
 
 from helpers import (
     embed_mean,
+    reference_examples,
+    reference_make_test_views,
     reference_preprocess_text,
     reference_read_features_csv,
+    reference_stratified_split,
     reference_write_features_csv,
 )
 from textuq import corpus as corpus_mod
 from textuq import parallel
 from textuq.corpus import (
+    NO_LABEL,
     CorpusRow,
     EmbeddingTable,
-    LabelledExample,
+    FeatureTable,
     SplitSpec,
     SynthConfig,
     featurize,
@@ -301,40 +305,59 @@ class TestCorpusCsv:
             read_corpus_csv(path)
 
 
+def feature_table(ids, features, labels, secondary):
+    """A FeatureTable from plain lists; None is a missing secondary label."""
+    return FeatureTable(
+        ids=np.array(ids, dtype=object),
+        features=np.asarray(features, dtype=np.float64),
+        labels=np.array(labels, dtype=np.int64),
+        secondary=np.array([NO_LABEL if s is None else s for s in secondary], dtype=np.int64),
+    )
+
+
+def assert_tables_equal(got, want):
+    assert got.ids.tolist() == want.ids.tolist()
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.features.shape == want.features.shape
+    for column in ("labels", "secondary"):
+        assert getattr(got, column).dtype == np.int64
+        assert getattr(got, column).tolist() == getattr(want, column).tolist()
+
+
+class TestFeatureTable:
+    def test_take_picks_rows_in_the_given_order(self):
+        table = feature_table(["a", "b", "c"], [[0.0], [1.0], [2.0]], [0, 1, 2], [0, None, 1])
+        picked = table.take(np.array([2, 0]))
+        assert len(picked) == 2
+        assert_tables_equal(picked, feature_table(["c", "a"], [[2.0], [0.0]], [2, 0], [1, 0]))
+        assert_tables_equal(table.take(slice(1, 2)),
+                            feature_table(["b"], [[1.0]], [1], [None]))
+
+
 class TestFeaturesCsv:
-    def examples(self):
+    def table(self):
         rng = np.random.default_rng(1)
         feats = rng.normal(size=(3, 4))
         feats[0, 0] = 1e-300  # subnormal-adjacent values must survive the trip
         feats[1, 1] = -0.1
-        labels = [NEGATIVE, UNCERTAIN, POSITIVE]
-        secondary = [NEGATIVE, POSITIVE, None]
-        return [
-            LabelledExample(id=f"e{i}", features=feats[i], primary_label=labels[i],
-                            secondary_label=secondary[i])
-            for i in range(3)
-        ]
+        return feature_table(["e0", "e1", "e2"], feats, [NEGATIVE, UNCERTAIN, POSITIVE],
+                             [NEGATIVE, POSITIVE, None])
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         path = tmp_path / "features.csv"
-        examples = self.examples()
-        write_features_csv(path, examples)
-        back = read_features_csv(path)
-        assert [ex.id for ex in back] == ["e0", "e1", "e2"]
-        for orig, loaded in zip(examples, back):
-            assert np.array_equal(loaded.features, orig.features)
-            assert loaded.primary_label == orig.primary_label
-            assert loaded.secondary_label == orig.secondary_label
+        table = self.table()
+        write_features_csv(path, table)
+        assert_tables_equal(read_features_csv(path), table)
 
     def test_header_names_the_feature_columns(self, tmp_path):
         path = tmp_path / "features.csv"
-        write_features_csv(path, self.examples())
+        write_features_csv(path, self.table())
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "id,label,secondary_label,f0,f1,f2,f3"
 
     def test_write_rejects_empty(self, tmp_path):
         with pytest.raises(EmptyInput):
-            write_features_csv(tmp_path / "features.csv", [])
+            write_features_csv(tmp_path / "features.csv", self.table().take(slice(0, 0)))
 
     def test_bytes_match_the_reference_writer(self, tmp_path):
         # ids that need quoting, an empty id, a missing secondary label, and
@@ -343,24 +366,15 @@ class TestFeaturesCsv:
         special = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e-300]
         feats = np.random.default_rng(3).normal(size=(len(ids), len(special)))
         feats[np.arange(len(ids)), np.arange(len(special))] = special
-        examples = [
-            LabelledExample(id=ident, features=feats[i], primary_label=i % 3,
-                            secondary_label=None if i % 2 else (i + 1) % 3)
-            for i, ident in enumerate(ids)
-        ]
+        table = feature_table(ids, feats, [i % 3 for i in range(len(ids))],
+                              [None if i % 2 else (i + 1) % 3 for i in range(len(ids))])
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_features_csv(got, examples)
-        reference_write_features_csv(want, examples)
+        write_features_csv(got, table)
+        reference_write_features_csv(want, table)
         # the one deliberate difference: the reference left the bare \r
         # unquoted, which no reader could get back
         assert b"\ncr\rhere," in want.read_bytes()
         assert got.read_bytes() == want.read_bytes().replace(b"\ncr\rhere,", b'\n"cr\rhere",')
-
-    def test_write_rejects_ragged_features(self, tmp_path):
-        examples = self.examples()
-        examples[2].features = examples[2].features[:3]
-        with pytest.raises(DimensionMismatch, match="'e2'"):
-            write_features_csv(tmp_path / "features.csv", examples)
 
     def test_read_rejects_non_numeric_and_non_finite_values(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -387,16 +401,18 @@ class TestFeaturesCsv:
 
 
 def _reader_outcome(read, path):
-    """(ids, labels, secondary labels, feature bytes) or the error text."""
+    """(ids, labels, secondary labels, feature bytes per row, column dtypes)
+    or the error text."""
     try:
-        examples = read(path)
+        table = read(path)
     except MalformedRow as exc:
         return "MalformedRow: " + str(exc)
     return (
-        [ex.id for ex in examples],
-        [ex.primary_label for ex in examples],
-        [ex.secondary_label for ex in examples],
-        [ex.features.tobytes() for ex in examples],
+        table.ids.tolist(),
+        table.labels.tolist(),
+        table.secondary.tolist(),
+        [row.tobytes() for row in table.features],
+        (table.features.dtype, table.labels.dtype, table.secondary.dtype),
     )
 
 
@@ -423,18 +439,15 @@ class TestReadFeaturesCsv:
             data.draw(st.lists(_AWKWARD_FLOATS, min_size=len(rows) * dim,
                                max_size=len(rows) * dim))
         ).reshape(len(rows), dim)
-        examples = [
-            LabelledExample(id=ident, features=feats[i], primary_label=primary,
-                            secondary_label=secondary)
-            for i, (ident, primary, secondary) in enumerate(rows)
-        ]
+        ids, primaries, secondaries = zip(*rows)
+        table = feature_table(ids, feats, primaries, secondaries)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "features.csv"
-            write_features_csv(path, examples)
+            write_features_csv(path, table)
             got = _reader_outcome(read_features_csv, path)
             assert got == _reader_outcome(reference_read_features_csv, path)
-        assert got[0] == [ex.id for ex in examples]
-        assert got[3] == [ex.features.tobytes() for ex in examples]
+        assert got[0] == table.ids.tolist()
+        assert got[3] == [row.tobytes() for row in feats]
 
     @pytest.mark.parametrize("body", [
         "e1,positive,,0.5,abc\n",  # non-numeric
@@ -477,9 +490,10 @@ class TestReadFeaturesCsv:
         path.write_text("id,label,secondary_label,f0\n\ne0,negative,,0.5\n\n\n"
                         "e1,positive,negative,-1\n", encoding="utf-8")
         back = read_features_csv(path)
-        assert [(ex.id, ex.features.tolist()) for ex in back] == [("e0", [0.5]), ("e1", [-1.0])]
+        assert back.ids.tolist() == ["e0", "e1"] and back.features.tolist() == [[0.5], [-1.0]]
         path.write_text("id,label,secondary_label,f0\n\n\n", encoding="utf-8")
-        assert read_features_csv(path) == []
+        empty = read_features_csv(path)
+        assert len(empty) == 0 and empty.features.shape == (0, 1)
 
     def test_a_bad_row_after_blank_lines_is_named_by_its_line(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -498,31 +512,19 @@ class TestReadFeaturesCsv:
     def test_features_are_rows_of_one_contiguous_matrix(self, tmp_path):
         path = tmp_path / "features.csv"
         feats = np.arange(12.0).reshape(4, 3)
-        write_features_csv(path, [
-            LabelledExample(id=f"e{i}", features=feats[i], primary_label=0, secondary_label=0)
-            for i in range(4)
-        ])
+        write_features_csv(path, feature_table([f"e{i}" for i in range(4)], feats,
+                                               [0] * 4, [0] * 4))
         back = read_features_csv(path)
-        matrix = back[0].features.base
-        assert matrix.shape == (4, 3) and matrix.flags.c_contiguous
-        assert all(ex.features.base is matrix for ex in back)
-        assert np.array_equal(matrix, feats)
+        assert back.features.shape == (4, 3) and back.features.flags.c_contiguous
+        assert np.array_equal(back.features, feats)
 
     def test_round_trip_keeps_a_bare_carriage_return(self, tmp_path):
         path = tmp_path / "features.csv"
-        examples = [
-            LabelledExample(id="cr\rhere", features=np.array([0.5, -0.0]), primary_label=0,
-                            secondary_label=None),
-            LabelledExample(id="\r", features=np.array([1e-300, 2.0]), primary_label=2,
-                            secondary_label=1),
-        ]
-        write_features_csv(path, examples)
+        table = feature_table(["cr\rhere", "\r"], [[0.5, -0.0], [1e-300, 2.0]], [0, 2], [None, 1])
+        write_features_csv(path, table)
         assert b'\n"cr\rhere",negative,,' in path.read_bytes()
         for read in (read_features_csv, reference_read_features_csv):
-            back = read(path)
-            assert [ex.id for ex in back] == ["cr\rhere", "\r"]
-            assert [ex.features.tobytes() for ex in back] == [
-                ex.features.tobytes() for ex in examples]
+            assert_tables_equal(read(path), table)
 
 
 @contextlib.contextmanager
@@ -545,21 +547,19 @@ def in_workers(k, block_bytes=None):
         yield calls
 
 
-def _row_bytes(tmp, ex):
-    """The bytes of one example's row as the writer writes it."""
+def _row_bytes(tmp, table, i):
+    """The bytes of row i of the table as the writer writes it."""
     one = Path(tmp) / "one.csv"
-    write_features_csv(one, [ex])
+    write_features_csv(one, table.take([i]))
     raw = one.read_bytes()
     return raw[raw.index(b"\n") + 1:]
 
 
-def _examples(n, dim, ids=None):
+def _table(n, dim, ids=None):
     feats = np.random.default_rng(n * 10 + dim).normal(size=(n, dim))
-    return [
-        LabelledExample(id=f"e{i}" if ids is None else ids[i], features=feats[i],
-                        primary_label=i % 3, secondary_label=None if i % 4 == 1 else (i + 1) % 3)
-        for i in range(n)
-    ]
+    return feature_table([f"e{i}" for i in range(n)] if ids is None else ids, feats,
+                         [i % 3 for i in range(n)],
+                         [None if i % 4 == 1 else (i + 1) % 3 for i in range(n)])
 
 
 class TestFeaturesCsvInWorkers:
@@ -580,32 +580,29 @@ class TestFeaturesCsvInWorkers:
             data.draw(st.lists(_AWKWARD_FLOATS, min_size=len(rows) * dim,
                                max_size=len(rows) * dim))
         ).reshape(len(rows), dim)
-        examples = [
-            LabelledExample(id=ident, features=feats[i], primary_label=primary,
-                            secondary_label=secondary)
-            for i, (ident, primary, secondary, _) in enumerate(rows)
-        ]
+        ids, primaries, secondaries, blank_before = zip(*rows)
+        table = feature_table(ids, feats, primaries, secondaries)
         with tempfile.TemporaryDirectory() as tmp:
             plain, blanks = Path(tmp) / "plain.csv", Path(tmp) / "blanks.csv"
-            write_features_csv(plain, examples)
+            write_features_csv(plain, table)
             # the same rows with a blank line before each flagged one
             raw = plain.read_bytes()
             blanks.write_bytes(raw[:raw.index(b"\n") + 1] + b"".join(
-                (b"\n" if blank else b"") + _row_bytes(tmp, ex)
-                for ex, (_, _, _, blank) in zip(examples, rows)))
+                (b"\n" if blank else b"") + _row_bytes(tmp, table, i)
+                for i, blank in enumerate(blank_before)))
             with in_workers(k) as calls:
                 got = _reader_outcome(read_features_csv, blanks)
             assert got == _reader_outcome(reference_read_features_csv, plain)
         assert 1 <= calls[0] <= k
-        assert got[0] == [ex.id for ex in examples]
-        assert got[3] == [ex.features.tobytes() for ex in examples]
+        assert got[0] == list(ids)
+        assert got[3] == [row.tobytes() for row in feats]
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_a_cut_target_inside_a_quoted_field(self, tmp_path, k):
         # the middle row's id is a quoted field over the whole middle of the file
         ids = ["e0", 'q,"x"\n' * 80, "e2"]
         path = tmp_path / "features.csv"
-        write_features_csv(path, _examples(3, 2, ids))
+        write_features_csv(path, _table(3, 2, ids))
         raw = path.read_bytes()
         body = raw.index(b"\n") + 1
         field = (raw.index(b'"q,'), raw.index(b'\n",') + 2)
@@ -620,7 +617,7 @@ class TestFeaturesCsvInWorkers:
     @pytest.mark.parametrize("k", [2, 3])
     def test_ranges_tile_the_body_at_record_ends(self, tmp_path, k):
         path = tmp_path / "features.csv"
-        write_features_csv(path, _examples(40, 3, [f'id "{i}"\n' for i in range(40)]))
+        write_features_csv(path, _table(40, 3, [f'id "{i}"\n' for i in range(40)]))
         raw = path.read_bytes()
         body = raw.index(b"\n") + 1
         ranges = corpus_mod._record_ranges(path, body, len(raw), k)
@@ -642,7 +639,7 @@ class TestFeaturesCsvInWorkers:
     @pytest.mark.parametrize("k", [2, 3])
     def test_a_bad_row_in_a_workers_range_gives_the_reference_message(self, tmp_path, bad, k):
         path = tmp_path / "features.csv"
-        write_features_csv(path, _examples(6, 2))
+        write_features_csv(path, _table(6, 2))
         with open(path, "a", encoding="utf-8", newline="") as fh:
             fh.write(bad + "e10,negative,,0.5,0.7\n")
         with in_workers(k) as calls:
@@ -657,7 +654,7 @@ class TestFeaturesCsvInWorkers:
         # the file's first undecodable line, not a line of the range; the
         # file is larger than the text buffer the header is read through
         path = tmp_path / "features.csv"
-        write_features_csv(path, _examples(400, 2))
+        write_features_csv(path, _table(400, 2))
         raw = path.read_bytes().replace(b"e397,", b"e\xe9397,").replace(b"e398,", b"\xff398,")
         path.write_bytes(raw)
         parsed = []  # the ranges this process parses; workers' appends stay in them
@@ -684,7 +681,7 @@ class TestFeaturesCsvInWorkers:
     @pytest.mark.parametrize("k", [1, 2])
     def test_an_unclosed_quote_past_the_field_limit_names_the_line(self, tmp_path, k):
         path = tmp_path / "features.csv"
-        write_features_csv(path, _examples(6, 2))
+        write_features_csv(path, _table(6, 2))
         with open(path, "a", encoding="utf-8", newline="") as fh:
             fh.write('"e9,negative,,0.5,0.7\n' + "0.5,\n" * 40_000)
         with in_workers(k):
@@ -695,7 +692,7 @@ class TestFeaturesCsvInWorkers:
         # the reference reads 1_0 as 10.0; numpy's message names the row
         # counted from the start of the body, not of a worker's range
         path = tmp_path / "features.csv"
-        write_features_csv(path, _examples(6, 1))
+        write_features_csv(path, _table(6, 1))
         with open(path, "a", encoding="utf-8", newline="") as fh:
             fh.write("e9,negative,,1_0\n")
         want = _reader_outcome(read_features_csv, path)
@@ -706,74 +703,65 @@ class TestFeaturesCsvInWorkers:
 
     def test_features_are_rows_of_one_contiguous_matrix(self, tmp_path):
         path = tmp_path / "features.csv"
-        examples = _examples(9, 3)
-        write_features_csv(path, examples)
+        table = _table(9, 3)
+        write_features_csv(path, table)
         with in_workers(3) as calls:
             back = read_features_csv(path)
         assert calls == [3]
-        matrix = back[0].features.base
-        assert matrix.shape == (9, 3) and matrix.flags.c_contiguous
-        assert all(ex.features.base is matrix for ex in back)
-        assert matrix.tobytes() == np.stack([ex.features for ex in examples]).tobytes()
+        assert back.features.shape == (9, 3) and back.features.flags.c_contiguous
+        assert_tables_equal(back, table)
 
     def test_blank_lines_only(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("id,label,secondary_label,f0\n\n\n\n\n", encoding="utf-8")
         with in_workers(4):
-            assert read_features_csv(path) == []
+            assert len(read_features_csv(path)) == 0
 
     @pytest.mark.parametrize("k, block_bytes", [(2, None), (3, 1), (4, 200)])
     def test_writer_bytes_match_the_reference_writer(self, tmp_path, k, block_bytes):
         ids = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain", "é"] * 3
-        examples = _examples(len(ids), 6, ids)
-        examples[0].features[:] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e-300]
+        table = _table(len(ids), 6, ids)
+        table.features[0] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e-300]
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         with in_workers(k, block_bytes) as calls:
-            write_features_csv(got, examples)
+            write_features_csv(got, table)
         assert calls == [k]
-        reference_write_features_csv(want, examples)
+        reference_write_features_csv(want, table)
         # the reference leaves a bare \r unquoted (see TestFeaturesCsv)
         assert got.read_bytes() == want.read_bytes().replace(b"\ncr\rhere,", b'\n"cr\rhere",')
-
-    def test_writer_checks_for_ragged_rows_before_any_worker_starts(self, tmp_path):
-        examples = _examples(8, 3)
-        examples[6].features = examples[6].features[:2]
-        path = tmp_path / "features.csv"
-        with in_workers(2) as calls, pytest.raises(DimensionMismatch, match="'e6'"):
-            write_features_csv(path, examples)
-        assert calls == [] and not path.exists()
 
 
 class TestFeaturize:
     def test_flags_all_oov_rows(self):
         rows = [
             CorpusRow(id="r0", text="a b", primary_label=0, secondary_label=0),
-            CorpusRow(id="r1", text="zzz qqq", primary_label=1, secondary_label=1),
+            CorpusRow(id="r1", text="zzz qqq", primary_label=1, secondary_label=None),
         ]
-        examples, flagged = featurize(rows, small_table())
+        table, flagged = featurize(rows, small_table())
         assert flagged == ["r1"]
-        assert np.array_equal(examples[0].features, [0.5, 0.5])
-        assert np.array_equal(examples[1].features, [0.0, 0.0])
+        assert_tables_equal(table, feature_table(["r0", "r1"], [[0.5, 0.5], [0.0, 0.0]],
+                                                 [0, 1], [0, None]))
 
     def test_applies_preprocessing_before_lookup(self):
         rows = [CorpusRow(id="r0", text="A, B!", primary_label=0, secondary_label=0)]
-        examples, flagged = featurize(rows, small_table())
+        table, flagged = featurize(rows, small_table())
         assert flagged == []
-        assert np.array_equal(examples[0].features, [0.5, 0.5])
+        assert np.array_equal(table.features, [[0.5, 0.5]])
 
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_matches_embed_mean_bit_for_bit_on_the_criterion_5_corpus(self, workers):
-        # what `synth --n 10000 --seed 5 --dim 200` writes
+    def test_matches_embed_mean_bit_for_bit_on_the_criterion_5_corpus(self):
+        # what `synth --n 10000 --seed 5 --dim 200` writes; pooling forks no
+        # worker, even where the CSV codec would
         rows = synth_generate(SynthConfig(n=10000), seed=5)
         table = synth_embeddings(dim=200, seed=6)
-        with in_workers(workers) as calls:
-            examples, flagged = featurize(rows, table)
-        assert calls == [workers] and flagged == []
-        assert [ex.id for ex in examples] == [row.id for row in rows]
-        for row, ex in zip(rows, examples):
+        with in_workers(2) as calls:
+            features, flagged = featurize(rows, table)
+        assert calls == [] and flagged == []
+        assert features.ids.tolist() == [row.id for row in rows]
+        assert features.labels.tolist() == [row.primary_label for row in rows]
+        assert features.secondary.tolist() == [row.secondary_label for row in rows]
+        for row, got in zip(rows, features.features):
             want, _ = embed_mean(preprocess_text(row.text), table)
-            assert ex.features.tobytes() == want.tobytes(), row.id
+            assert got.tobytes() == want.tobytes(), row.id
 
     @given(
         texts=st.lists(
@@ -781,9 +769,8 @@ class TestFeaturize:
                      max_size=12).map(" ".join),
             max_size=9,
         ),
-        workers=st.sampled_from([1, 2]),
     )
-    def test_matches_embed_mean_on_duplicate_oov_and_empty_rows(self, texts, workers):
+    def test_matches_embed_mean_on_duplicate_oov_and_empty_rows(self, texts):
         # "-0" is a -0.0 vector: only a +0.0 start keeps it from the sum's sign
         table = EmbeddingTable(dimension=3, vectors={
             "a": np.array([1.0, -2.5, 1e-300]), "b": np.array([0.1, 0.2, -1e300]),
@@ -791,33 +778,35 @@ class TestFeaturize:
         })
         rows = [CorpusRow(id=f"r{i}", text=t, primary_label=0, secondary_label=None)
                 for i, t in enumerate(texts)]
-        with in_workers(workers):
-            examples, flagged = featurize(rows, table)
+        features, flagged = featurize(rows, table)
         want = [embed_mean(preprocess_text(t), table) for t in texts]
         assert flagged == [row.id for row, (_, oov) in zip(rows, want) if oov]
-        assert [ex.features.tobytes() for ex in examples] == [v.tobytes() for v, _ in want]
+        assert features.features.shape == (len(texts), 3)
+        assert [x.tobytes() for x in features.features] == [v.tobytes() for v, _ in want]
 
 
-def labelled(i, primary, secondary, value=None):
-    feats = np.array([float(i), 0.0]) if value is None else np.asarray(value, dtype=float)
-    return LabelledExample(id=f"x{i}", features=feats, primary_label=primary,
-                           secondary_label=secondary)
+def labelled(pairs, features=None):
+    """A table of rows x0, x1, ... with the given (primary, secondary) labels;
+    row i's features are [i, 0] unless given."""
+    n = len(pairs)
+    if features is None:
+        features = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+    return feature_table([f"x{i}" for i in range(n)], features,
+                         [p for p, _ in pairs], [s for _, s in pairs])
 
 
 class TestPartition:
     def test_splits_by_labeller_agreement(self):
-        examples = [
-            labelled(0, NEGATIVE, NEGATIVE),
-            labelled(1, UNCERTAIN, POSITIVE),
-            labelled(2, POSITIVE, POSITIVE),
-        ]
-        consistent, inconsistent = partition_by_agreement(examples)
-        assert [ex.id for ex in consistent] == ["x0", "x2"]
-        assert [ex.id for ex in inconsistent] == ["x1"]
+        table = labelled([(NEGATIVE, NEGATIVE), (UNCERTAIN, POSITIVE), (POSITIVE, POSITIVE)])
+        consistent, inconsistent = partition_by_agreement(table)
+        assert consistent.tolist() == [0, 2]
+        assert inconsistent.tolist() == [1]
 
-    def test_missing_secondary_label_names_the_example(self):
-        with pytest.raises(MissingSecondaryLabel, match="x1"):
-            partition_by_agreement([labelled(0, 0, 0), labelled(1, 1, None)])
+    def test_missing_secondary_label_names_the_row(self):
+        with pytest.raises(MissingSecondaryLabel,
+                           match="^row 'x1' has no secondary label, and the agreement split "
+                                 "needs one on every row$"):
+            partition_by_agreement(labelled([(0, 0), (1, None), (2, None)]))
 
 
 class TestSplitSpec:
@@ -839,8 +828,8 @@ class TestSplitSpec:
 
 class TestStratifiedSplit:
     def test_single_stratum_hits_exact_sizes(self):
-        examples = [labelled(i, NEGATIVE, NEGATIVE) for i in range(100)]
-        train, val, test = stratified_split(examples, SplitSpec(seed=0))
+        table = labelled([(NEGATIVE, NEGATIVE)] * 100)
+        train, val, test = stratified_split(table, SplitSpec(seed=0))
         assert (len(train), len(val), len(test)) == (80, 10, 10)
 
     def test_six_strata_allocation(self):
@@ -849,59 +838,43 @@ class TestStratifiedSplit:
             (NEGATIVE, NEGATIVE), (POSITIVE, POSITIVE), (UNCERTAIN, UNCERTAIN),
             (NEGATIVE, POSITIVE), (POSITIVE, NEGATIVE), (UNCERTAIN, POSITIVE),
         ]
-        examples = []
-        for size, (p, s) in zip(sizes, strata):
-            examples.extend(labelled(len(examples) + j, p, s) for j in range(size))
-        train, val, test = stratified_split(examples, SplitSpec(seed=1))
+        table = labelled([pair for size, pair in zip(sizes, strata) for _ in range(size)])
+        train, val, test = stratified_split(table, SplitSpec(seed=1))
         assert len(val) == 100 and len(test) == 100
         assert len(train) + len(val) + len(test) == 1000
         for size, (p, s) in zip(sizes, strata):
-            in_val = sum(
-                1 for ex in val
-                if ex.primary_label == p and ex.secondary_label == s
-            )
+            in_val = np.count_nonzero((table.labels[val] == p) & (table.secondary[val] == s))
             assert abs(in_val - 0.1 * size) <= 1.0, (p, s)
 
     def test_partitions_without_loss_or_leak(self):
         rng = np.random.default_rng(2)
-        examples = [
-            labelled(i, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-            for i in range(137)
-        ]
-        train, val, test = stratified_split(examples, SplitSpec(seed=3))
-        ids = [ex.id for part in (train, val, test) for ex in part]
-        assert sorted(ids) == sorted(ex.id for ex in examples)
-        assert len(set(ids)) == len(ids)
+        table = labelled(rng.integers(0, 3, size=(137, 2)).tolist())
+        positions = np.concatenate(stratified_split(table, SplitSpec(seed=3)))
+        assert sorted(positions.tolist()) == list(range(137))
 
     def test_deterministic_and_seed_sensitive(self):
-        examples = [labelled(i, i % 3, i % 3) for i in range(90)]
-        val_a = stratified_split(examples, SplitSpec(seed=4))[1]
-        val_b = stratified_split(examples, SplitSpec(seed=4))[1]
-        val_c = stratified_split(examples, SplitSpec(seed=5))[1]
-        assert [ex.id for ex in val_a] == [ex.id for ex in val_b]
-        assert [ex.id for ex in val_a] != [ex.id for ex in val_c]
+        table = labelled([(i % 3, i % 3) for i in range(90)])
+        val_a = stratified_split(table, SplitSpec(seed=4))[1]
+        val_b = stratified_split(table, SplitSpec(seed=4))[1]
+        val_c = stratified_split(table, SplitSpec(seed=5))[1]
+        assert val_a.tolist() == val_b.tolist()
+        assert val_a.tolist() != val_c.tolist()
 
     def test_outputs_preserve_corpus_order(self):
-        examples = [labelled(i, i % 3, i % 3) for i in range(60)]
-        order = {ex.id: i for i, ex in enumerate(examples)}
-        for part in stratified_split(examples, SplitSpec(seed=6)):
-            positions = [order[ex.id] for ex in part]
-            assert positions == sorted(positions)
+        table = labelled([(i % 3, i % 3) for i in range(60)])
+        for part in stratified_split(table, SplitSpec(seed=6)):
+            assert part.tolist() == sorted(part.tolist())
 
     def test_rejects_empty_and_unlabelled(self):
         with pytest.raises(EmptyInput):
-            stratified_split([], SplitSpec())
-        with pytest.raises(MissingSecondaryLabel):
-            stratified_split([labelled(0, 0, None)], SplitSpec())
+            stratified_split(labelled([]), SplitSpec())
+        with pytest.raises(MissingSecondaryLabel, match="^row 'x0' has no secondary label"):
+            stratified_split(labelled([(0, None)]), SplitSpec())
 
 
 def view_fixture(n_cons=8, n_incons=3):
-    examples = [labelled(i, NEGATIVE, NEGATIVE) for i in range(n_cons)]
-    examples += [
-        labelled(n_cons + j, UNCERTAIN, POSITIVE if j % 2 else NEGATIVE)
-        for j in range(n_incons)
-    ]
-    return examples
+    return labelled([(NEGATIVE, NEGATIVE)] * n_cons
+                    + [(UNCERTAIN, POSITIVE if j % 2 else NEGATIVE) for j in range(n_incons)])
 
 
 class TestMakeTestViews:
@@ -909,25 +882,24 @@ class TestMakeTestViews:
         views = make_test_views(view_fixture(), seed=0)
         assert sorted(views) == ["CONSTest", "CheXINCONSTest", "NegINCONSTest"]
         neg, chex = views["NegINCONSTest"], views["CheXINCONSTest"]
-        assert neg.ids == chex.ids
+        assert neg.ids.tolist() == chex.ids.tolist()
         assert np.array_equal(neg.features, chex.features)
         assert np.all(neg.labels != chex.labels)
         assert np.all(chex.labels == UNCERTAIN)
-        assert len(views["CONSTest"].ids) == len(neg.ids)
+        assert len(views["CONSTest"]) == len(neg)
 
     def test_consistent_sample_uses_primary_labels(self):
         views = make_test_views(view_fixture(), seed=0)
         cons = views["CONSTest"]
-        assert all(ident.startswith("x") for ident in cons.ids)
         assert np.all(cons.labels == NEGATIVE)
-        assert set(cons.ids) <= {f"x{i}" for i in range(8)}
+        assert set(cons.ids.tolist()) <= {f"x{i}" for i in range(8)}
 
     def test_deterministic_subsample(self):
         a = make_test_views(view_fixture(n_cons=40, n_incons=5), seed=7)
         b = make_test_views(view_fixture(n_cons=40, n_incons=5), seed=7)
         c = make_test_views(view_fixture(n_cons=40, n_incons=5), seed=8)
-        assert a["CONSTest"].ids == b["CONSTest"].ids
-        assert a["CONSTest"].ids != c["CONSTest"].ids
+        assert a["CONSTest"].ids.tolist() == b["CONSTest"].ids.tolist()
+        assert a["CONSTest"].ids.tolist() != c["CONSTest"].ids.tolist()
 
     def test_requires_some_disagreement(self):
         with pytest.raises(InconsistentSetEmpty):
@@ -936,6 +908,62 @@ class TestMakeTestViews:
     def test_requires_enough_consistent_examples(self):
         with pytest.raises(TooFewPoints):
             make_test_views(view_fixture(n_cons=2, n_incons=3), seed=0)
+
+
+@st.composite
+def _label_pairs(draw):
+    """(primary, secondary) label rows, three in five agreeing; up to 30 rows
+    over 6 strata leave many strata empty or with one row. Half the draws
+    take the secondary label of one row away."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0, 0, 0, 1, 2])),
+                         max_size=30))
+    pairs = [(p, (p + shift) % 3) for p, shift in rows]
+    missing = draw(st.none() | st.integers(0, len(pairs) - 1)) if pairs else None
+    if missing is not None:
+        pairs[missing] = (pairs[missing][0], None)
+    return pairs
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EmptyInput, MissingSecondaryLabel, InconsistentSetEmpty, TooFewPoints) as exc:
+        return type(exc).__name__
+
+
+class TestMatchesTheListReference:
+    """The table versions of stratified_split and make_test_views against
+    the original ones over one record per row (tests/helpers.py)."""
+
+    @given(pairs=_label_pairs(), val=st.sampled_from([0.1, 0.2, 0.45]),
+           test=st.sampled_from([0.1, 0.3]), seed=st.integers(0, 2**32))
+    def test_stratified_split_picks_the_same_rows(self, pairs, val, test, seed):
+        table = labelled(pairs)
+        spec = SplitSpec(val_fraction=val, test_fraction=test, seed=seed)
+        got = _outcome(stratified_split, table, spec)
+        want = _outcome(reference_stratified_split, reference_examples(table), spec)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [part.tolist() for part in got] == [
+                [int(ex.id[1:]) for ex in part] for part in want]
+
+    @given(pairs=_label_pairs(), seed=st.integers(0, 2**32), data=st.data())
+    def test_make_test_views_picks_the_same_rows(self, pairs, seed, data):
+        features = np.array(data.draw(st.lists(_AWKWARD_FLOATS, min_size=2 * len(pairs),
+                                               max_size=2 * len(pairs))))
+        table = labelled(pairs, features.reshape(len(pairs), 2))
+        got = _outcome(make_test_views, table, seed)
+        want = _outcome(reference_make_test_views, reference_examples(table), seed)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert list(got) == list(want)
+        for name, (ids, feats, labels) in want.items():
+            assert got[name].ids.tolist() == ids
+            assert got[name].features.tobytes() == feats.tobytes()
+            assert got[name].labels.dtype == labels.dtype
+            assert got[name].labels.tolist() == labels.tolist()
 
 
 class TestSynthConfig:

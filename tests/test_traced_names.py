@@ -17,7 +17,7 @@ import numpy as np
 import textuq.calibration
 import textuq.cli
 import textuq.model_io
-from textuq import ensemble, svgp
+from textuq import corpus, ensemble, svgp
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -76,3 +76,28 @@ def test_fit_ensemble_calls_the_module_level_fit_member_once_per_member(monkeypa
     _, traces = ensemble.fit_ensemble(feats, labels, cfg)
     assert calls == [2 * 4] * cfg.members
     assert counts["ensemble.steps"] == sum(map(len, traces)) == 3 * 2 * 4
+
+
+def test_corpus_hooks_count_the_rows_read_and_the_all_oov_rows(tmp_path):
+    # corpus.rows adds up len() of what read_features_csv returns, and
+    # corpus.oov_rows the length of featurize's second result
+    hooks = load_tracing().HOOKS
+    rows = [
+        corpus.CorpusRow("r0", "a b", 0, 0),
+        corpus.CorpusRow("r1", "zzz", 1, None),
+        corpus.CorpusRow("r2", "b", 2, 1),
+        corpus.CorpusRow("r3", "", 0, 0),
+    ]
+    embeddings = corpus.EmbeddingTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    counts = collections.Counter()
+    args = (rows, embeddings)
+    result = corpus.featurize(*args)
+    hooks["corpus.featurize"](counts, args, {}, result)
+    assert counts["corpus.oov_rows"] == 2
+
+    path = tmp_path / "features.csv"
+    corpus.write_features_csv(path, result[0])
+    result = corpus.read_features_csv(path)
+    hooks["corpus.read_features_csv"](counts, (path,), {}, result)
+    assert counts["corpus.rows"] == 4
+    assert counts["corpus.feature_bytes"] == path.stat().st_size
