@@ -10,6 +10,7 @@ byte-identical. Options can come from a flat key=value config file via
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ class Opt:
     kind: object  # int / float / str conversion callable, or the string "flag"
     default: object
     help: str
+    file: str = ""  # "in" or "out" for a path the command reads or writes
 
 
 def _flag_name(opt: Opt) -> str:
@@ -90,26 +92,40 @@ def _resolve(args: argparse.Namespace, config: dict, opts: list) -> SimpleNamesp
     return SimpleNamespace(**out)
 
 
+def _check_paths(opts_table: list, opts: SimpleNamespace, config_path) -> None:
+    """Refuse an output that resolves to the same file as an input, the
+    config file or another output: writing it would destroy the other."""
+    taken = {os.path.realpath(config_path): "--config"} if config_path else {}
+    files = ([o for o in opts_table if o.file == "in"]
+             + [o for o in opts_table if o.file == "out"])
+    for opt in files:
+        path = getattr(opts, opt.name)
+        real = os.path.realpath(path)
+        if opt.file == "out" and real in taken:
+            raise InvalidConfig(f"{_flag_name(opt)} {path} is the same file as {taken[real]}")
+        taken.setdefault(real, _flag_name(opt))
+
+
 PREPARE_OPTS = [
-    Opt("corpus", str, _REQUIRED, "corpus CSV (id,text,primary_label,secondary_label)"),
-    Opt("embeddings", str, _REQUIRED, "token-vector text file"),
-    Opt("out", str, _REQUIRED, "feature CSV to write"),
+    Opt("corpus", str, _REQUIRED, "corpus CSV (id,text,primary_label,secondary_label)", "in"),
+    Opt("embeddings", str, _REQUIRED, "token-vector text file", "in"),
+    Opt("out", str, _REQUIRED, "feature CSV to write", "out"),
 ]
 
 SYNTH_OPTS = [
     Opt("n", int, _REQUIRED, "number of synthetic reports"),
     Opt("disagreement", float, 0.04, "target labeller-disagreement rate"),
     Opt("seed", int, _REQUIRED, "generator seed"),
-    Opt("out_corpus", str, _REQUIRED, "corpus CSV to write"),
-    Opt("out_embeddings", str, _REQUIRED, "embedding file to write"),
+    Opt("out_corpus", str, _REQUIRED, "corpus CSV to write", "out"),
+    Opt("out_embeddings", str, _REQUIRED, "embedding file to write", "out"),
     Opt("dim", int, 200, "embedding dimension"),
 ]
 
 TRAIN_OPTS = [
     Opt("model", str, _REQUIRED, "gp or ens"),
-    Opt("features", str, _REQUIRED, "feature CSV from prepare"),
-    Opt("out_model", str, _REQUIRED, "model file to write"),
-    Opt("out_trace", str, _REQUIRED, "training-trace CSV to write"),
+    Opt("features", str, _REQUIRED, "feature CSV from prepare", "in"),
+    Opt("out_model", str, _REQUIRED, "model file to write", "out"),
+    Opt("out_trace", str, _REQUIRED, "training-trace CSV to write", "out"),
     Opt("seed", int, _REQUIRED, "split/init/shuffle seed"),
     Opt("val_fraction", float, 0.10, "validation fraction"),
     Opt("test_fraction", float, 0.10, "test fraction"),
@@ -126,18 +142,18 @@ TRAIN_OPTS = [
 ]
 
 EVALUATE_OPTS = [
-    Opt("model", str, _REQUIRED, "model file from train"),
-    Opt("features", str, _REQUIRED, "feature CSV the model was trained from"),
-    Opt("out_json", str, _REQUIRED, "metrics report JSON to write"),
-    Opt("out_csv", str, _REQUIRED, "metrics report CSV to write"),
-    Opt("out_reliability", str, _REQUIRED, "reliability-bin CSV (CONSTest) to write"),
+    Opt("model", str, _REQUIRED, "model file from train", "in"),
+    Opt("features", str, _REQUIRED, "feature CSV the model was trained from", "in"),
+    Opt("out_json", str, _REQUIRED, "metrics report JSON to write", "out"),
+    Opt("out_csv", str, _REQUIRED, "metrics report CSV to write", "out"),
+    Opt("out_reliability", str, _REQUIRED, "reliability-bin CSV (CONSTest) to write", "out"),
     Opt("calibrate", "flag", False, "apply validation-fitted isotonic calibration"),
     Opt("absent_as_zero", "flag", False, "render empty FN/TP subsets as 0 in the CSV"),
 ]
 
 REPORT_OPTS = [
-    Opt("reliability", str, _REQUIRED, "reliability-bin CSV from evaluate"),
-    Opt("out", str, _REQUIRED, "SVG file to write"),
+    Opt("reliability", str, _REQUIRED, "reliability-bin CSV from evaluate", "in"),
+    Opt("out", str, _REQUIRED, "SVG file to write", "out"),
 ]
 
 
@@ -240,6 +256,7 @@ def cmd_train(opts) -> int:
     table = corpus_mod.read_features_csv(opts.features)
     train, val, test = _split(table, spec)
     xs, ys = table.features[train], table.labels[train]
+    del table  # only the copied training rows are needed from here on
     print(f"split: train {len(train)}, val {len(val)}, test {len(test)}")
 
     if opts.model == "gp":
@@ -288,12 +305,20 @@ def cmd_evaluate(opts) -> int:
 
     if opts.calibrate:
         val_probs = predict(table.features[val])
-        probs_of = {
-            name: calibrate_probs(val_probs, table.labels[val], predict(view.features))
-            for name, view in views.items()
-        }
+
+        def score(xs):
+            return calibrate_probs(val_probs, table.labels[val], predict(xs))
     else:
-        probs_of = {name: predict(view.features) for name, view in views.items()}
+        score = predict
+    # views that share one feature array (NegINCONSTest and CheXINCONSTest)
+    # are scored once: a prediction depends only on the model and the rows
+    probs_by_array: dict = {}
+    probs_of = {}
+    for name, view in views.items():
+        key = id(view.features)
+        if key not in probs_by_array:
+            probs_by_array[key] = score(view.features)
+        probs_of[name] = probs_by_array[key]
 
     report = build_report(
         {name: (probs_of[name], views[name].labels) for name in views}
@@ -396,7 +421,9 @@ def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     config = read_config(args.config) if args.config else {}
     opts_table, handler = _COMMANDS[args.command]
-    return handler(_resolve(args, config, opts_table))
+    opts = _resolve(args, config, opts_table)
+    _check_paths(opts_table, opts, args.config)
+    return handler(opts)
 
 
 def main(argv=None) -> int:

@@ -21,18 +21,23 @@ forked process per parallel.MIN_CHUNK_BYTES (4 MiB) of CSV text, at most one
 per usable CPU, the caller doing the first piece (parallel.fork_map). Smaller
 files, one CPU, no os.fork or other live threads mean one process. Reads
 cut only at record ends and join the pieces in file order, so the results
-and the bytes written do not depend on the worker count.
+and the bytes written do not depend on the worker count. A writing worker
+puts its piece in an unnamed temporary file beside the output, which the
+caller appends; every process formats one block of rows at a time, so each
+holds its live data plus one block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
-import itertools
 import logging
 import math
 import os
+import shutil
+import tempfile
 import unicodedata
 import warnings
 from dataclasses import dataclass, replace
@@ -275,18 +280,38 @@ def _pool(rows, table: EmbeddingTable):
     known token vectors added in sorted-token order to +0.0, then divided
     by their count; +0.0 for a row with none.
 
-    The rows are summed in blocks, longest first, one token position at a
+    Only one row's tokens are held as strings at a time: each known token
+    gets an id in first-seen order as it is met, and after the pass the ids
+    are renumbered in sorted-token order and sorted within each row. The
+    rows are then summed in blocks, longest first, one token position at a
     time. At each position the rows still adding are a prefix of the block,
     so no row is padded and each row sees only its own additions."""
     n, dim = len(rows), table.dimension
-    token_lists = [preprocess_text(row.text) for row in rows]
-    # the tokens in use, numbered in sorted order: sorted ids are sorted tokens
-    vocab = sorted(table.vectors.keys() & set(itertools.chain.from_iterable(token_lists)))
-    ids = {t: i for i, t in enumerate(vocab)}
-    id_lists = [sorted([ids[t] for t in tokens if t in ids]) for tokens in token_lists]
+    seen: dict = {}  # known token -> id, in first-seen order
+    counts = np.empty(n, np.intp)
+
+    def known_ids():
+        for i, row in enumerate(rows):
+            ids = [seen.setdefault(t, len(seen)) for t in preprocess_text(row.text)
+                   if t in table.vectors]
+            counts[i] = len(ids)
+            yield from ids
+
+    flat = np.fromiter(known_ids(), np.intp)
+    # renumber in sorted-token order, so that sorted ids are sorted tokens
+    vocab = sorted(seen)
+    rank = np.empty(len(vocab), np.intp)
+    rank[np.fromiter(map(seen.__getitem__, vocab), np.intp, len(vocab))] = np.arange(len(vocab))
+    # sort each row's ids: rows are contiguous runs of flat, so one sort of
+    # (row, id) keys does it
+    row_of = np.repeat(np.arange(n, dtype=np.intp), counts)
+    row_of *= len(vocab)
+    flat = rank[flat]
+    flat += row_of
+    flat.sort()
+    flat -= row_of
+    del row_of, rank
     vectors = np.array([table.vectors[t] for t in vocab], np.float64).reshape(len(vocab), dim)
-    counts = np.fromiter(map(len, id_lists), np.intp, n)
-    flat = np.fromiter(itertools.chain.from_iterable(id_lists), np.intp, int(counts.sum()))
     starts = np.cumsum(counts) - counts
     order = np.argsort(-counts, kind="stable")
     out = np.empty((n, dim))
@@ -311,6 +336,9 @@ def _write_feature_rows(fh, table: FeatureTable, floats) -> None:
 
 
 def write_features_csv(path, table: FeatureTable) -> None:
+    """Write ``table`` as a feature CSV: the caller formats the first piece
+    of rows into ``path``, each worker its piece into an unnamed temporary
+    file in the same directory, and the caller appends those in order."""
     n = len(table)
     if not n:
         raise EmptyInput("no examples to write")
@@ -321,28 +349,26 @@ def write_features_csv(path, table: FeatureTable) -> None:
     k = workers_for(n * dim * _VALUE_BYTES)
     bounds = [n * i // k for i in range(k + 1)]
     rows_per_block = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
+    directory = os.path.dirname(os.path.abspath(path))
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh, contextlib.ExitStack() as stack:
         _csv_row_writer(fh)(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
+        # opened before the fork, so that a worker's writes land where the
+        # caller reads them back
+        pieces = [fh] + [stack.enter_context(tempfile.TemporaryFile(
+            "w+", encoding="utf-8", newline="", dir=directory)) for _ in range(k - 1)]
 
         def write_part(i):
-            # the caller writes the first rows to the file; a worker process
-            # formats its rows into UTF-8 blocks for the caller to append
-            if i == 0:
-                _write_feature_rows(fh, table.take(slice(0, bounds[1])), floats)
-                return []
-            blocks = []
+            out = pieces[i]
             for start in range(bounds[i], bounds[i + 1], rows_per_block):
-                buf = io.StringIO()
                 stop = min(start + rows_per_block, bounds[i + 1])
-                _write_feature_rows(buf, table.take(slice(start, stop)), floats)
-                blocks.append(buf.getvalue().encode("utf-8"))
-            return blocks
+                _write_feature_rows(out, table.take(slice(start, stop)), floats)
+            out.flush()  # a worker ends in os._exit, which flushes nothing
 
-        parts = fork_map(write_part, range(k))
-        fh.flush()
-        for block in itertools.chain.from_iterable(parts):
-            fh.buffer.write(block)
+        fork_map(write_part, range(k))
+        for piece in pieces[1:]:
+            piece.seek(0)
+            shutil.copyfileobj(piece.buffer, fh.buffer, _BLOCK_BYTES)
 
 
 def read_features_csv(path) -> FeatureTable:

@@ -101,16 +101,31 @@ def median_heuristic_lengthscale(features: np.ndarray, rng: np.random.Generator)
     rows, divided by sqrt(D).
 
     Falls back to 1.0 when the median distance is zero (duplicated inputs).
+
+    Beyond the subsample it holds one (m, m) Gram matrix and the m(m-1)/2
+    distances above its diagonal, filled row by row as
+    (r_i + r_j) - 2 G_ij, with no further square temporaries.
     """
     features = np.asarray(features, dtype=np.float64)
     n, d = features.shape
     if n > MEDIAN_POINTS:
         idx = rng.choice(n, size=MEDIAN_POINTS, replace=False)
         features = features[idx]
+    m = features.shape[0]
     r = np.sum(features * features, axis=1)
-    sq = np.maximum(r[:, None] + r[None, :] - 2.0 * (features @ features.T), 0.0)
-    iu = np.triu_indices(features.shape[0], k=1)
-    med = float(np.median(np.sqrt(sq[iu]))) if iu[0].size else 0.0
+    g2 = features @ features.T  # numpy's symmetric product of a matrix and its transpose
+    g2 *= 2.0
+    dist = np.empty(m * (m - 1) // 2)
+    pos = 0
+    for i in range(m - 1):
+        row = dist[pos:pos + m - 1 - i]
+        np.add(r[i], r[i + 1:], out=row)
+        row -= g2[i, i + 1:]
+        pos += m - 1 - i
+    del g2
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    med = float(np.median(dist, overwrite_input=True)) if dist.size else 0.0
     ell = med / np.sqrt(d)
     return ell if ell > 0.0 else 1.0
 

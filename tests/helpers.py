@@ -276,6 +276,38 @@ def reference_write_features_csv(path, table):
             )
 
 
+def reference_median_heuristic_lengthscale(features, rng):
+    """The original median heuristic: the full (m, m) squared-distance
+    matrix and its upper triangle by index arrays. The kernel tests assert
+    that textuq.kernel.median_heuristic_lengthscale returns the same float."""
+    from textuq.kernel import MEDIAN_POINTS
+
+    features = np.asarray(features, dtype=np.float64)
+    n, d = features.shape
+    if n > MEDIAN_POINTS:
+        idx = rng.choice(n, size=MEDIAN_POINTS, replace=False)
+        features = features[idx]
+    r = np.sum(features * features, axis=1)
+    sq = np.maximum(r[:, None] + r[None, :] - 2.0 * (features @ features.T), 0.0)
+    iu = np.triu_indices(features.shape[0], k=1)
+    med = float(np.median(np.sqrt(sq[iu]))) if iu[0].size else 0.0
+    ell = med / np.sqrt(d)
+    return ell if ell > 0.0 else 1.0
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes this process allocated while it ran, by
+    tracemalloc; forked workers are not counted)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def blas_env(monkeypatch, cpus, openblas=None, omp=None):
     """Show the ensemble's worker-count rule `cpus` usable CPUs and the given
     OPENBLAS_NUM_THREADS / OMP_NUM_THREADS values (None: unset)."""

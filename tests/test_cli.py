@@ -9,6 +9,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from helpers import decode_array, encode_array
-from textuq import cli
+from textuq import cli, parallel
 from textuq.corpus import load_embeddings, read_corpus_csv, read_features_csv
 from textuq.model_io import load_model
 
@@ -832,6 +833,34 @@ def test_evaluate_rerun_produces_identical_reports(pipeline, tmp_path):
     assert out_rel.read_bytes() == pipeline["gp_rel"].read_bytes()
 
 
+@pytest.mark.parametrize("calibrate", [False, True])
+@pytest.mark.parametrize("model", ["gp", "ens"])
+def test_evaluate_predicts_each_feature_matrix_once(pipeline, tmp_path, monkeypatch, model,
+                                                   calibrate):
+    # NegINCONSTest and CheXINCONSTest share one feature array; --calibrate
+    # also predicts the validation rows
+    name = "predict_proba" if model == "gp" else "ensemble_predict"
+    module = cli.svgp_mod if model == "gp" else cli.ens_mod
+    predict, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    outs = [tmp_path / "m.json", tmp_path / "m.csv", tmp_path / "r.csv"]
+    code, _, err = run_cli([
+        "evaluate", "--model", str(pipeline[f"{model}_model"]),
+        "--features", str(pipeline["features"]), "--out-json", str(outs[0]),
+        "--out-csv", str(outs[1]), "--out-reliability", str(outs[2]),
+    ] + (["--calibrate"] if calibrate else []))
+    assert code == 0, err
+    assert len(calls) == (3 if calibrate else 2)
+    if not calibrate:
+        assert [p.read_bytes() for p in outs] == [
+            pipeline[f"{model}_{kind}"].read_bytes() for kind in ("json", "csv", "rel")]
+
+
 def test_evaluate_with_calibration_flag(pipeline, tmp_path):
     out_json, out_csv = tmp_path / "m.json", tmp_path / "m.csv"
     code, _, err = run_cli(pipeline["gp_eval_args"] + [
@@ -1016,6 +1045,68 @@ def test_prepare_rejects_non_finite_embeddings(toy_dir, value):
     ])
     _one_error_line(code, err, f"{emb} line 4: non-finite vector entry")
     assert not (toy_dir / "f.csv").exists()
+
+
+# ---- output paths -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, flag, other", [
+    (["synth", "--n", "10", "--seed", "0", "--out-corpus", "c.csv",
+      "--out-embeddings", "c.csv"], "--out-embeddings c.csv", "--out-corpus"),
+    (["prepare", "--corpus", "c.csv", "--embeddings", "e.txt", "--out", "sub/../c.csv"],
+     "--out sub/../c.csv", "--corpus"),
+    (["train", "--model", "gp", "--seed", "0", "--features", "f.csv", "--out-model", "m",
+      "--out-trace", "f.csv"], "--out-trace f.csv", "--features"),
+    (["train", "--model", "ens", "--seed", "0", "--features", "f.csv",
+      "--out-model", "f.csv", "--out-trace", "f.csv"], "--out-model f.csv", "--features"),
+    (["evaluate", "--model", "m", "--features", "f.csv", "--out-json", "r.json",
+      "--out-csv", "r.json", "--out-reliability", "rel.csv"], "--out-csv r.json",
+     "--out-json"),
+    (["report", "--reliability", "rel.csv", "--out", "link.svg"], "--out link.svg",
+     "--reliability"),
+    (["report", "--config", "cfg.txt", "--reliability", "rel.csv", "--out", "cfg.txt"],
+     "--out cfg.txt", "--config"),
+])
+def test_refuses_an_output_that_would_overwrite_another_file(tmp_path, monkeypatch, argv,
+                                                             flag, other):
+    # every named file holds bytes that no command could read: the paths are
+    # checked before anything but the config file is read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for name in ("c.csv", "e.txt", "f.csv", "m", "rel.csv"):
+        (tmp_path / name).write_bytes(b"keep")
+    (tmp_path / "cfg.txt").write_bytes(b"# keep")
+    (tmp_path / "link.svg").symlink_to(tmp_path / "rel.csv")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} is the same file as {other}\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_prepare_in_workers_leaves_only_its_output(pipeline, tmp_path, monkeypatch, fail):
+    caller, write_rows = os.getpid(), cli.corpus_mod._write_feature_rows
+
+    def failing_in_a_worker(*args):
+        if os.getpid() != caller:
+            raise OSError(28, "No space left on device")
+        write_rows(*args)
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "MIN_CHUNK_BYTES", 1)
+    if fail:
+        monkeypatch.setattr(cli.corpus_mod, "_write_feature_rows", failing_in_a_worker)
+    out = tmp_path / "features.csv"
+    code, _, err = run_cli(["prepare", "--corpus", str(pipeline["corpus"]),
+                            "--embeddings", str(pipeline["embeddings"]), "--out", str(out)])
+    if fail:
+        _one_error_line(code, err, "No space left on device")
+        assert os.listdir(tmp_path) == []
+    else:
+        assert code == 0, err
+        assert os.listdir(tmp_path) == ["features.csv"]
+        assert out.read_bytes() == pipeline["features_bytes"]
 
 
 # ---- exit-code contract ---------------------------------------------------

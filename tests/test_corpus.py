@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import logging
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -20,6 +21,7 @@ from helpers import (
     reference_read_features_csv,
     reference_stratified_split,
     reference_write_features_csv,
+    traced_peak,
 )
 from textuq import corpus as corpus_mod
 from textuq import parallel
@@ -717,7 +719,7 @@ class TestFeaturesCsvInWorkers:
         with in_workers(4):
             assert len(read_features_csv(path)) == 0
 
-    @pytest.mark.parametrize("k, block_bytes", [(2, None), (3, 1), (4, 200)])
+    @pytest.mark.parametrize("k, block_bytes", [(1, None), (1, 200), (2, None), (3, 1), (4, 200)])
     def test_writer_bytes_match_the_reference_writer(self, tmp_path, k, block_bytes):
         ids = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain", "é"] * 3
         table = _table(len(ids), 6, ids)
@@ -729,6 +731,18 @@ class TestFeaturesCsvInWorkers:
         reference_write_features_csv(want, table)
         # the reference leaves a bare \r unquoted (see TestFeaturesCsv)
         assert got.read_bytes() == want.read_bytes().replace(b"\ncr\rhere,", b'\n"cr\rhere",')
+        assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]  # no worker's piece left
+
+    def test_the_caller_holds_one_block_of_text(self, tmp_path):
+        # the caller formats its half block by block and copies the
+        # workers' pieces through a bounded buffer: formatting the whole
+        # half at once peaked at 6.6 MB on this table
+        table, _ = featurize(synth_generate(SynthConfig(n=2000), seed=5),
+                             synth_embeddings(dim=200, seed=6))
+        with in_workers(2) as calls:
+            _, peak = traced_peak(write_features_csv, tmp_path / "features.csv", table)
+        assert calls == [2]
+        assert peak <= 4e6
 
 
 class TestFeaturize:
@@ -762,6 +776,14 @@ class TestFeaturize:
         for row, got in zip(rows, features.features):
             want, _ = embed_mean(preprocess_text(row.text), table)
             assert got.tobytes() == want.tobytes(), row.id
+
+    def test_peak_memory_stays_below_twice_the_features(self):
+        # holding every row's token strings at once peaked at 3.5 times the
+        # feature matrix on this corpus
+        rows = synth_generate(SynthConfig(n=2000), seed=5)
+        table = synth_embeddings(dim=200, seed=6)
+        (features, _), peak = traced_peak(featurize, rows, table)
+        assert peak <= 2 * features.features.nbytes
 
     @given(
         texts=st.lists(

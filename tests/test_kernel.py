@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import fd_scalar_attr, fd_wrt, max_rel_err, rbf_ard
+from helpers import (
+    fd_scalar_attr,
+    fd_wrt,
+    max_rel_err,
+    rbf_ard,
+    reference_median_heuristic_lengthscale,
+    traced_peak,
+)
 from textuq.errors import DimensionMismatch
 from textuq.kernel import (
     KernelParams,
@@ -185,3 +192,39 @@ class TestInitialization:
         assert np.all(p.log_lengthscales == p.log_lengthscales[0])
         ell = median_heuristic_lengthscale(feats, np.random.default_rng(11))
         assert p.log_lengthscales[0] == pytest.approx(np.log(ell), rel=1e-12)
+
+
+class TestMedianHeuristicMatchesReference:
+    """The median heuristic returns the original implementation's float, bit
+    for bit, in a fraction of its memory."""
+
+    @staticmethod
+    def both(feats, seed=4):
+        return (median_heuristic_lengthscale(feats, np.random.default_rng(seed)),
+                reference_median_heuristic_lengthscale(feats, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 999, 1000, 1001, 2500])
+    def test_every_size_around_the_subsample(self, n):
+        got, want = self.both(np.random.default_rng(n).normal(size=(n, 20)))
+        assert got == want
+
+    def test_duplicated_rows_fall_back_to_one(self):
+        row = np.random.default_rng(5).normal(size=(1, 6))
+        for feats in (np.ones((10, 4)), np.zeros((1500, 3)), np.repeat(row, 7, axis=0)):
+            got, want = self.both(feats)
+            assert got == want
+        assert self.both(np.ones((10, 4)))[0] == 1.0
+
+    @given(scale=st.floats(1e-150, 1e150), n=st.integers(1, 60), dim=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_scale(self, scale, n, dim, seed):
+        feats = np.random.default_rng(seed).normal(size=(n, dim)) * scale
+        got, want = self.both(feats, seed)
+        assert got == want
+
+    def test_peak_memory_stays_near_one_gram_matrix(self):
+        # the (1000, 1000) Gram matrix is 8 MB and the distances above its
+        # diagonal 4 MB; the original implementation peaked at 26.8 MB
+        feats = np.random.default_rng(6).normal(size=(2000, 200))
+        _, peak = traced_peak(median_heuristic_lengthscale, feats, np.random.default_rng(7))
+        assert peak <= 18e6
