@@ -432,6 +432,9 @@ def main(argv=None) -> int:
     except (TextuqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a resource error, like a full disk
+        print(f"error: out of memory. {exc}".rstrip(), file=sys.stderr)
+        return 1
     except Exception:  # pragma: no cover - invariant violations
         traceback.print_exc()
         return 2

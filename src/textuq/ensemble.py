@@ -3,20 +3,25 @@ adversarial training; the ensemble prediction is the mean member softmax.
 
 Forward/backward passes are written out explicitly (no autodiff), including
 the batch-norm backward through the batch statistics, so training gradients
-can be checked against finite differences.
+can be checked against finite differences. Members train in threads, an
+epoch at a time; each epoch allocates its batch buffers and frees them when
+it ends, so memory is bounded by the epochs running at once.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss, check_int
 from .labels import LABEL_NAMES
 from .parallel import usable_cpus
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 N_HIDDEN_BLOCKS = 3
 ADAM_BETA1 = 0.9
@@ -277,52 +282,13 @@ def feature_scale_of(features: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(features, dtype=np.float64).std(axis=0), 1e-8)
 
 
-class _Buffers:
-    """One worker's batch buffers: the clean and adversarial gradients, and
-    the activations and adversarial inputs per batch size. The members of
-    one ensemble share their shapes, so any of them can use any set."""
-
-    def __init__(self, p: MlpParams):
-        self.grads = tuple({k: np.empty_like(v) for k, v in p.trainable().items()}
-                           for _ in range(2))
-        self._batches = {}
-
-    def batch(self, rows: int, p: MlpParams) -> tuple[_Activations, np.ndarray]:
-        if rows not in self._batches:
-            self._batches[rows] = (_Activations(rows, p), np.empty((rows, p.dim)))
-        return self._batches[rows]
-
-
-class _Workers:
-    """The epoch workers of one ensemble: a thread pool whose FIFO queue
-    hands out the members' epochs, and one ``_Buffers`` set per worker
-    thread, built on first use."""
-
-    def __init__(self, count: int):
-        # imported on first use: only ensemble training needs it, and every command imports cli
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.pool = ThreadPoolExecutor(count, thread_name_prefix="textuq-epoch")
-        self._local = threading.local()
-
-    def run(self, epoch, p: MlpParams):
-        """Queue ``epoch(buffers)`` behind the epochs already waiting, and
-        return its result, or raise its error, once a worker has run it."""
-        return self.pool.submit(self._run, epoch, p).result()
-
-    def _run(self, epoch, p: MlpParams):
-        if not hasattr(self._local, "buffers"):
-            self._local.buffers = _Buffers(p)
-        return epoch(self._local.buffers)
-
-
 def fit_member(
     features: np.ndarray,
     labels: np.ndarray,
     cfg: EnsembleConfig,
     seed: int,
     feature_scale: np.ndarray | None = None,
-    workers: _Workers | None = None,
+    executor: Executor | None = None,
 ) -> tuple[MlpParams, list[float]]:
     """Train one member: Adam on 1/2 clean CE + 1/2 CE on FGSM-perturbed inputs.
 
@@ -330,8 +296,9 @@ def fit_member(
     normalization statistics frozen; running stats are updated from the
     clean pass only. Returns the member and its objective at every step.
     Deterministic for fixed (data, config, seed). Each epoch runs on
-    ``workers`` (see fit_ensemble) when given, else in the calling thread
-    with one buffer set of its own.
+    ``executor`` (see fit_ensemble) when given, else in the calling thread,
+    and allocates its batch buffers and frees them when it ends, so memory
+    is bounded by the epochs running at once.
     """
     cfg.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -356,15 +323,19 @@ def fit_member(
     # a diverging step overflows; its NonFiniteLoss is the one report of that.
     # numpy's error state is per thread, so it is set where the epoch runs.
     @np.errstate(over="ignore", invalid="ignore")
-    def epoch(buffers: _Buffers) -> None:
+    def epoch() -> None:
         nonlocal t
-        grads_clean, grads_adv = buffers.grads
+        grads_clean, grads_adv = ({k: np.empty_like(v) for k, v in p.trainable().items()}
+                                  for _ in range(2))
+        batches = {}  # the activations and adversarial inputs per batch size
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue  # batch norm cannot normalize a single example
-            acts, x_adv = buffers.batch(idx.size, p)
+            if idx.size not in batches:
+                batches[idx.size] = (_Activations(idx.size, p), np.empty((idx.size, d)))
+            acts, x_adv = batches[idx.size]
             xb, yb = features[idx], labels[idx]
 
             logits, _ = _forward_cached(p, xb, None, acts)
@@ -413,13 +384,11 @@ def fit_member(
                 arr -= mhat
             trace.append(loss)
 
-    if workers is None:
-        buffers = _Buffers(p)
-        for _ in range(cfg.epochs):
-            epoch(buffers)
-    else:
-        for _ in range(cfg.epochs):
-            workers.run(epoch, p)
+    for _ in range(cfg.epochs):
+        if executor is None:
+            epoch()
+        else:
+            executor.submit(epoch).result()
     return p, trace
 
 
@@ -451,30 +420,31 @@ def fit_ensemble(
     returns the model and each member's objectives.
 
     Each member's fit_member call runs in a member thread of its own, and
-    hands its epochs one at a time to ``_worker_count`` worker threads
-    (numpy releases the GIL in matmuls and ufuncs). A member asks for its
-    next epoch only when its last one ends, so it queues behind the members
-    already waiting, and 5 members of 2 epochs on 2 workers take 5
-    epoch-rounds, not the 6 of whole members. A member's bits depend only on
-    its seed and the BLAS thread count, so the model does not depend on the
-    worker count; results are read in member order, so the lowest-index
-    failing member's error is raised.
+    hands its epochs one at a time to a pool of ``_worker_count`` epoch
+    threads (numpy releases the GIL in matmuls and ufuncs). A member asks
+    for its next epoch only when its last one ends, so it queues behind the
+    members already waiting, and 5 members of 2 epochs on 2 workers take 5
+    epoch-rounds, not the 6 of whole members; at most ``_worker_count``
+    epochs, and so their buffers, are alive at once. A member's bits depend
+    only on its seed and the BLAS thread count, so the model does not depend
+    on the worker count; results are read in member order, so the
+    lowest-index failing member's error is raised.
     """
     # imported on first use: only ensemble training needs it, and every command imports cli
     from concurrent.futures import ThreadPoolExecutor
 
     cfg.validate()
     scale = feature_scale_of(features)
-    workers = _Workers(_worker_count(cfg.members))
-    with workers.pool, ThreadPoolExecutor(cfg.members, thread_name_prefix="textuq-member") as pool:
+    epochs = ThreadPoolExecutor(_worker_count(cfg.members), thread_name_prefix="textuq-epoch")
+    with epochs, ThreadPoolExecutor(cfg.members, thread_name_prefix="textuq-member") as pool:
         try:
-            futures = [pool.submit(fit_member, features, labels, cfg, cfg.seed + i, scale, workers)
+            futures = [pool.submit(fit_member, features, labels, cfg, cfg.seed + i, scale, epochs)
                        for i in range(cfg.members)]
             members, traces = zip(*(future.result() for future in futures))
         except BaseException:
             # queued epochs are cancelled and a member's next one is refused;
             # leaving both pools joins every thread
-            workers.pool.shutdown(wait=False, cancel_futures=True)
+            epochs.shutdown(wait=False, cancel_futures=True)
             raise
     return EnsembleModel(members=list(members), fgsm_epsilon=cfg.fgsm_epsilon,
                          feature_scale=scale), list(traces)

@@ -12,6 +12,7 @@ refused with a request to retrain.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import os
@@ -40,9 +41,17 @@ class ModelMeta:
 
 
 def atomic_write(path, write_fn) -> None:
-    """Run a path-taking writer against a sibling temp file, then rename it
-    over ``path``, so failures leave no partial file."""
-    tmp = str(path) + ".tmp"
+    """Run a path-taking writer against a new sibling temp file, then rename
+    it over ``path``, so failures leave no partial file. The temp file is
+    made with O_EXCL, so no existing file is touched, and with mode 0o666
+    less the umask, as a plain ``open`` would give."""
+    for n in itertools.count():
+        tmp = f"{path}.tmp{n or ''}"
+        try:
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            break
+        except FileExistsError:
+            pass
     try:
         write_fn(tmp)
         os.replace(tmp, path)

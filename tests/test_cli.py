@@ -1109,6 +1109,64 @@ def test_prepare_in_workers_leaves_only_its_output(pipeline, tmp_path, monkeypat
         assert out.read_bytes() == pipeline["features_bytes"]
 
 
+@pytest.mark.parametrize("fail", [False, True])
+def test_prepare_leaves_an_existing_temp_name_alone(pipeline, tmp_path, monkeypatch, fail):
+    # a user's file with the writer's first temp name is neither read, written
+    # nor removed; the output still gets 0o666 less the umask
+    user = tmp_path / "features.csv.tmp"
+    user.write_bytes(b"keep")
+    if fail:
+        def failing(path, table):
+            pathlib.Path(path).write_text("partial", encoding="utf-8")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.corpus_mod, "write_features_csv", failing)
+    out = tmp_path / "features.csv"
+    umask = os.umask(0o027)
+    try:
+        code, _, err = run_cli(["prepare", "--corpus", str(pipeline["corpus"]),
+                                "--embeddings", str(pipeline["embeddings"]), "--out", str(out)])
+    finally:
+        os.umask(umask)
+    assert user.read_bytes() == b"keep"
+    if fail:
+        _one_error_line(code, err, "No space left on device")
+        assert os.listdir(tmp_path) == [user.name]
+    else:
+        assert code == 0, err
+        assert sorted(os.listdir(tmp_path)) == [out.name, user.name]
+        assert out.read_bytes() == pipeline["features_bytes"]
+        assert out.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 15.6 GiB for an array"])
+@pytest.mark.parametrize("command", ["prepare", "train"])
+def test_out_of_memory_exits_1_with_one_line(pipeline, tmp_path, monkeypatch, two_workers,
+                                             command, message):
+    # raised by a stand-in, never by a real allocation: in prepare while the
+    # output is half written, in train from an ensemble member's thread
+    if command == "prepare":
+        def out_of_memory(path, table):
+            pathlib.Path(path).write_text("partial", encoding="utf-8")
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.corpus_mod, "write_features_csv", out_of_memory)
+        argv = ["prepare", "--corpus", str(pipeline["corpus"]),
+                "--embeddings", str(pipeline["embeddings"]),
+                "--out", str(tmp_path / "features.csv")]
+    else:
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.ens_mod, "fit_member", out_of_memory)
+        argv = ["train", "--model", "ens", "--features", str(pipeline["features"]),
+                "--seed", "0", "--out-model", str(tmp_path / "m.json"),
+                "--out-trace", str(tmp_path / "trace.csv")]
+    code, _, err = run_cli(argv)
+    _one_error_line(code, err, "error: out of memory" + (f". {message}" if message else "."))
+    assert os.listdir(tmp_path) == []
+
+
 # ---- exit-code contract ---------------------------------------------------
 
 

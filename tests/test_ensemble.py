@@ -3,6 +3,7 @@ import dataclasses
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -26,7 +27,6 @@ from textuq.ensemble import (
     _forward_cached,
     _input_backward,
     _worker_count,
-    _Workers,
     ensemble_predict,
     feature_scale_of,
     fit_ensemble,
@@ -37,6 +37,16 @@ from textuq.ensemble import (
     softmax,
 )
 from textuq.errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Every thread a test starts, through fit_ensemble or itself, is joined
+    before the test ends."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left running: {left}"
 
 
 def zero_params(dim=2, hidden=4):
@@ -413,16 +423,20 @@ class TestFitEnsembleFailure:
         # are queued; the running epochs end only after the pool is shut down
         events, lock = [], threading.Lock()
         busy, shut = threading.Semaphore(0), threading.Event()
-        run, result, shutdown = _Workers.run, Future.result, ThreadPoolExecutor.shutdown
+        submit, result, shutdown = (ThreadPoolExecutor.submit, Future.result,
+                                    ThreadPoolExecutor.shutdown)
 
-        def recorded_run(workers, epoch, p):
-            def recorded(buffers):
+        def recorded_submit(pool, fn, *args):
+            if fn.__name__ != "epoch":
+                return submit(pool, fn, *args)  # a member's fit_member call
+
+            def recorded():
                 with lock:
                     events.append("epoch")
                 busy.release()
                 shut.wait(timeout=10)
-                return epoch(buffers)
-            return run(workers, recorded, p)
+                return fn()
+            return submit(pool, recorded)
 
         def interrupted_result(future, timeout=None):
             if threading.current_thread() is not threading.main_thread():
@@ -438,7 +452,7 @@ class TestFitEnsembleFailure:
                     events.append("shutdown")
                 shut.set()
 
-        monkeypatch.setattr(_Workers, "run", recorded_run)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", recorded_submit)
         monkeypatch.setattr(Future, "result", interrupted_result)
         monkeypatch.setattr(ThreadPoolExecutor, "shutdown", recorded_shutdown)
         rng = np.random.default_rng(52)
@@ -452,64 +466,77 @@ class TestFitEnsembleFailure:
         assert events == ["epoch", "epoch", "shutdown"]
 
 
-class TestTurns:
-    def test_workers_share_the_epochs_in_turn(self):
+class TestEpochPool:
+    def test_workers_share_the_epochs_in_turn(self, monkeypatch):
         # 7 members of 4 epochs on 3 workers, with a short switch interval:
-        # never more than 3 epochs at once, never one buffer set in two,
-        # every epoch run once, and no member's second epoch before every
-        # member's first
+        # never more than 3 epochs at once, every epoch run once, and no
+        # member's second epoch before every member's first
         members, workers, epochs, gap = 7, 3, 4, 0.02
-        pool = _Workers(workers)
-        p = init_mlp(2, np.random.default_rng(0), hidden=4)
+        blas_env(monkeypatch, cpus=workers, openblas="1")
         lock = threading.Lock()
-        began = []
+        began, submitted = [], [0]
+        all_queued = threading.Event()  # every member's first epoch is queued
         first_round = threading.Barrier(  # breaks unless 3 epochs run at once
             workers, action=lambda: began.append(time.monotonic()))
-        running, in_use, order, peak, clashes = set(), set(), [], [0], []
+        running, order, peak = set(), [], [0]
+        submit = ThreadPoolExecutor.submit
 
-        def epoch(i, buffers):
+        def recorded_submit(pool, fn, *args):
+            if fn.__name__ != "epoch":
+                return submit(pool, fn, *args)  # a member's fit_member call
+            # a member submits the same epoch closure every time, so it names the member
             with lock:
-                if id(buffers) in in_use:
-                    clashes.append(i)
-                running.add(i)
-                in_use.add(id(buffers))
-                order.append(i)
-                peak[0] = max(peak[0], len(running))
-                k = len(order)
-            if k <= workers:
-                first_round.wait(timeout=10)
-            # the k-th epoch ends k gaps after the first round began: the first
-            # ends after every member thread has started, and no two workers
-            # take an epoch off the queue at once
-            time.sleep(max(0.0, began[0] + k * gap - time.monotonic()))
-            with lock:
-                running.discard(i)
-                in_use.discard(id(buffers))
+                submitted[0] += 1
+                if submitted[0] == members:
+                    all_queued.set()
 
-        def member(i):
-            for _ in range(epochs):
-                pool.run(lambda buffers: epoch(i, buffers), p)
+            def recorded():
+                with lock:
+                    running.add(fn)
+                    order.append(fn)
+                    peak[0] = max(peak[0], len(running))
+                    k = len(order)
+                fn()
+                if k <= workers:
+                    first_round.wait(timeout=10)
+                assert all_queued.wait(timeout=10)
+                # the k-th epoch ends k gaps after the first round began, so
+                # no two workers take an epoch off the queue at once
+                time.sleep(max(0.0, began[0] + k * gap - time.monotonic()))
+                with lock:
+                    running.discard(fn)
+            return submit(pool, recorded)
 
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", recorded_submit)
+        rng = np.random.default_rng(53)
+        feats, labels = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
+        cfg = EnsembleConfig(members=members, hidden_units=4, epochs=epochs, batch_size=4)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with pool.pool, ThreadPoolExecutor(members) as member_pool:
-                for future in [member_pool.submit(member, i) for i in range(members)]:
-                    future.result(timeout=30)
+            _, traces = fit_ensemble(feats, labels, cfg)
         finally:
             sys.setswitchinterval(switch)
-        assert clashes == []
-        assert sorted(order[:members]) == list(range(members))  # all first epochs come first
-        assert sorted(order) == sorted(list(range(members)) * epochs)
+        assert [len(trace) for trace in traces] == [2 * epochs] * members
+        assert len(set(order[:members])) == members  # all first epochs come first
+        assert sorted(collections.Counter(order).values()) == [epochs] * members
         assert peak[0] == workers
 
-    def test_no_more_activation_sets_than_workers(self, two_workers, monkeypatch):
-        built = collections.Counter()
+    def test_no_more_activation_sets_alive_than_workers(self, two_workers, monkeypatch):
+        # each epoch builds its own sets and frees them when it ends
+        live, peak, lock = collections.Counter(), collections.Counter(), threading.Lock()
+
+        def freed(rows):
+            with lock:
+                live[rows] -= 1
 
         class Counted(ensemble_mod._Activations):
             def __init__(self, rows, p):
-                built[rows] += 1
                 super().__init__(rows, p)
+                with lock:
+                    live[rows] += 1
+                    peak[rows] = max(peak[rows], live[rows])
+                weakref.finalize(self, freed, rows)
 
         monkeypatch.setattr(ensemble_mod, "_Activations", Counted)
         rng = np.random.default_rng(51)
@@ -517,8 +544,9 @@ class TestTurns:
         feats, labels = rng.normal(size=(23, 5)), rng.integers(0, 3, size=23)
         fit_ensemble(feats, labels, EnsembleConfig(members=5, hidden_units=8, epochs=2,
                                                    batch_size=7))
-        assert set(built) == {7, 2}
-        assert max(built.values()) <= 2
+        assert set(peak) == {7, 2}
+        assert max(peak.values()) <= 2
+        assert set(live.values()) == {0}
 
 
 class TestEnsemble:
