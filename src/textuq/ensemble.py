@@ -4,8 +4,10 @@ adversarial training; the ensemble prediction is the mean member softmax.
 Forward/backward passes are written out explicitly (no autodiff), including
 the batch-norm backward through the batch statistics, so training gradients
 can be checked against finite differences. Members train in threads, an
-epoch at a time; each epoch allocates its batch buffers and frees them when
-it ends, so memory is bounded by the epochs running at once.
+epoch at a time. At its peak, training holds the training rows, every
+member's parameters and Adam moments, and one minimal scratch set per
+running epoch: each epoch allocates its batch buffers and frees them when
+it ends, and the feature scale is computed a row block at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ BN_MOMENTUM = 0.9
 BN_EPSILON = 1e-5
 # the objective weights the clean and the adversarial loss equally
 ADV_WEIGHT = 0.5
+# rows per block of feature_scale_of's sum of squared deviations
+SCALE_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -129,7 +133,6 @@ class _Activations:
         self.x = None  # the network input of the last forward pass
         self.from_batch = False
         self.zc = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # z - mean
-        self.xhat = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]
         self.h = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # block outputs
         self.mask = [np.empty(shape, dtype=bool) for _ in range(N_HIDDEN_BLOCKS)]
         self.mu = [None] * N_HIDDEN_BLOCKS
@@ -140,7 +143,6 @@ class _Activations:
         self.dh = np.empty(shape)
         self.dz = np.empty(shape)
         self.tmp = np.empty(shape)
-        self.dx = np.empty((rows, p.dim))
 
 
 def _forward_cached(p: MlpParams, xs: np.ndarray, stats: list | None,
@@ -164,13 +166,15 @@ def _forward_cached(p: MlpParams, xs: np.ndarray, stats: list | None,
         if stats is None:
             mu = zc.mean(axis=0)
             zc -= mu
-            var = np.square(zc, out=acts.xhat[i]).sum(axis=0) / xs.shape[0]
+            var = np.square(zc, out=acts.h[i]).sum(axis=0) / xs.shape[0]
         else:
             mu, var = stats[i]
             zc -= mu
         inv_std = 1.0 / np.sqrt(var + p.bn_epsilon)
-        xhat = np.multiply(zc, inv_std, out=acts.xhat[i])
-        bn = np.multiply(xhat, p.bn_scale[i], out=acts.h[i])
+        # bn = xhat * gamma + beta, with xhat = zc * inv_std; the backward
+        # pass recomputes xhat from zc rather than keeping it
+        bn = np.multiply(zc, inv_std, out=acts.h[i])
+        bn *= p.bn_scale[i]
         bn += p.bn_shift[i]
         np.greater(bn, 0.0, out=acts.mask[i])
         h = np.maximum(bn, 0.0, out=bn)
@@ -232,10 +236,12 @@ def _backward(p: MlpParams, acts: _Activations, dlogits: np.ndarray,
     b = dlogits.shape[0]
     for i in range(top - 1, -1, -1):
         dbn = np.multiply(dh, acts.mask[i], out=dh)
-        np.multiply(dbn, acts.xhat[i], out=acts.tmp).sum(axis=0, out=grads[f"gamma{i}"])
+        inv_std = acts.inv_std[i]
+        # xhat again, from the inputs and in the order the forward pass used
+        xhat = np.multiply(acts.zc[i], inv_std, out=acts.tmp)
+        np.multiply(dbn, xhat, out=xhat).sum(axis=0, out=grads[f"gamma{i}"])
         dbn.sum(axis=0, out=grads[f"beta{i}"])
         dxhat = np.multiply(dbn, p.bn_scale[i], out=dbn)
-        inv_std = acts.inv_std[i]
         dz = np.multiply(dxhat, inv_std, out=acts.dz)
         if acts.from_batch:
             # dz = dxhat * inv_std + dvar * 2 * zc / b + dmu / b, in place
@@ -252,20 +258,22 @@ def _backward(p: MlpParams, acts: _Activations, dlogits: np.ndarray,
         dz.sum(axis=0, out=grads[f"b{i}"])
         if i:
             dh = np.matmul(dz, p.weights[i].T, out=acts.dh)
-    dx = np.matmul(dz, p.weights[0].T, out=acts.dx) if need_dx else None
+    dx = np.matmul(dz, p.weights[0].T) if need_dx else None
     return grads, dx
 
 
-def _input_backward(p: MlpParams, acts: _Activations, dlogits: np.ndarray) -> np.ndarray:
+def _input_backward(p: MlpParams, acts: _Activations, dlogits: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Gradient wrt the network input of the forward pass held in ``acts``,
     with its normalization statistics held constant; builds no parameter
-    gradients."""
+    gradients. It is written into ``out`` (allocated when None), which is
+    returned."""
     dh = np.matmul(dlogits, p.weights[-1].T, out=acts.dh)
     for i in range(N_HIDDEN_BLOCKS - 1, -1, -1):
         dh *= acts.mask[i]
         dh *= p.bn_scale[i]
         dz = np.multiply(dh, acts.inv_std[i], out=acts.dz)
-        dh = np.matmul(dz, p.weights[i].T, out=acts.dh if i else acts.dx)
+        dh = np.matmul(dz, p.weights[i].T, out=acts.dh if i else out)
     return dh
 
 
@@ -278,8 +286,30 @@ def loss_and_grads(p: MlpParams, xs: np.ndarray, labels: np.ndarray, mode: str):
 
 
 def feature_scale_of(features: np.ndarray) -> np.ndarray:
-    """Per-dimension standard deviation, floored away from zero."""
-    return np.maximum(np.asarray(features, dtype=np.float64).std(axis=0), 1e-8)
+    """Per-dimension standard deviation, floored away from zero at 1e-8.
+
+    The bits are those of ``np.maximum(np.std(features, axis=0), 1e-8)``,
+    but the squared deviations are summed ``SCALE_BLOCK_ROWS`` rows at a
+    time, in row order, so no temporary of the features' size is built.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    n, d = x.shape
+    if d == 1 or not x.flags.c_contiguous:
+        # numpy sums pairwise along a column that is contiguous in memory (a
+        # single column, or Fortran order), an order row blocks cannot follow
+        return np.maximum(x.std(axis=0), 1e-8)
+    mean = np.add.reduce(x, axis=0) / n
+    sq = np.zeros(d)
+    # row 0 carries the sum so far, so each block adds to it row by row, the
+    # order np.std's reduction over axis 0 of a C-ordered matrix uses
+    buf = np.empty((min(n, SCALE_BLOCK_ROWS) + 1, d))
+    for start in range(0, n, SCALE_BLOCK_ROWS):
+        block = x[start : start + SCALE_BLOCK_ROWS]
+        dev = np.subtract(block, mean, out=buf[1 : len(block) + 1])
+        np.multiply(dev, dev, out=dev)
+        buf[0] = sq
+        np.add.reduce(buf[: len(block) + 1], axis=0, out=sq)
+    return np.maximum(np.sqrt(sq / n), 1e-8)
 
 
 def fit_member(
@@ -334,9 +364,13 @@ def fit_member(
             if idx.size < 2:
                 continue  # batch norm cannot normalize a single example
             if idx.size not in batches:
-                batches[idx.size] = (_Activations(idx.size, p), np.empty((idx.size, d)))
-            acts, x_adv = batches[idx.size]
-            xb, yb = features[idx], labels[idx]
+                batches[idx.size] = (_Activations(idx.size, p), np.empty((idx.size, d)),
+                                     np.empty((idx.size, d)))
+            acts, xb, x_adv = batches[idx.size]
+            # a permutation's indices are in range, so "clip" never clips; it
+            # writes straight into xb, where "raise" gathers into a copy first
+            np.take(features, idx, axis=0, out=xb, mode="clip")
+            yb = labels[idx]
 
             logits, _ = _forward_cached(p, xb, None, acts)
             loss_clean, dlogits = _ce_loss_and_dlogits(logits, yb)
@@ -347,7 +381,7 @@ def fit_member(
 
             # x_adv = xb + eps * scale * sign(dCE/dxb), the gradient taken
             # through the clean pass with its batch statistics held constant
-            np.sign(_input_backward(p, acts, dlogits), out=x_adv)
+            np.sign(_input_backward(p, acts, dlogits, out=x_adv), out=x_adv)
             x_adv *= fgsm_step
             x_adv += xb
             logits_a, _ = _forward_cached(p, x_adv, None, acts)

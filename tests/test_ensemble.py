@@ -17,9 +17,11 @@ from helpers import (
     max_rel_err,
     mlp_arrays,
     reference_fit_member,
+    traced_peak,
 )
 from textuq import ensemble as ensemble_mod
 from textuq.ensemble import (
+    SCALE_BLOCK_ROWS,
     EnsembleConfig,
     EnsembleModel,
     MlpParams,
@@ -205,6 +207,27 @@ class TestInputBackward:
         assert np.array_equal(dx, dx_f)
 
 
+class TestInputGradientOut:
+    def test_writes_into_out_with_the_bits_of_the_allocating_call(self):
+        p, rng = randomized_params(42)
+        xs = rng.normal(size=(6, 4))
+        labels = rng.integers(0, 3, size=6)
+        logits, acts = _forward_cached(p, xs, None)
+        dlogits = _ce_loss_and_dlogits(logits, labels)[1]
+        allocated = _input_backward(p, acts, dlogits)
+        buf = np.full((6, 4), np.nan)
+        assert _input_backward(p, acts, dlogits, out=buf) is buf
+        assert np.array_equal(buf, allocated)
+
+    def test_loss_and_grads_returns_a_dx_of_its_own(self):
+        p, rng = randomized_params(43)
+        labels = rng.integers(0, 3, size=5)
+        dx = loss_and_grads(p, rng.normal(size=(5, 4)), labels, "train")[2]
+        kept = dx.copy()
+        loss_and_grads(p, rng.normal(size=(5, 4)), labels, "train")
+        assert np.array_equal(dx, kept)
+
+
 class TestFgsm:
     def test_ascends_the_loss_for_small_epsilon(self):
         # the FGSM step x + eps * sign(dCE/dx) that fit_member takes
@@ -229,6 +252,24 @@ class TestFeatureScale:
         scale = feature_scale_of(feats)
         assert np.allclose(scale[:2], feats[:, :2].std(axis=0))
         assert scale[2] == 1e-8
+
+    @pytest.mark.parametrize("n", [1, SCALE_BLOCK_ROWS - 1, SCALE_BLOCK_ROWS,
+                                   SCALE_BLOCK_ROWS + 1, 8000])
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_has_the_bits_of_the_floored_column_std(self, n, d):
+        rng = np.random.default_rng(n * 10 + d)
+        feats = 0.006 * rng.normal(size=(n, d)) + rng.normal(size=d)
+        constant = feats.copy()
+        constant[:, 0] = 0.3  # hits the floor
+        for x in (feats, constant, np.asfortranarray(feats), feats[:, ::-1]):
+            assert np.array_equal(feature_scale_of(x), np.maximum(np.std(x, axis=0), 1e-8))
+
+    def test_peak_is_a_few_blocks_not_the_features(self):
+        x = np.random.default_rng(12).normal(size=(8000, 200))
+        scale, peak = traced_peak(feature_scale_of, x)
+        assert np.array_equal(scale, np.maximum(np.std(x, axis=0), 1e-8))
+        block = SCALE_BLOCK_ROWS * x.shape[1] * x.itemsize
+        assert peak <= 2 * block < x.nbytes / 10
 
 
 class TestFitMember:
@@ -278,6 +319,21 @@ class TestFitMember:
         with pytest.raises(NonFiniteLoss) as excinfo:
             fit_member(feats, labels, cfg, seed=0)
         assert excinfo.value.step == 0
+
+    def test_peak_is_parameters_moments_and_one_scratch_set(self):
+        rng = np.random.default_rng(16)
+        n, d, b = 8000, 200, 500
+        feats, labels = rng.normal(size=(n, d)), rng.integers(0, 3, size=n)
+        cfg = EnsembleConfig(members=1, epochs=1, batch_size=b)
+        (member, _), peak = traced_peak(fit_member, feats, labels, cfg, 0)
+        h, c = cfg.hidden_units, member.num_classes
+        # the parameters, Adam's two moments and the clean and adversarial gradients
+        params = 5 * sum(arr.nbytes for arr in member.trainable().values())
+        # _Activations: z - mean, block output and mask per block, the logits and
+        # three backward buffers; then the batch and its adversarial copy
+        scratch = 3 * b * h * (8 + 8 + 1) + b * c * 8 + 3 * b * h * 8 + 2 * b * d * 8
+        # slack for the permutation and per-step vectors, under one batch buffer
+        assert peak < params + scratch + 0.5e6
 
     def test_learns_separable_blobs(self):
         rng = np.random.default_rng(15)
