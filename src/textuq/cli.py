@@ -53,9 +53,10 @@ def _parse_bool(raw: str) -> bool:
 
 
 def read_config(path) -> dict:
-    """Flat key = value lines; # starts a comment; keys match option names."""
+    """Flat key = value lines; # starts a comment; keys match option names.
+    A leading byte-order mark is skipped."""
     out: dict = {}
-    with utf8_input(path), open(path, encoding="utf-8") as fh:
+    with utf8_input(path), open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#"):
@@ -262,14 +263,14 @@ def cmd_train(opts) -> int:
     if opts.model == "gp":
         model0 = svgp_mod.init_model(xs, m=opts.inducing, seed=opts.seed)
         model, trace = svgp_mod.fit(model0, xs, ys, cfg)
-        meta = ModelMeta("gp", spec, mc_predict_samples=opts.mc_predict,
+        meta = ModelMeta(spec, mc_predict_samples=opts.mc_predict,
                          predict_seed=opts.seed)
         trace_lines = ["step,objective"]
         trace_lines += ["%d,%.17g" % row for row in enumerate(trace)]
         final = trace[-1] if trace else float("nan")
     else:
         model, traces = ens_mod.fit_ensemble(xs, ys, cfg)
-        meta = ModelMeta("ens", spec)
+        meta = ModelMeta(spec)
         trace_lines = ["member,step,objective"]
         for member, tr in enumerate(traces):
             trace_lines += ["%d,%d,%.17g" % (member, *row) for row in enumerate(tr)]
@@ -285,7 +286,7 @@ def cmd_train(opts) -> int:
 def cmd_evaluate(opts) -> int:
     model, meta = load_model(opts.model)
     table = corpus_mod.read_features_csv(opts.features)
-    dim = model.dim if meta.model_type == "gp" else model.members[0].dim
+    dim = model.dim if isinstance(model, svgp_mod.SvgpModel) else model.members[0].dim
     if table.features.shape[1] != dim:
         raise DimensionMismatch(f"{opts.features} has {table.features.shape[1]} features "
                                 f"per row, but the model takes {dim}")
@@ -294,7 +295,7 @@ def cmd_evaluate(opts) -> int:
         raise InvalidConfig("--calibrate needs a non-empty validation split")
     views = corpus_mod.make_test_views(table.take(test), seed=meta.split.seed)
 
-    if meta.model_type == "gp":
+    if isinstance(model, svgp_mod.SvgpModel):
         def predict(xs):
             return svgp_mod.predict_proba(
                 model, xs, s=meta.mc_predict_samples, seed=meta.predict_seed

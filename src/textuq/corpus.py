@@ -8,7 +8,8 @@ are sorted row positions into it, and a view is a table whose ``labels`` are
 the labels it is scored on.
 
 File formats (all UTF-8, LF line endings; a text field holding a line
-feed, carriage return, comma or quote is quoted):
+feed, carriage return, comma or quote is quoted; the corpus CSV and the
+embeddings, which users edit, may start with a byte-order mark):
   corpus CSV    id,text,primary_label,secondary_label (labels as words;
                 secondary may be empty)
   feature CSV   id,label,secondary_label,f0..f{D-1}; floats printed with 17
@@ -111,7 +112,7 @@ class EmbeddingTable:
 def load_embeddings(path) -> EmbeddingTable:
     """Parse the text token-vector format; duplicate tokens keep the first.
     A vector entry that is not a finite number raises DimensionMismatch."""
-    with utf8_input(path), open(path, encoding="utf-8") as fh:
+    with utf8_input(path), open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise MalformedHeader(f"{path}: header must be 'vocab_size dimension'")
@@ -208,7 +209,7 @@ def _csv_records(path, lines, first_line=1):
 
 
 def read_corpus_csv(path) -> list:
-    with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
+    with utf8_input(path), open(path, encoding="utf-8-sig", newline="") as fh:
         reader = _csv_records(path, fh)
         header = next(reader, None)
         if header != ["id", "text", "primary_label", "secondary_label"]:
@@ -280,38 +281,24 @@ def _pool(rows, table: EmbeddingTable):
     known token vectors added in sorted-token order to +0.0, then divided
     by their count; +0.0 for a row with none.
 
-    Only one row's tokens are held as strings at a time: each known token
-    gets an id in first-seen order as it is met, and after the pass the ids
-    are renumbered in sorted-token order and sorted within each row. The
-    rows are then summed in blocks, longest first, one token position at a
-    time. At each position the rows still adding are a prefix of the block,
-    so no row is padded and each row sees only its own additions."""
+    Only one row's tokens are held as strings at a time: each row's known
+    tokens are sorted as the row is tokenized, and each token gets a vector
+    row in first-seen order, so a row's ids come in its sorted-token order.
+    The rows are then summed in blocks, longest first, one token position at
+    a time. At each position the rows still adding are a prefix of the
+    block, so no row is padded and each row sees only its own additions."""
     n, dim = len(rows), table.dimension
-    seen: dict = {}  # known token -> id, in first-seen order
+    seen: dict = {}  # known token -> vector row, in first-seen order
     counts = np.empty(n, np.intp)
 
     def known_ids():
         for i, row in enumerate(rows):
-            ids = [seen.setdefault(t, len(seen)) for t in preprocess_text(row.text)
-                   if t in table.vectors]
-            counts[i] = len(ids)
-            yield from ids
+            tokens = sorted(t for t in preprocess_text(row.text) if t in table.vectors)
+            counts[i] = len(tokens)
+            yield from (seen.setdefault(t, len(seen)) for t in tokens)
 
     flat = np.fromiter(known_ids(), np.intp)
-    # renumber in sorted-token order, so that sorted ids are sorted tokens
-    vocab = sorted(seen)
-    rank = np.empty(len(vocab), np.intp)
-    rank[np.fromiter(map(seen.__getitem__, vocab), np.intp, len(vocab))] = np.arange(len(vocab))
-    # sort each row's ids: rows are contiguous runs of flat, so one sort of
-    # (row, id) keys does it
-    row_of = np.repeat(np.arange(n, dtype=np.intp), counts)
-    row_of *= len(vocab)
-    flat = rank[flat]
-    flat += row_of
-    flat.sort()
-    flat -= row_of
-    del row_of, rank
-    vectors = np.array([table.vectors[t] for t in vocab], np.float64).reshape(len(vocab), dim)
+    vectors = np.array([table.vectors[t] for t in seen], np.float64).reshape(len(seen), dim)
     starts = np.cumsum(counts) - counts
     order = np.argsort(-counts, kind="stable")
     out = np.empty((n, dim))

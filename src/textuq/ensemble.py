@@ -133,8 +133,7 @@ class _Activations:
         self.x = None  # the network input of the last forward pass
         self.from_batch = False
         self.zc = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # z - mean
-        self.h = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # block outputs
-        self.mask = [np.empty(shape, dtype=bool) for _ in range(N_HIDDEN_BLOCKS)]
+        self.h = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # block outputs, >= 0
         self.mu = [None] * N_HIDDEN_BLOCKS
         self.var = [None] * N_HIDDEN_BLOCKS
         self.inv_std = [None] * N_HIDDEN_BLOCKS
@@ -176,7 +175,6 @@ def _forward_cached(p: MlpParams, xs: np.ndarray, stats: list | None,
         bn = np.multiply(zc, inv_std, out=acts.h[i])
         bn *= p.bn_scale[i]
         bn += p.bn_shift[i]
-        np.greater(bn, 0.0, out=acts.mask[i])
         h = np.maximum(bn, 0.0, out=bn)
         acts.mu[i], acts.var[i], acts.inv_std[i] = mu, var, inv_std
     logits = np.matmul(h, p.weights[-1], out=acts.logits)
@@ -235,7 +233,7 @@ def _backward(p: MlpParams, acts: _Activations, dlogits: np.ndarray,
     dh = np.matmul(dlogits, p.weights[-1].T, out=acts.dh)
     b = dlogits.shape[0]
     for i in range(top - 1, -1, -1):
-        dbn = np.multiply(dh, acts.mask[i], out=dh)
+        dbn = np.multiply(dh, acts.h[i] > 0.0, out=dh)
         inv_std = acts.inv_std[i]
         # xhat again, from the inputs and in the order the forward pass used
         xhat = np.multiply(acts.zc[i], inv_std, out=acts.tmp)
@@ -270,7 +268,7 @@ def _input_backward(p: MlpParams, acts: _Activations, dlogits: np.ndarray,
     returned."""
     dh = np.matmul(dlogits, p.weights[-1].T, out=acts.dh)
     for i in range(N_HIDDEN_BLOCKS - 1, -1, -1):
-        dh *= acts.mask[i]
+        dh *= acts.h[i] > 0.0
         dh *= p.bn_scale[i]
         dz = np.multiply(dh, acts.inv_std[i], out=acts.dz)
         dh = np.matmul(dz, p.weights[i].T, out=acts.dh if i else out)

@@ -30,9 +30,6 @@ class KernelParams:
     def lengthscales(self) -> np.ndarray:
         return np.exp(self.log_lengthscales)
 
-    def copy(self) -> "KernelParams":
-        return KernelParams(self.log_variance, self.log_lengthscales.copy())
-
 
 def kernel_matrix(xs: np.ndarray, ys: np.ndarray, p: KernelParams) -> np.ndarray:
     """Gram matrix K[i, j] = sigma^2 * exp(-1/2 sum_d (xs[i, d] - ys[j, d])^2 / l_d^2).

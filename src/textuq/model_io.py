@@ -5,7 +5,9 @@ float64 bytes, so a save/load cycle copies bits, and with sorted keys
 identical models give byte-identical files. The document is written one
 piece at a time and never held whole. It also records the split and
 prediction settings used at training time, so evaluation can rebuild the
-exact train/val/test partition. A textuq-model-v1 file (decimal arrays) is
+exact train/val/test partition. Its model_type, "gp" or "ens", comes from
+the model's class when saving and picks the class when loading; ModelMeta
+holds only the settings. A textuq-model-v1 file (decimal arrays) is
 refused with a request to retrain.
 """
 
@@ -34,7 +36,8 @@ _F64 = np.dtype("<f8")
 
 @dataclass(frozen=True)
 class ModelMeta:
-    model_type: str  # "gp" or "ens"
+    """The settings a model file keeps beside the model, whose class is its family."""
+
     split: SplitSpec
     mc_predict_samples: int = 64
     predict_seed: int = 0
@@ -79,7 +82,7 @@ def _gp_payload(model: SvgpModel) -> dict:
         "variational_means": model.variational_means,
         "variational_scales_raw": model.variational_scales_raw,
         "jitter": float(model.jitter),
-        "num_classes": int(model.num_classes),
+        "num_classes": model.num_classes,
     }
 
 
@@ -142,7 +145,6 @@ def _gp_from_payload(block: dict) -> SvgpModel:
             block["variational_scales_raw"], "variational_scales_raw", (c, m, m)
         ),
         jitter=_number(block["jitter"], "jitter", positive=True),
-        num_classes=c,
     )
 
 
@@ -202,20 +204,18 @@ def _ens_from_payload(block: dict) -> EnsembleModel:
 
 def save_model(path, model, meta: ModelMeta) -> None:
     """Write the model and its metadata as one JSON document, sorted keys,
-    through atomic_write, encoding each array as the writer reaches it."""
-    if meta.model_type == "gp":
-        if not isinstance(model, SvgpModel):
-            raise InvalidConfig("meta says gp but model is not an SvgpModel")
-        block = _gp_payload(model)
-    elif meta.model_type == "ens":
-        if not isinstance(model, EnsembleModel):
-            raise InvalidConfig("meta says ens but model is not an EnsembleModel")
-        block = _ens_payload(model)
+    through atomic_write, encoding each array as the writer reaches it. The
+    document's model_type, "gp" or "ens", is taken from the model's class."""
+    if isinstance(model, SvgpModel):
+        model_type, block = "gp", _gp_payload(model)
+    elif isinstance(model, EnsembleModel):
+        model_type, block = "ens", _ens_payload(model)
     else:
-        raise InvalidConfig(f"unknown model_type {meta.model_type!r}")
+        raise InvalidConfig(f"cannot save a {type(model).__name__}: "
+                            "not an SvgpModel or an EnsembleModel")
     payload = {
         "format": FORMAT_TAG,
-        "model_type": meta.model_type,
+        "model_type": model_type,
         "split": {
             "val_fraction": meta.split.val_fraction,
             "test_fraction": meta.split.test_fraction,
@@ -225,7 +225,7 @@ def save_model(path, model, meta: ModelMeta) -> None:
             "mc_samples": meta.mc_predict_samples,
             "seed": meta.predict_seed,
         },
-        meta.model_type: block,
+        model_type: block,
     }
     encoder = json.JSONEncoder(sort_keys=True, default=_encode_array)
 
@@ -238,8 +238,9 @@ def save_model(path, model, meta: ModelMeta) -> None:
 
 
 def load_model(path):
-    """Returns (model, ModelMeta); a file that is not a well-formed
-    textuq-model-v2 document raises InvalidConfig naming the path.
+    """Returns (model, ModelMeta), the model's class chosen by the file's
+    model_type; a file that is not a well-formed textuq-model-v2 document
+    raises InvalidConfig naming the path.
 
     Well-formed means: every array is valid base64 of as many float64 bytes
     as its shape needs, holds finite numbers, and has the shape the others
@@ -259,8 +260,8 @@ def load_model(path):
     if tag != FORMAT_TAG:
         raise InvalidConfig(f"{path}: not a {FORMAT_TAG} file")
     try:
+        model_type = payload["model_type"]
         meta = ModelMeta(
-            model_type=payload["model_type"],
             split=SplitSpec(
                 val_fraction=payload["split"]["val_fraction"],
                 test_fraction=payload["split"]["test_fraction"],
@@ -271,12 +272,12 @@ def load_model(path):
             predict_seed=check_int(payload["predict"]["seed"], "predict.seed", 0),
         )
         meta.split.validate()
-        if meta.model_type == "gp":
+        if model_type == "gp":
             return _gp_from_payload(payload["gp"]), meta
-        if meta.model_type == "ens":
+        if model_type == "ens":
             return _ens_from_payload(payload["ens"]), meta
     except KeyError as exc:
         raise InvalidConfig(f"{path}: missing key {exc}") from None
     except (TextuqError, TypeError, ValueError, IndexError) as exc:
         raise InvalidConfig(f"{path}: malformed model file ({exc})") from None
-    raise InvalidConfig(f"{path}: unknown model_type {meta.model_type!r}")
+    raise InvalidConfig(f"{path}: unknown model_type {model_type!r}")

@@ -16,6 +16,7 @@ into the kernel hyperparameters.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,7 @@ class SvgpModel:
     ``variational_scales_raw[c]`` stores L_c with an unconstrained diagonal:
     the strictly-lower triangle is used as-is and the diagonal is passed
     through softplus, keeping it strictly positive under gradient updates.
+    The sizes M, D and C are read from the arrays' shapes.
     """
 
     kernel: KernelParams
@@ -109,7 +111,6 @@ class SvgpModel:
     variational_means: np.ndarray  # (C, M)
     variational_scales_raw: np.ndarray  # (C, M, M)
     jitter: float = 1e-6
-    num_classes: int = 3
 
     @property
     def m(self) -> int:
@@ -119,6 +120,10 @@ class SvgpModel:
     def dim(self) -> int:
         return self.inducing_inputs.shape[1]
 
+    @property
+    def num_classes(self) -> int:
+        return self.variational_means.shape[0]
+
     def scale_lowers(self) -> np.ndarray:
         """Effective L_c of every class, (C, M, M): lower triangles with
         softplus-transformed diagonals."""
@@ -127,16 +132,6 @@ class SvgpModel:
         diag = np.arange(self.m)
         l[:, diag, diag] = softplus(raw[:, diag, diag])
         return l
-
-    def copy(self) -> "SvgpModel":
-        return SvgpModel(
-            kernel=self.kernel.copy(),
-            inducing_inputs=self.inducing_inputs.copy(),
-            variational_means=self.variational_means.copy(),
-            variational_scales_raw=self.variational_scales_raw.copy(),
-            jitter=self.jitter,
-            num_classes=self.num_classes,
-        )
 
 
 def init_model(
@@ -170,7 +165,6 @@ def init_model(
         variational_means=means,
         variational_scales_raw=scales,
         jitter=jitter,
-        num_classes=num_classes,
     )
 
 
@@ -370,7 +364,7 @@ def fit(
     if n == 0:
         raise DimensionMismatch("empty training set")
 
-    out = model.copy()
+    out = copy.deepcopy(model)
     # every trainable array, updated in place; log_variance is a float
     params = {
         "variational_means": out.variational_means,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,6 +244,15 @@ def reference_fit_member(features, labels, cfg, seed, feature_scale):
                 arr -= lr * mhat / (np.sqrt(vhat) + 1e-8)
             objectives.append((1 - w) * loss_clean + w * loss_adv)
     return p, objectives
+
+
+def population_bn_stats(p, features):
+    """The population batch-norm statistics of a trained member: ``features``
+    forwarded through its final weights, each block normalised by the mean
+    and variance of its own inputs over every row (Ioffe and Szegedy 2015,
+    arXiv:1502.03167, section 3.1). Returns a (mean, var) pair per block."""
+    _, cache = _ref_forward(p, features, None)
+    return [(blk["mu"], blk["var"]) for blk in cache["blocks"]]
 
 
 def mlp_arrays(p):
@@ -571,7 +581,7 @@ def reference_fit(model, features, labels, cfg):
     from textuq.svgp import _epoch_noise
 
     n = features.shape[0]
-    out = model.copy()
+    out = copy.deepcopy(model)
     caches = {
         "variational_means": np.zeros_like(out.variational_means),
         "variational_scales_raw": np.zeros_like(out.variational_scales_raw),

@@ -5,6 +5,7 @@ A module-scoped pipeline fixture runs synth -> prepare -> train (gp, ens)
 artifacts and on reruns. Error paths use throwaway inputs.
 """
 
+import codecs
 import contextlib
 import dataclasses
 import io
@@ -20,7 +21,9 @@ import pytest
 from helpers import decode_array, encode_array
 from textuq import cli, parallel
 from textuq.corpus import load_embeddings, read_corpus_csv, read_features_csv
+from textuq.ensemble import EnsembleModel
 from textuq.model_io import load_model
+from textuq.svgp import SvgpModel
 
 
 def run_cli(argv):
@@ -90,6 +93,21 @@ def test_prepare_rerun_is_byte_identical(toy_dir):
     assert run_cli(args + ["--out", str(first)])[0] == 0
     assert run_cli(args + ["--out", str(second)])[0] == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("names", [("corpus.csv",), ("emb.txt",), ("corpus.csv", "emb.txt")])
+def test_prepare_accepts_a_byte_order_mark(toy_dir, names):
+    # Excel's "CSV UTF-8" export and Windows editors start a file with one
+    args = ["prepare", "--corpus", str(toy_dir / "corpus.csv"),
+            "--embeddings", str(toy_dir / "emb.txt")]
+    plain, marked = toy_dir / "plain.csv", toy_dir / "marked.csv"
+    assert run_cli(args + ["--out", str(plain)])[0] == 0
+    for name in names:
+        path = toy_dir / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    code, _, err = run_cli(args + ["--out", str(marked)])
+    assert code == 0, err
+    assert marked.read_bytes() == plain.read_bytes()
 
 
 def test_prepare_missing_embeddings_names_path(toy_dir):
@@ -235,6 +253,24 @@ def test_config_file_values_used_and_cli_overrides(tmp_path):
     assert "wrote 20 rows" in out  # command line wins over the file
     assert "realized disagreement 0.0000" in out
     assert len(read_corpus_csv(str(tmp_path / "c.csv"))) == 20
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    text = "seed = 4\nn = 10\ndim = 4\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert cli.read_config(str(marked)) == cli.read_config(str(plain)) == {
+        "seed": "4", "n": "10", "dim": "4"}
+    written = []
+    for cfg in (plain, marked):
+        out = tmp_path / cfg.stem
+        out.mkdir()
+        code, _, err = run_cli(["synth", "--config", str(cfg), "--out-corpus", str(out / "c.csv"),
+                                "--out-embeddings", str(out / "e.txt")])
+        assert code == 0, err
+        written.append([(out / name).read_bytes() for name in ("c.csv", "e.txt")])
+    assert written[0] == written[1]
 
 
 def test_config_unknown_key_exits_1(tmp_path):
@@ -400,7 +436,7 @@ def test_ens_trace_schema(pipeline):
 
 def test_gp_model_file_loads_with_metadata(pipeline):
     model, meta = load_model(str(pipeline["gp_model"]))
-    assert meta.model_type == "gp"
+    assert isinstance(model, SvgpModel)
     assert meta.mc_predict_samples == 16
     assert meta.predict_seed == 3
     assert meta.split.seed == 3
@@ -409,7 +445,7 @@ def test_gp_model_file_loads_with_metadata(pipeline):
 
 def test_ens_model_file_has_single_member(pipeline):
     model, meta = load_model(str(pipeline["ens_model"]))
-    assert meta.model_type == "ens"
+    assert isinstance(model, EnsembleModel)
     assert len(model.members) == 1
     assert model.feature_scale.shape == (8,)
 

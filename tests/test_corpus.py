@@ -777,6 +777,19 @@ class TestFeaturize:
             want, _ = embed_mean(preprocess_text(row.text), table)
             assert got.tobytes() == want.tobytes(), row.id
 
+    def test_adds_in_sorted_token_order_whatever_order_tokens_are_first_seen(self):
+        # the tokens are first seen as c, b, a, the reverse of sorted order;
+        # added a, b, c they sum to 0, added c, b, a to 1
+        table = EmbeddingTable(dimension=1, vectors={
+            "a": np.array([1.0]), "b": np.array([1e16]), "c": np.array([-1e16])})
+        texts = ["c b a", "b a c", "a c b c"]
+        rows = [CorpusRow(id=f"r{i}", text=t, primary_label=0, secondary_label=None)
+                for i, t in enumerate(texts)]
+        features, _ = featurize(rows, table)
+        want = [embed_mean(preprocess_text(t), table)[0] for t in texts]
+        assert [x.tobytes() for x in features.features] == [v.tobytes() for v in want]
+        assert features.features[0, 0] == 0.0
+
     def test_peak_memory_stays_below_twice_the_features(self):
         # holding every row's token strings at once peaked at 3.5 times the
         # feature matrix on this corpus

@@ -16,6 +16,7 @@ from helpers import (
     make_blobs,
     max_rel_err,
     mlp_arrays,
+    population_bn_stats,
     reference_fit_member,
     traced_peak,
 )
@@ -329,11 +330,26 @@ class TestFitMember:
         h, c = cfg.hidden_units, member.num_classes
         # the parameters, Adam's two moments and the clean and adversarial gradients
         params = 5 * sum(arr.nbytes for arr in member.trainable().values())
-        # _Activations: z - mean, block output and mask per block, the logits and
+        # _Activations: z - mean and block output per block, the logits and
         # three backward buffers; then the batch and its adversarial copy
-        scratch = 3 * b * h * (8 + 8 + 1) + b * c * 8 + 3 * b * h * 8 + 2 * b * d * 8
+        scratch = 3 * b * h * (8 + 8) + b * c * 8 + 3 * b * h * 8 + 2 * b * d * 8
         # slack for the permutation and per-step vectors, under one batch buffer
         assert peak < params + scratch + 0.5e6
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the stored running variance is an EMA that starts at 1.0, "
+        "and 2 epochs leave block 0's about 200 times the population variance"))
+    def test_stored_variance_is_the_population_variance(self):
+        # features with a standard deviation near 0.006, as mean-pooled unit
+        # token vectors of dimension 200 give
+        rng = np.random.default_rng(17)
+        feats = rng.normal(scale=0.006, size=(2000, 20))
+        labels = rng.integers(0, 3, size=2000)
+        cfg = EnsembleConfig(members=1, hidden_units=32, epochs=2, batch_size=100)
+        member, _ = fit_member(feats, labels, cfg, seed=0)
+        for i, (_, var) in enumerate(population_bn_stats(member, feats)):
+            err = np.linalg.norm(member.bn_running_var[i] - var) / np.linalg.norm(var)
+            assert err <= 0.05, f"block {i}: relative error {err:.3g}"
 
     def test_learns_separable_blobs(self):
         rng = np.random.default_rng(15)

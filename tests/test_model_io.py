@@ -12,10 +12,8 @@ from textuq.errors import InvalidConfig
 from textuq.model_io import ModelMeta, atomic_write, atomic_write_text, load_model, save_model
 from textuq.svgp import TrainConfig, fit, init_model
 
-META = ModelMeta(model_type="gp", split=SplitSpec(0.1, 0.1, seed=3),
-                 mc_predict_samples=16, predict_seed=9)
-ENS_META = ModelMeta(model_type="ens", split=SplitSpec(0.2, 0.15, seed=4),
-                     mc_predict_samples=8, predict_seed=2)
+META = ModelMeta(split=SplitSpec(0.1, 0.1, seed=3), mc_predict_samples=16, predict_seed=9)
+ENS_META = ModelMeta(split=SplitSpec(0.2, 0.15, seed=4), mc_predict_samples=8, predict_seed=2)
 
 
 def gp_model(seed=0):
@@ -66,7 +64,7 @@ class TestEnsRoundTrip:
     def test_members_survive_bit_for_bit(self, tmp_path):
         path = tmp_path / "model.json"
         model = ens_model()
-        meta = ModelMeta(model_type="ens", split=SplitSpec())
+        meta = ModelMeta(split=SplitSpec())
         save_model(path, model, meta)
         loaded, back = load_model(path)
         assert back == meta
@@ -134,8 +132,10 @@ class TestFormatV2:
         save_model(tmp_path / "m.json", model, meta)
         doc = json.loads((tmp_path / "m.json").read_text(encoding="ascii"))
         assert doc["format"] == "textuq-model-v2"
-        block = doc[meta.model_type]
-        if meta.model_type == "gp":
+        # the family is the model's class
+        assert doc["model_type"] == ("ens" if hasattr(model, "members") else "gp")
+        block = doc[doc["model_type"]]
+        if doc["model_type"] == "gp":
             stored = {name: block[name] for name in model_arrays(model)}
         else:
             stored = {"feature_scale": block["feature_scale"]}
@@ -174,18 +174,20 @@ def test_extreme_values_round_trip_bit_for_bit(tmp_path, value):
 
 
 class TestValidation:
-    def test_rejects_mismatched_model_and_meta(self, tmp_path):
-        with pytest.raises(InvalidConfig):
-            save_model(tmp_path / "x.json", gp_model(),
-                       ModelMeta(model_type="ens", split=SplitSpec()))
-        with pytest.raises(InvalidConfig):
-            save_model(tmp_path / "x.json", ens_model(),
-                       ModelMeta(model_type="gp", split=SplitSpec()))
+    @pytest.mark.parametrize("model", [object(), {"gp": None}, None])
+    def test_refuses_an_object_that_is_neither_model(self, tmp_path, model):
+        with pytest.raises(InvalidConfig, match="not an SvgpModel or an EnsembleModel"):
+            save_model(tmp_path / "x.json", model, META)
+        assert os.listdir(tmp_path) == []
 
     def test_rejects_unknown_model_type(self, tmp_path):
-        with pytest.raises(InvalidConfig):
-            save_model(tmp_path / "x.json", gp_model(),
-                       ModelMeta(model_type="forest", split=SplitSpec()))
+        path = tmp_path / "x.json"
+        save_model(path, gp_model(), META)
+        doc = json.loads(path.read_text(encoding="ascii"))
+        doc["model_type"] = "forest"
+        path.write_text(json.dumps(doc), encoding="ascii")
+        with pytest.raises(InvalidConfig, match="unknown model_type 'forest'"):
+            load_model(path)
 
     def test_rejects_files_without_the_format_tag(self, tmp_path):
         path = tmp_path / "x.json"

@@ -73,8 +73,8 @@ def model_texts(tmp_path_factory):
     feats, labels = rng.normal(size=(12, 2)), rng.integers(0, 3, size=12)
     ens = fit_ensemble(feats, labels, EnsembleConfig(members=1, hidden_units=2, epochs=1,
                                                      batch_size=6))[0]
-    save_model(root / "gp.json", init_model(feats, m=2), ModelMeta("gp", SplitSpec()))
-    save_model(root / "ens.json", ens, ModelMeta("ens", SplitSpec()))
+    save_model(root / "gp.json", init_model(feats, m=2), ModelMeta(SplitSpec()))
+    save_model(root / "ens.json", ens, ModelMeta(SplitSpec()))
     return [(root / name).read_text(encoding="ascii") for name in ("gp.json", "ens.json")]
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -64,7 +66,6 @@ def two_class_point_model(means, diag_scales, log_variance):
         inducing_inputs=np.array([[0.5]]),
         variational_means=np.array(means, dtype=np.float64).reshape(2, 1),
         variational_scales_raw=np.zeros((2, 1, 1)),
-        num_classes=2,
     )
     for c in range(2):
         set_scale(model, c, np.array([[diag_scales[c]]]))
@@ -193,7 +194,6 @@ class TestKl:
             inducing_inputs=np.zeros((1, 1)),
             variational_means=np.array([[1.0]]),
             variational_scales_raw=np.array([[[softplus_inv(1.0)]]]),
-            num_classes=1,
         )
         assert kl_divergence(model) == pytest.approx(0.5, rel=1e-9)
 
@@ -385,7 +385,7 @@ class TestFit:
     def test_deterministic_and_leaves_input_untouched(self):
         model, feats, rng = perturbed_model(18, n=10)
         labels = rng.integers(0, 3, size=10)
-        before = model.copy()
+        before = copy.deepcopy(model)
         fit_a, trace_a = fit(model, feats, labels, self.config())
         fit_b, trace_b = fit(model, feats, labels, self.config())
         assert np.array_equal(model.variational_means, before.variational_means)
@@ -507,7 +507,6 @@ class TestPredictProba:
             variational_means=np.array([[10.0], [0.0], [0.0]]),
             variational_scales_raw=np.full((3, 1, 1), -40.0),
             jitter=1e-12,
-            num_classes=3,
         )
         probs = predict_proba(model, np.array([[0.0]]), s=64, seed=0)
         assert probs[0, 0] > 0.999
