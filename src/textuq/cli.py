@@ -263,8 +263,7 @@ def cmd_train(opts) -> int:
     if opts.model == "gp":
         model0 = svgp_mod.init_model(xs, m=opts.inducing, seed=opts.seed)
         model, trace = svgp_mod.fit(model0, xs, ys, cfg)
-        meta = ModelMeta(spec, mc_predict_samples=opts.mc_predict,
-                         predict_seed=opts.seed)
+        meta = ModelMeta(spec, mc_predict_samples=opts.mc_predict)
         trace_lines = ["step,objective"]
         trace_lines += ["%d,%.17g" % row for row in enumerate(trace)]
         final = trace[-1] if trace else float("nan")
@@ -286,10 +285,9 @@ def cmd_train(opts) -> int:
 def cmd_evaluate(opts) -> int:
     model, meta = load_model(opts.model)
     table = corpus_mod.read_features_csv(opts.features)
-    dim = model.dim if isinstance(model, svgp_mod.SvgpModel) else model.members[0].dim
-    if table.features.shape[1] != dim:
+    if table.features.shape[1] != model.dim:
         raise DimensionMismatch(f"{opts.features} has {table.features.shape[1]} features "
-                                f"per row, but the model takes {dim}")
+                                f"per row, but the model takes {model.dim}")
     _, val, test = _split(table, meta.split)
     if opts.calibrate and not len(val):
         raise InvalidConfig("--calibrate needs a non-empty validation split")
@@ -298,7 +296,7 @@ def cmd_evaluate(opts) -> int:
     if isinstance(model, svgp_mod.SvgpModel):
         def predict(xs):
             return svgp_mod.predict_proba(
-                model, xs, s=meta.mc_predict_samples, seed=meta.predict_seed
+                model, xs, s=meta.mc_predict_samples, seed=meta.split.seed
             )
     else:
         def predict(xs):

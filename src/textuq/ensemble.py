@@ -76,7 +76,6 @@ class MlpParams:
     bn_shift: list  # 3 arrays of length H (beta)
     bn_running_mean: list  # 3 arrays of length H
     bn_running_var: list  # 3 arrays of length H
-    bn_epsilon: float = BN_EPSILON
 
     @property
     def dim(self) -> int:
@@ -99,9 +98,11 @@ class MlpParams:
 
 @dataclass
 class EnsembleModel:
-    members: list  # of MlpParams
-    fgsm_epsilon: float
-    feature_scale: np.ndarray  # per-dimension std of the training features
+    members: list  # of MlpParams, all of one input width
+
+    @property
+    def dim(self) -> int:
+        return self.members[0].dim
 
 
 def init_mlp(dim: int, rng: np.random.Generator, hidden: int = 200) -> MlpParams:
@@ -169,7 +170,7 @@ def _forward_cached(p: MlpParams, xs: np.ndarray, stats: list | None,
         else:
             mu, var = stats[i]
             zc -= mu
-        inv_std = 1.0 / np.sqrt(var + p.bn_epsilon)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         # bn = xhat * gamma + beta, with xhat = zc * inv_std; the backward
         # pass recomputes xhat from zc rather than keeping it
         bn = np.multiply(zc, inv_std, out=acts.h[i])
@@ -478,8 +479,7 @@ def fit_ensemble(
             # leaving both pools joins every thread
             epochs.shutdown(wait=False, cancel_futures=True)
             raise
-    return EnsembleModel(members=list(members), fgsm_epsilon=cfg.fgsm_epsilon,
-                         feature_scale=scale), list(traces)
+    return EnsembleModel(members=list(members)), list(traces)
 
 
 def ensemble_predict(m: EnsembleModel, xs: np.ndarray) -> np.ndarray:

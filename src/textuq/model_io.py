@@ -3,12 +3,13 @@
 An array is stored as its shape and the base64 of its little-endian, C-order
 float64 bytes, so a save/load cycle copies bits, and with sorted keys
 identical models give byte-identical files. The document is written one
-piece at a time and never held whole. It also records the split and
-prediction settings used at training time, so evaluation can rebuild the
-exact train/val/test partition. Its model_type, "gp" or "ens", comes from
-the model's class when saving and picks the class when loading; ModelMeta
-holds only the settings. A textuq-model-v1 file (decimal arrays) is
-refused with a request to retrain.
+piece at a time and never held whole. Beside the model's arrays it keeps
+only what prediction reads: the split, so evaluation can rebuild the exact
+train/val/test partition, and the GP's prediction sample count; the split
+seed also seeds the GP's prediction draws. Its model_type, "gp" or "ens",
+comes from the model's class when saving and picks the class when loading.
+Other keys, such as those an earlier version also wrote, are ignored. A
+textuq-model-v1 file (decimal arrays) is refused with a request to retrain.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class ModelMeta:
 
     split: SplitSpec
     mc_predict_samples: int = 64
-    predict_seed: int = 0
 
 
 def atomic_write(path, write_fn) -> None:
@@ -82,7 +82,6 @@ def _gp_payload(model: SvgpModel) -> dict:
         "variational_means": model.variational_means,
         "variational_scales_raw": model.variational_scales_raw,
         "jitter": float(model.jitter),
-        "num_classes": model.num_classes,
     }
 
 
@@ -132,8 +131,6 @@ def _gp_from_payload(block: dict) -> SvgpModel:
     z = _array(block["inducing_inputs"], "inducing_inputs", (None, None))
     m, d = z.shape
     c = len(LABEL_NAMES)
-    if block["num_classes"] != c:
-        raise InvalidConfig(f"num_classes must be {c}, got {block['num_classes']!r}")
     return SvgpModel(
         kernel=KernelParams(
             log_variance=_number(block["log_variance"], "log_variance"),
@@ -154,21 +151,13 @@ _LAYER_KEYS = ("weights", "biases") + _BN_KEYS
 
 
 def _ens_payload(model: EnsembleModel) -> dict:
-    return {
-        "members": [_member_payload(p) for p in model.members],
-        "fgsm_epsilon": float(model.fgsm_epsilon),
-        "feature_scale": model.feature_scale,
-    }
+    return {"members": [{key: list(getattr(p, key)) for key in _LAYER_KEYS}
+                        for p in model.members]}
 
 
-def _member_payload(p: MlpParams) -> dict:
-    block = {key: list(getattr(p, key)) for key in _LAYER_KEYS}
-    block["bn_epsilon"] = float(p.bn_epsilon)
-    return block
-
-
-def _member_from_payload(mb: dict, k: int, dim: int) -> MlpParams:
-    """Member k: layer widths chain from ``dim`` inputs to one output per label."""
+def _member_from_payload(mb: dict, k: int, dim: int | None) -> MlpParams:
+    """Member k: layer widths chain from ``dim`` inputs (any number when
+    None) to one output per label."""
     if len(mb["weights"]) != N_HIDDEN_BLOCKS + 1 or len(mb["biases"]) != N_HIDDEN_BLOCKS + 1:
         raise InvalidConfig(f"member {k} must have {N_HIDDEN_BLOCKS + 1} weights and biases")
     weights, biases = [], []
@@ -185,21 +174,17 @@ def _member_from_payload(mb: dict, k: int, dim: int) -> MlpParams:
                    for i, v in enumerate(mb[key])]
     if any((v < 0).any() for v in bn["bn_running_var"]):
         raise InvalidConfig(f"member {k} bn_running_var must be >= 0")
-    eps = _number(mb["bn_epsilon"], f"member {k} bn_epsilon", positive=True)
-    return MlpParams(weights=weights, biases=biases, bn_epsilon=eps, **bn)
+    return MlpParams(weights=weights, biases=biases, **bn)
 
 
 def _ens_from_payload(block: dict) -> EnsembleModel:
-    scale = _array(block["feature_scale"], "feature_scale", (None,))
-    members = [_member_from_payload(mb, k, scale.shape[0])
-               for k, mb in enumerate(block["members"])]
+    """Member 0's first weight matrix fixes the input width of every member."""
+    members = []
+    for k, mb in enumerate(block["members"]):
+        members.append(_member_from_payload(mb, k, members[0].dim if members else None))
     if not members:
         raise InvalidConfig("the ensemble has no members")
-    return EnsembleModel(
-        members=members,
-        fgsm_epsilon=_number(block["fgsm_epsilon"], "fgsm_epsilon"),
-        feature_scale=scale,
-    )
+    return EnsembleModel(members=members)
 
 
 def save_model(path, model, meta: ModelMeta) -> None:
@@ -221,10 +206,7 @@ def save_model(path, model, meta: ModelMeta) -> None:
             "test_fraction": meta.split.test_fraction,
             "seed": meta.split.seed,
         },
-        "predict": {
-            "mc_samples": meta.mc_predict_samples,
-            "seed": meta.predict_seed,
-        },
+        "predict": {"mc_samples": meta.mc_predict_samples},
         model_type: block,
     }
     encoder = json.JSONEncoder(sort_keys=True, default=_encode_array)
@@ -244,10 +226,11 @@ def load_model(path):
 
     Well-formed means: every array is valid base64 of as many float64 bytes
     as its shape needs, holds finite numbers, and has the shape the others
-    imply, with one output per label; the jitter and the batch-norm epsilons
-    are > 0, the running variances >= 0, an ensemble has at least one
-    member, the split is valid, the seeds are integers >= 0 and the
-    prediction sample count is >= 1."""
+    imply, with one output per label and, in an ensemble, member 0's input
+    width in every member; the jitter is > 0, the running variances >= 0,
+    an ensemble has at least one member, the split is valid, its seed an
+    integer >= 0, and the prediction sample count is >= 1. Other keys are
+    ignored."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -269,7 +252,6 @@ def load_model(path):
             ),
             mc_predict_samples=check_int(payload["predict"]["mc_samples"],
                                          "predict.mc_samples", 1),
-            predict_seed=check_int(payload["predict"]["seed"], "predict.seed", 0),
         )
         meta.split.validate()
         if model_type == "gp":

@@ -157,7 +157,7 @@ def _ref_forward(p, xs, stats):
             mu, var, from_batch = z.mean(axis=0), z.var(axis=0), True
         else:
             (mu, var), from_batch = stats[i], False
-        inv_std = 1.0 / np.sqrt(var + p.bn_epsilon)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
         xhat = (z - mu) * inv_std
         bn = p.bn_scale[i] * xhat + p.bn_shift[i]
         blocks.append({"h_in": h, "z": z, "mu": mu, "var": var, "inv_std": inv_std,
@@ -208,7 +208,6 @@ def reference_fit_member(features, labels, cfg, seed, feature_scale):
     n, d = features.shape
     rng = np.random.default_rng(seed)
     p = init_mlp(d, rng, hidden=cfg.hidden_units)
-    p.bn_epsilon = 1e-5
     m_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
     v_state = {k: np.zeros_like(v) for k, v in p.trainable().items()}
     b1, b2, lr, mom, w = 0.9, 0.999, cfg.learning_rate, 0.9, 0.5

@@ -438,7 +438,6 @@ def test_gp_model_file_loads_with_metadata(pipeline):
     model, meta = load_model(str(pipeline["gp_model"]))
     assert isinstance(model, SvgpModel)
     assert meta.mc_predict_samples == 16
-    assert meta.predict_seed == 3
     assert meta.split.seed == 3
     assert model.inducing_inputs.shape == (16, 8)
 
@@ -447,7 +446,7 @@ def test_ens_model_file_has_single_member(pipeline):
     model, meta = load_model(str(pipeline["ens_model"]))
     assert isinstance(model, EnsembleModel)
     assert len(model.members) == 1
-    assert model.feature_scale.shape == (8,)
+    assert model.dim == 8
 
 
 def test_train_rerun_produces_identical_files(pipeline, tmp_path):
@@ -752,13 +751,23 @@ def _with_entry(flat_index, value):
     return edit
 
 
+def _second_member_of_width(width):
+    """A model-file corruption that appends a copy of member 0 whose first
+    weight matrix keeps only its first ``width`` input rows."""
+    def corrupt(payload):
+        members = payload["ens"]["members"]
+        other = json.loads(json.dumps(members[0]))
+        other["weights"][0] = encode_array(decode_array(other["weights"][0])[:width])
+        members.append(other)
+    return corrupt
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize("model_key, corrupt, message", [
     ("gp_model", _array_edit(("gp", "variational_means"), lambda v: v[:, :-1]),
      "variational_means has shape (3, 15), expected (3, 16)"),
     ("gp_model", _array_edit(("gp", "variational_scales_raw"), lambda v: v[:2]),
      "variational_scales_raw has shape (2, 16, 16), expected (3, 16, 16)"),
-    ("gp_model", _setting(("gp", "num_classes"), 2), "num_classes must be 3, got 2"),
     ("gp_model", _setting(("gp", "log_variance"), "0.5"),
      "log_variance must be a finite number, got '0.5'"),
     ("gp_model", _setting(("gp", "jitter"), -1), "jitter must be a positive number, got -1"),
@@ -778,13 +787,15 @@ def _with_entry(flat_index, value):
      "log_lengthscales has shape (8.0,), expected (8,)"),
     ("ens_model", _array_edit(("ens", "members", 0, "weights", 0), _with_entry(5, np.nan)),
      "member 0 weights[0] must hold finite numbers"),
+    ("ens_model", _second_member_of_width(7),
+     "member 1 weights[0] has shape (7, 16), expected (8, None)"),
     ("gp_model", _setting(("gp", "log_lengthscales"), lambda obj: decode_array(obj).tolist()),
      "log_lengthscales must be an object with keys data and shape"),
-], ids=["gp-means-short", "gp-scales-two-classes", "gp-two-classes", "gp-string-log-variance",
+], ids=["gp-means-short", "gp-scales-two-classes", "gp-string-log-variance",
         "gp-negative-jitter", "zero-mc-samples", "negative-split-seed", "ens-three-weights",
         "ens-no-members", "ens-negative-running-var", "gp-invalid-base64",
         "gp-bytes-short-of-shape", "gp-float-in-shape", "ens-nan-weight",
-        "gp-array-as-list"])
+        "ens-member-of-another-width", "gp-array-as-list"])
 def test_evaluate_rejects_inconsistent_model_file(pipeline, tmp_path, model_key, corrupt,
                                                   message):
     payload = json.loads(pipeline[model_key].read_text(encoding="utf-8"))
@@ -800,6 +811,53 @@ def test_evaluate_rejects_inconsistent_model_file(pipeline, tmp_path, model_key,
     assert err.startswith(f"error: {model}: malformed model file") and err.count("\n") == 1
     assert message in err
     assert not any(p.exists() for p in outs)
+
+
+def _model_leaves(obj):
+    """Every number and array a model holds, in field order."""
+    if dataclasses.is_dataclass(obj):
+        return [x for f in dataclasses.fields(obj) for x in _model_leaves(getattr(obj, f.name))]
+    if isinstance(obj, list):
+        return [x for item in obj for x in _model_leaves(item)]
+    return [np.asarray(obj)]
+
+
+@pytest.mark.parametrize("family", ["gp", "ens"])
+def test_a_file_with_the_keys_earlier_versions_wrote_loads_and_scores_the_same(
+        pipeline, tmp_path, family):
+    # an earlier version also stored the GP's class count and a prediction
+    # seed (the split seed for a GP, 0 for an ensemble), and the ensemble's
+    # FGSM step, feature scale and per-member batch-norm epsilon
+    payload = json.loads(pipeline[f"{family}_model"].read_text(encoding="ascii"))
+    if family == "gp":
+        payload["predict"]["seed"] = payload["split"]["seed"]
+        payload["gp"]["num_classes"] = 3
+    else:
+        payload["predict"]["seed"] = 0
+        payload["ens"]["fgsm_epsilon"] = 0.01
+        payload["ens"]["feature_scale"] = encode_array(np.full(8, 0.25))
+        for member in payload["ens"]["members"]:
+            member["bn_epsilon"] = 1e-05
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="ascii")
+
+    (want, want_meta), (got, got_meta) = load_model(pipeline[f"{family}_model"]), load_model(old)
+    assert got_meta == want_meta
+    want_leaves, got_leaves = _model_leaves(want), _model_leaves(got)
+    assert len(got_leaves) == len(want_leaves)
+    for a, b in zip(want_leaves, got_leaves):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    outs = [tmp_path / "j", tmp_path / "c", tmp_path / "r"]
+    code, out, err = run_cli([
+        "evaluate", "--model", str(old), "--features", str(pipeline["features"]),
+        "--out-json", str(outs[0]), "--out-csv", str(outs[1]), "--out-reliability", str(outs[2]),
+    ])
+    assert code == 0, err
+    for got_file, key in zip(outs, ("json", "csv", "rel")):
+        assert got_file.read_bytes() == pipeline[f"{family}_{key}"].read_bytes()
+    # every line but the last, which names the output files
+    assert out.splitlines()[:-1] == pipeline["stdout"][f"evaluate_{family}"].splitlines()[:-1]
 
 
 @pytest.mark.parametrize("command", ["synth", "gp", "ens"])

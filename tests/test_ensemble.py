@@ -630,13 +630,12 @@ class TestEnsemble:
         model, traces = fit_ensemble(feats, labels, cfg)
         assert len(model.members) == 2
         assert len(traces) == 2
-        assert model.fgsm_epsilon == 0.02
-        assert np.array_equal(model.feature_scale, feature_scale_of(feats))
+        assert model.dim == 3
         assert not np.array_equal(model.members[0].weights[0], model.members[1].weights[0])
 
     def test_single_member_prediction_is_its_softmax(self):
         p, rng = randomized_params(17)
-        model = EnsembleModel(members=[p], fgsm_epsilon=0.01, feature_scale=np.ones(4))
+        model = EnsembleModel(members=[p])
         xs = rng.normal(size=(5, 4))
         expected = softmax(mlp_forward(p, xs, "eval"))
         assert np.array_equal(ensemble_predict(model, xs), expected)
@@ -644,27 +643,27 @@ class TestEnsemble:
     def test_identical_members_average_to_the_single_model(self):
         p, rng = randomized_params(18)
         xs = rng.normal(size=(5, 4))
-        one = EnsembleModel(members=[p], fgsm_epsilon=0.0, feature_scale=np.ones(4))
-        five = EnsembleModel(members=[p] * 5, fgsm_epsilon=0.0, feature_scale=np.ones(4))
+        one = EnsembleModel(members=[p])
+        five = EnsembleModel(members=[p] * 5)
         assert np.allclose(ensemble_predict(five, xs), ensemble_predict(one, xs),
                            rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         members = [randomized_params(19 + i)[0] for i in range(3)]
-        model = EnsembleModel(members=members, fgsm_epsilon=0.01, feature_scale=np.ones(4))
+        model = EnsembleModel(members=members)
         xs = np.random.default_rng(22).normal(size=(9, 4))
         probs = ensemble_predict(model, xs)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs >= 0.0)
 
     def test_empty_ensemble_is_rejected(self):
-        model = EnsembleModel(members=[], fgsm_epsilon=0.0, feature_scale=np.ones(2))
+        model = EnsembleModel(members=[])
         with pytest.raises(ValueError):
             ensemble_predict(model, np.zeros((1, 2)))
 
     def test_averaging_never_reduces_entropy(self):
         members = [randomized_params(30 + i)[0] for i in range(3)]
-        model = EnsembleModel(members=members, fgsm_epsilon=0.0, feature_scale=np.ones(4))
+        model = EnsembleModel(members=members)
         xs = np.random.default_rng(33).normal(size=(200, 4))
         member_probs = [softmax(mlp_forward(p, xs, "eval")) for p in members]
         mean_member_entropy = np.mean([entropy_rows(mp) for mp in member_probs], axis=0)

@@ -12,8 +12,8 @@ from textuq.errors import InvalidConfig
 from textuq.model_io import ModelMeta, atomic_write, atomic_write_text, load_model, save_model
 from textuq.svgp import TrainConfig, fit, init_model
 
-META = ModelMeta(split=SplitSpec(0.1, 0.1, seed=3), mc_predict_samples=16, predict_seed=9)
-ENS_META = ModelMeta(split=SplitSpec(0.2, 0.15, seed=4), mc_predict_samples=8, predict_seed=2)
+META = ModelMeta(split=SplitSpec(0.1, 0.1, seed=3), mc_predict_samples=16)
+ENS_META = ModelMeta(split=SplitSpec(0.2, 0.15, seed=4), mc_predict_samples=8)
 
 
 def gp_model(seed=0):
@@ -68,11 +68,8 @@ class TestEnsRoundTrip:
         save_model(path, model, meta)
         loaded, back = load_model(path)
         assert back == meta
-        assert loaded.fgsm_epsilon == model.fgsm_epsilon
-        assert np.array_equal(loaded.feature_scale, model.feature_scale)
         assert len(loaded.members) == len(model.members)
         for orig, got in zip(model.members, loaded.members):
-            assert got.bn_epsilon == orig.bn_epsilon
             for name, arr in orig.trainable().items():
                 assert np.array_equal(got.trainable()[name], arr), name
             for i in range(3):
@@ -97,7 +94,7 @@ def trained_gp():
 def model_arrays(model):
     """Every array of a GP or an ensemble, by a name that says where it sits."""
     if hasattr(model, "members"):
-        out = {"feature_scale": model.feature_scale}
+        out = {}
         for k, p in enumerate(model.members):
             for key in model_io._LAYER_KEYS:
                 out.update({f"{k}.{key}[{i}]": a for i, a in enumerate(getattr(p, key))})
@@ -138,13 +135,26 @@ class TestFormatV2:
         if doc["model_type"] == "gp":
             stored = {name: block[name] for name in model_arrays(model)}
         else:
-            stored = {"feature_scale": block["feature_scale"]}
+            stored = {}
             for k, mb in enumerate(block["members"]):
                 for key in model_io._LAYER_KEYS:
                     stored.update({f"{k}.{key}[{i}]": a for i, a in enumerate(mb[key])})
         for name, arr in model_arrays(model).items():
             assert set(stored[name]) == {"data", "shape"}
             assert same_bits(decode_array(stored[name]), arr), name
+
+    def test_the_file_holds_only_what_prediction_reads(self, tmp_path, make, meta):
+        model = make()
+        save_model(tmp_path / "m.json", model, meta)
+        doc = json.loads((tmp_path / "m.json").read_text(encoding="ascii"))
+        assert doc["predict"] == {"mc_samples": meta.mc_predict_samples}
+        if doc["model_type"] == "gp":
+            assert set(doc["gp"]) == {"log_variance", "log_lengthscales", "inducing_inputs",
+                                      "variational_means", "variational_scales_raw", "jitter"}
+        else:
+            assert set(doc["ens"]) == {"members"}
+            for mb in doc["ens"]["members"]:
+                assert set(mb) == set(model_io._LAYER_KEYS)
 
     def test_an_encoder_failure_leaves_neither_the_model_nor_its_temp_file(
             self, tmp_path, monkeypatch, make, meta):
