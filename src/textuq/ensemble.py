@@ -322,8 +322,12 @@ def fit_member(
     """Train one member: Adam on 1/2 clean CE + 1/2 CE on FGSM-perturbed inputs.
 
     Adversarial examples are built from the clean pass with its batch
-    normalization statistics frozen; running stats are updated from the
-    clean pass only. Returns the member and its objective at every step.
+    normalization statistics frozen. The running statistics are debiased
+    running averages of the clean pass's batch statistics: the moving
+    average from a zero start over 1 - BN_MOMENTUM**t after t steps, as Adam
+    debiases its moments, so the first step stores its batch's statistics
+    and no start-up value lingers. Returns the member and its objective at
+    every step.
     Deterministic for fixed (data, config, seed). Each epoch runs on
     ``executor`` (see fit_ensemble) when given, else in the calling thread,
     and allocates its batch buffers and frees them when it ends, so memory
@@ -366,6 +370,7 @@ def fit_member(
                 batches[idx.size] = (_Activations(idx.size, p), np.empty((idx.size, d)),
                                      np.empty((idx.size, d)))
             acts, xb, x_adv = batches[idx.size]
+            t += 1
             # a permutation's indices are in range, so "clip" never clips; it
             # writes straight into xb, where "raise" gathers into a copy first
             np.take(features, idx, axis=0, out=xb, mode="clip")
@@ -374,9 +379,10 @@ def fit_member(
             logits, _ = _forward_cached(p, xb, None, acts)
             loss_clean, dlogits = _ce_loss_and_dlogits(logits, yb)
             _backward(p, acts, dlogits, grads_clean, need_dx=False)
+            a = (1 - mom) / (1 - mom**t)  # 1 at t = 1
             for i in range(N_HIDDEN_BLOCKS):
-                p.bn_running_mean[i] = mom * p.bn_running_mean[i] + (1 - mom) * acts.mu[i]
-                p.bn_running_var[i] = mom * p.bn_running_var[i] + (1 - mom) * acts.var[i]
+                p.bn_running_mean[i] = (1 - a) * p.bn_running_mean[i] + a * acts.mu[i]
+                p.bn_running_var[i] = (1 - a) * p.bn_running_var[i] + a * acts.var[i]
 
             # x_adv = xb + eps * scale * sign(dCE/dxb), the gradient taken
             # through the clean pass with its batch statistics held constant
@@ -391,7 +397,6 @@ def fit_member(
             if not np.isfinite(loss):
                 raise NonFiniteLoss(len(trace), loss)
 
-            t += 1
             for k, arr in p.trainable().items():
                 # in place, with the operations of
                 #   g = (1 - w) * g_clean + w * g_adv

@@ -224,9 +224,11 @@ def reference_fit_member(features, labels, cfg, seed, feature_scale):
             loss_clean, dlogits = _ref_ce(logits, yb)
             grads_clean, _ = _ref_backward(p, cache, dlogits)
             batch_stats = [(blk["mu"], blk["var"]) for blk in cache["blocks"]]
+            # debiased: the moving average from a zero start over 1 - mom**step
+            a = (1 - mom) / (1 - mom ** (t + 1))
             for i in range(3):
-                p.bn_running_mean[i] = mom * p.bn_running_mean[i] + (1 - mom) * batch_stats[i][0]
-                p.bn_running_var[i] = mom * p.bn_running_var[i] + (1 - mom) * batch_stats[i][1]
+                p.bn_running_mean[i] = (1 - a) * p.bn_running_mean[i] + a * batch_stats[i][0]
+                p.bn_running_var[i] = (1 - a) * p.bn_running_var[i] + a * batch_stats[i][1]
             logits_f, cache_f = _ref_forward(p, xb, batch_stats)
             _, dxb = _ref_backward(p, cache_f, _ref_ce(logits_f, yb)[1])
             x_adv = xb + cfg.fgsm_epsilon * feature_scale * np.sign(dxb)

@@ -336,9 +336,6 @@ class TestFitMember:
         # slack for the permutation and per-step vectors, under one batch buffer
         assert peak < params + scratch + 0.5e6
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the stored running variance is an EMA that starts at 1.0, "
-        "and 2 epochs leave block 0's about 200 times the population variance"))
     def test_stored_variance_is_the_population_variance(self):
         # features with a standard deviation near 0.006, as mean-pooled unit
         # token vectors of dimension 200 give
@@ -350,6 +347,21 @@ class TestFitMember:
         for i, (_, var) in enumerate(population_bn_stats(member, feats)):
             err = np.linalg.norm(member.bn_running_var[i] - var) / np.linalg.norm(var)
             assert err <= 0.05, f"block {i}: relative error {err:.3g}"
+
+    def test_one_step_stores_its_batch_statistics_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        feats, labels = rng.normal(scale=0.006, size=(40, 6)), rng.integers(0, 3, size=40)
+        cfg = EnsembleConfig(members=1, hidden_units=8, epochs=1, batch_size=40)
+        member, trace = fit_member(feats, labels, cfg, seed=3)
+        assert len(trace) == 1
+        # the one batch: the member's first permutation of the rows, through
+        # its initial weights
+        gen = np.random.default_rng(3)
+        initial = init_mlp(6, gen, hidden=8)
+        _, acts = _forward_cached(initial, feats[gen.permutation(40)], None)
+        for i in range(3):
+            assert member.bn_running_mean[i].tobytes() == acts.mu[i].tobytes(), i
+            assert member.bn_running_var[i].tobytes() == acts.var[i].tobytes(), i
 
     def test_learns_separable_blobs(self):
         rng = np.random.default_rng(15)
