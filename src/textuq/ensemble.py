@@ -323,11 +323,9 @@ def fit_member(
 
     Adversarial examples are built from the clean pass with its batch
     normalization statistics frozen. The running statistics are debiased
-    running averages of the clean pass's batch statistics: the moving
-    average from a zero start over 1 - BN_MOMENTUM**t after t steps, as Adam
-    debiases its moments, so the first step stores its batch's statistics
-    and no start-up value lingers. Returns the member and its objective at
-    every step.
+    running averages of the clean pass's batch statistics, as Adam debiases
+    its moments (so step 1 stores its batch's). Returns the member and its
+    objective at every step.
     Deterministic for fixed (data, config, seed). Each epoch runs on
     ``executor`` (see fit_ensemble) when given, else in the calling thread,
     and allocates its batch buffers and frees them when it ends, so memory

@@ -3,13 +3,12 @@
 An array is stored as its shape and the base64 of its little-endian, C-order
 float64 bytes, so a save/load cycle copies bits, and with sorted keys
 identical models give byte-identical files. The document is written one
-piece at a time and never held whole. Beside the model's arrays it keeps
-only what prediction reads: the split, so evaluation can rebuild the exact
-train/val/test partition, and the GP's prediction sample count; the split
-seed also seeds the GP's prediction draws. Its model_type, "gp" or "ens",
-comes from the model's class when saving and picks the class when loading.
-Other keys, such as those an earlier version also wrote, are ignored. A
-textuq-model-v1 file (decimal arrays) is refused with a request to retrain.
+piece at a time and never held whole. Beside the arrays it keeps only what
+prediction reads: the split, so evaluation rebuilds the exact partition
+(its seed also seeds the GP's draws), and the GP's prediction sample count.
+Its model_type, "gp" or "ens", comes from the model's class when saving and
+picks the class when loading; other keys are ignored. A textuq-model-v1
+file (decimal arrays) is refused with a request to retrain.
 """
 
 from __future__ import annotations
@@ -226,11 +225,10 @@ def load_model(path):
 
     Well-formed means: every array is valid base64 of as many float64 bytes
     as its shape needs, holds finite numbers, and has the shape the others
-    imply, with one output per label and, in an ensemble, member 0's input
-    width in every member; the jitter is > 0, the running variances >= 0,
-    an ensemble has at least one member, the split is valid, its seed an
-    integer >= 0, and the prediction sample count is >= 1. Other keys are
-    ignored."""
+    imply, with one output per label and member 0's input width in every
+    member; the jitter is > 0, the running variances >= 0, an ensemble has
+    a member, the split is valid with a seed >= 0, and the prediction
+    sample count is >= 1; other keys are ignored."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)

@@ -459,6 +459,30 @@ def test_train_rerun_produces_identical_files(pipeline, tmp_path):
     assert trace2.read_bytes() == pipeline["gp_trace"].read_bytes()
 
 
+def test_two_epoch_ensemble_predicts_with_its_training_statistics(tmp_path):
+    # at this seed, running statistics that kept a share of their initial
+    # values (0.9**8 after the 8 steps) took CONSTest accuracy to 0.571
+    files = {name: str(tmp_path / name) for name in ("c.csv", "e.txt", "f.csv", "m.json",
+                                                     "t.csv", "r.json", "r.csv", "rel.csv")}
+    for argv in (
+        ["synth", "--n", "2000", "--dim", "16", "--seed", "130",
+         "--out-corpus", files["c.csv"], "--out-embeddings", files["e.txt"]],
+        ["prepare", "--corpus", files["c.csv"], "--embeddings", files["e.txt"],
+         "--out", files["f.csv"]],
+        ["train", "--model", "ens", "--epochs", "2", "--features", files["f.csv"],
+         "--seed", "130", "--out-model", files["m.json"], "--out-trace", files["t.csv"]],
+        ["evaluate", "--model", files["m.json"], "--features", files["f.csv"],
+         "--out-json", files["r.json"], "--out-csv", files["r.csv"],
+         "--out-reliability", files["rel.csv"]],
+    ):
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+    sets = json.loads(pathlib.Path(files["r.json"]).read_text(encoding="utf-8"))["sets"]
+    # criterion 5's floors
+    assert sets["CONSTest"]["accuracy"] >= 0.85
+    assert sets["NegINCONSTest"]["nlpp"] - sets["CONSTest"]["nlpp"] >= 0.02
+
+
 def test_train_rejects_unknown_model(pipeline, tmp_path):
     code, _, err = run_cli([
         "train", "--model", "forest", "--features", str(pipeline["features"]),
