@@ -26,6 +26,15 @@ and the bytes written do not depend on the worker count. A writing worker
 puts its piece in an unnamed temporary file beside the output, which the
 caller appends; every process formats one block of rows at a time, so each
 holds its live data plus one block.
+
+Mean pooling gives every report with the same known tokens the same row, so
+each piece formats, and parses, each distinct feature row once, matching
+rows by their exact bits or text. The writer's row texts, and the reader's
+texts not yet parsed, are held at most one block at a time; a row seen
+again after its block is converted again. A read range with a quote (a
+quoted id), a carriage return or a line of fewer than three commas (a blank
+line) takes the general path, one structured np.loadtxt, as does a range
+whose values np.loadtxt refuses, so errors are reported as before.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import logging
 import math
 import os
@@ -314,18 +324,33 @@ def _pool(rows, table: EmbeddingTable):
     return out, counts
 
 
-def _write_feature_rows(fh, table: FeatureTable, floats) -> None:
+def _write_feature_rows(fh, table: FeatureTable, floats, texts: dict, cap: int) -> None:
+    """Write the rows of ``table``, their values formatted by ``floats``.
+
+    ``texts`` maps the bytes of a feature row to its formatted values, so a
+    row seen before in this piece is not formatted again; it is emptied
+    before it would hold more than ``cap`` texts. The key is bitwise, so
+    -0.0 and +0.0 stay apart."""
     write_row = _csv_row_writer(fh)
     for ident, label, secondary, x in zip(table.ids, table.labels.tolist(),
-                                          table.secondary.tolist(), table.features.tolist()):
+                                          table.secondary.tolist(), table.features):
+        key = x.tobytes()
+        text = texts.get(key)
+        if text is None:
+            if len(texts) >= cap:
+                texts.clear()
+            text = texts[key] = floats % tuple(x.tolist())
         secondary = "" if secondary == NO_LABEL else LABEL_NAMES[secondary]
-        write_row([ident, LABEL_NAMES[label], secondary], floats % tuple(x))
+        write_row([ident, LABEL_NAMES[label], secondary], text)
 
 
 def write_features_csv(path, table: FeatureTable) -> None:
     """Write ``table`` as a feature CSV: the caller formats the first piece
     of rows into ``path``, each worker its piece into an unnamed temporary
-    file in the same directory, and the caller appends those in order."""
+    file in the same directory, and the caller appends those in order.
+
+    A piece formats each distinct feature row once, keeping the texts of at
+    most one block of rows (see _write_feature_rows)."""
     n = len(table)
     if not n:
         raise EmptyInput("no examples to write")
@@ -346,10 +371,11 @@ def write_features_csv(path, table: FeatureTable) -> None:
             "w+", encoding="utf-8", newline="", dir=directory)) for _ in range(k - 1)]
 
         def write_part(i):
-            out = pieces[i]
+            out, texts = pieces[i], {}
             for start in range(bounds[i], bounds[i + 1], rows_per_block):
                 stop = min(start + rows_per_block, bounds[i + 1])
-                _write_feature_rows(out, table.take(slice(start, stop)), floats)
+                _write_feature_rows(out, table.take(slice(start, stop)), floats, texts,
+                                    rows_per_block)
             out.flush()  # a worker ends in os._exit, which flushes nothing
 
         fork_map(write_part, range(k))
@@ -436,7 +462,14 @@ def _record_ranges(path, start, stop, k) -> list:
 
 def _parse_feature_rows(path, dim, span):
     """(ids, labels, secondary labels, features) of the feature-CSV rows in
-    the byte range ``span``; ValueError for a row np.loadtxt refuses."""
+    the byte range ``span``; ValueError for a row np.loadtxt refuses.
+
+    A plain range, one with no quote or carriage return whose every line
+    holds at least three commas, parses each distinct text of values once
+    (see ``_parse_plain_rows``). Any other range (quoted fields, blank
+    lines, CR line ends), and a plain one whose values np.loadtxt refuses,
+    is parsed by one structured np.loadtxt, whose error is the one reported.
+    """
     start, stop = span
     row_type = [("id", object), ("label", object), ("secondary", object),
                 ("x", np.float64, (dim,))]
@@ -444,12 +477,101 @@ def _parse_feature_rows(path, dim, span):
     # that it is not taken for a bad row
     with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
         fh.seek(start)  # a byte offset at a line start is a text-file position
+        lines = _plain_line_count(path, start, stop)
+        if lines:
+            plain = _parse_plain_rows(itertools.islice(fh, lines), lines, dim)
+            if plain is not None:
+                return plain
+            fh.seek(start)
         with warnings.catch_warnings():
             # a range with no rows is an empty data set, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(_lines_before(fh, start, stop), dtype=row_type,
                                delimiter=",", quotechar='"', comments=None, ndmin=1)
     return table["id"], table["label"], table["secondary"], table["x"]
+
+
+def _plain_line_count(path, start, stop) -> int | None:
+    """The number of lines in bytes [start, stop) of ``path``, or None if
+    they hold a quote or a carriage return."""
+    lines, pos, last = 0, start, b"\n"
+    with open(path, "rb") as fb:
+        fb.seek(start)
+        while pos < stop and (block := fb.read(min(_BLOCK_BYTES, stop - pos))):
+            if b'"' in block or b"\r" in block:
+                return None
+            lines += block.count(b"\n")
+            pos += len(block)
+            last = block[-1:]
+    return lines + (last != b"\n")
+
+
+def _parse_plain_rows(lines, n, dim):
+    """_parse_feature_rows' result for the ``n`` quote- and CR-free
+    ``lines``, or None if a line holds fewer than three commas, np.loadtxt
+    refuses a line's values or finds other than ``dim``, or there are not
+    ``n`` lines.
+
+    Each line is split at its third comma, and each distinct text after it
+    is parsed once, into the row where it is first seen; the rows that
+    repeat one are then copied from that row. The texts are parsed a block
+    at a time, and a block's texts are forgotten once parsed, so one seen
+    again after that is parsed again. When no row repeats another, the
+    features are parsed straight into the one (n, dim) array and nothing is
+    copied.
+    """
+    cap = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
+    features = np.empty((n, dim))
+    source = np.empty(n, np.intp)  # the row each row's values were parsed into
+    ids, labels, secondaries = [], [], []
+    texts: dict = {}  # value text -> the row it is parsed into; emptied by each parse
+    repeats = False
+
+    def parse_texts() -> bool:
+        values = _parse_values(texts, dim)
+        if values is None:
+            return False
+        features[list(texts.values())] = values
+        texts.clear()
+        return True
+
+    for row, line in enumerate(lines):
+        fields = line.split(",", 3)
+        if len(fields) < 4:
+            return None
+        ident, label, secondary, tail = fields
+        first = texts.get(tail)
+        if first is None:
+            if len(texts) == cap and not parse_texts():
+                return None
+            first = texts[tail] = row
+        else:
+            repeats = True
+        source[row] = first
+        ids.append(ident)
+        labels.append(label)
+        secondaries.append(secondary)
+    if len(ids) != n or not parse_texts():
+        return None
+    if repeats:
+        # a row's source is at or before it and is a row of its own values,
+        # so the rows can be copied in place, a block at a time
+        for lo in range(0, n, cap):
+            features[lo:lo + cap] = features[source[lo:lo + cap]]
+    return (np.array(ids, dtype=object), np.array(labels, dtype=object),
+            np.array(secondaries, dtype=object), features)
+
+
+def _parse_values(texts, dim):
+    """The (len(texts), dim) array of the comma-separated values of each
+    text, or None if np.loadtxt refuses one or one holds other than ``dim``
+    values (loadtxt skips a blank one)."""
+    try:
+        values = np.loadtxt(list(texts), dtype=np.float64, delimiter=",", comments=None,
+                            ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(texts), dim) else None
 
 
 def _lines_before(fh, pos, stop):

@@ -127,27 +127,36 @@ class _Activations:
     """Buffers of one forward pass at a fixed batch size, kept for the
     backward passes. The next forward pass through the same object
     overwrites them, so repeated training steps allocate no batch-sized
-    arrays."""
+    arrays.
 
-    def __init__(self, rows: int, p: MlpParams):
+    Without ``backward`` the buffers serve a forward pass only: every block
+    shares one ``zc`` buffer and one ``h`` buffer, and there is no backward
+    scratch. Block i reads ``h`` (or the input) into ``zc`` before it writes
+    ``h``, so no operation reads a buffer it writes."""
+
+    def __init__(self, rows: int, p: MlpParams, backward: bool = True):
         shape = (rows, p.weights[0].shape[1])
         self.x = None  # the network input of the last forward pass
         self.from_batch = False
-        self.zc = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # z - mean
-        self.h = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # block outputs, >= 0
+        if backward:
+            self.zc = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # z - mean
+            self.h = [np.empty(shape) for _ in range(N_HIDDEN_BLOCKS)]  # block outputs, >= 0
+            # backward scratch
+            self.dh, self.dz, self.tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+        else:
+            self.zc = [np.empty(shape)] * N_HIDDEN_BLOCKS
+            self.h = [np.empty(shape)] * N_HIDDEN_BLOCKS
+            self.dh = self.dz = self.tmp = None
         self.mu = [None] * N_HIDDEN_BLOCKS
         self.var = [None] * N_HIDDEN_BLOCKS
         self.inv_std = [None] * N_HIDDEN_BLOCKS
         self.logits = np.empty((rows, p.num_classes))
-        # backward scratch
-        self.dh = np.empty(shape)
-        self.dz = np.empty(shape)
-        self.tmp = np.empty(shape)
 
 
 def _forward_cached(p: MlpParams, xs: np.ndarray, stats: list | None,
-                    acts: _Activations | None = None):
-    """Forward pass keeping intermediates in ``acts`` (fresh when None).
+                    acts: _Activations | None = None, backward: bool = True):
+    """Forward pass keeping intermediates in ``acts`` (fresh when None, with
+    the buffers of a backward pass only if ``backward``).
 
     ``stats`` is a list of (mean, var) per block for frozen-statistics mode,
     or None to compute batch statistics (training mode).
@@ -156,7 +165,7 @@ def _forward_cached(p: MlpParams, xs: np.ndarray, stats: list | None,
     if xs.ndim != 2 or xs.shape[1] != p.dim:
         raise DimensionMismatch(f"inputs {xs.shape} vs network input dim {p.dim}")
     if acts is None:
-        acts = _Activations(xs.shape[0], p)
+        acts = _Activations(xs.shape[0], p, backward)
     acts.x = xs
     acts.from_batch = stats is None
     h = xs
@@ -196,7 +205,7 @@ def _mode_stats(p: MlpParams, xs: np.ndarray, mode: str) -> list | None:
 
 def mlp_forward(p: MlpParams, xs: np.ndarray, mode: str) -> np.ndarray:
     """Logits for a batch; 'train' uses batch statistics, 'eval' running ones."""
-    logits, _ = _forward_cached(p, xs, _mode_stats(p, xs, mode))
+    logits, _ = _forward_cached(p, xs, _mode_stats(p, xs, mode), backward=False)
     return logits
 
 

@@ -287,6 +287,27 @@ def reference_write_features_csv(path, table):
             )
 
 
+def table_with_repeats(n, distinct, dim, seed, quoted_ids=False):
+    """A FeatureTable of n rows whose features take exactly ``distinct``
+    values (1 <= distinct <= n), each on at least one row, in a seeded
+    order; as mean pooling gives reports with the same known tokens. With
+    ``quoted_ids`` every id holds a comma and a quote, so the writer quotes
+    it."""
+    from textuq.corpus import NO_LABEL, FeatureTable
+
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(distinct, dim))
+    which = rng.permutation(np.arange(n) % distinct)
+    ids = [f'e{i},"q"' if quoted_ids else f"e{i}" for i in range(n)]
+    return FeatureTable(
+        ids=np.array(ids, dtype=object),
+        features=values[which],
+        labels=np.arange(n, dtype=np.int64) % 3,
+        secondary=np.array([NO_LABEL if i % 4 == 1 else (i + 1) % 3 for i in range(n)],
+                           dtype=np.int64),
+    )
+
+
 def reference_median_heuristic_lengthscale(features, rng):
     """The original median heuristic: the full (m, m) squared-distance
     matrix and its upper triangle by index arrays. The kernel tests assert

@@ -21,6 +21,7 @@ from helpers import (
     reference_read_features_csv,
     reference_stratified_split,
     reference_write_features_csv,
+    table_with_repeats,
     traced_peak,
 )
 from textuq import corpus as corpus_mod
@@ -743,6 +744,112 @@ class TestFeaturesCsvInWorkers:
             _, peak = traced_peak(write_features_csv, tmp_path / "features.csv", table)
         assert calls == [2]
         assert peak <= 4e6
+
+
+class TestRepeatedRows:
+    """Each worker's piece converts every distinct feature row to and from
+    text once, with the references' bytes and tables."""
+
+    @pytest.mark.parametrize("distinct", [1, 32, 120])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_round_trip_matches_the_references(self, tmp_path, distinct, k):
+        table = table_with_repeats(120, distinct, 5, seed=distinct)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        parsed = []  # the texts parsed in this process, per np.loadtxt call
+        parse_values = corpus_mod._parse_values
+
+        def counted(texts, dim):
+            parsed.append(len(texts))
+            return parse_values(texts, dim)
+
+        with in_workers(k) as calls, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_mod, "_parse_values", counted)
+            write_features_csv(got, table)
+            outcome = _reader_outcome(read_features_csv, got)
+        assert calls == [k, k]
+        reference_write_features_csv(want, table)
+        assert got.read_bytes() == want.read_bytes()
+        assert outcome == _reader_outcome(reference_read_features_csv, got)
+        assert outcome[3] == [row.tobytes() for row in table.features]
+        # one process parses each distinct row once; the caller's piece of
+        # two, at most that
+        assert sum(parsed) == distinct if k == 1 else 1 <= sum(parsed) <= distinct
+
+    def test_rows_that_differ_in_the_sign_of_a_zero_stay_apart(self, tmp_path):
+        path = tmp_path / "features.csv"
+        table = feature_table(["a", "b", "c", "d"], [[0.0, 1.0], [-0.0, 1.0]] * 2,
+                              [0] * 4, [0] * 4)
+        write_features_csv(path, table)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",", 3)[3] for line in lines] == ["0,1", "-0,1"] * 2
+        back = read_features_csv(path)
+        assert np.signbit(back.features[:, 0]).tolist() == [False, True] * 2
+        assert_tables_equal(back, table)
+
+    @pytest.mark.parametrize("quoted", [0, -1])
+    def test_a_quoted_range_and_a_plain_range_read_as_the_reference(self, tmp_path, quoted):
+        table = table_with_repeats(40, 4, 3, seed=7)
+        table.ids[quoted] = 'a,"b"'
+        path = tmp_path / "features.csv"
+        write_features_csv(path, table)
+        raw = path.read_bytes()
+        ranges = corpus_mod._record_ranges(path, raw.index(b"\n") + 1, len(raw), 2)
+        counts = [corpus_mod._plain_line_count(path, *span) for span in ranges]
+        assert len(ranges) == 2 and counts[quoted] is None and counts[quoted + 1] > 0
+        with in_workers(2) as calls:
+            got = _reader_outcome(read_features_csv, path)
+        assert calls == [2]
+        assert got == _reader_outcome(reference_read_features_csv, path)
+        assert got[0] == table.ids.tolist()
+        assert got[3] == [row.tobytes() for row in table.features]
+
+    @pytest.mark.parametrize("bad, problem", [
+        ("abc", "non-numeric feature value"),
+        ("nan", "non-finite feature value in row 'e{}'"),
+    ])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_bad_value_in_a_repeated_row_is_named_at_its_first_line(
+            self, tmp_path, bad, problem, k):
+        path = tmp_path / "features.csv"
+        write_features_csv(path, table_with_repeats(60, 3, 4, seed=11))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        target = lines[45].split(",", 3)[3]
+        rows = [i for i, line in enumerate(lines) if line.split(",", 3)[3] == target]
+        assert len(rows) > 1
+        for i in rows:
+            head = lines[i][: len(lines[i]) - len(target)]
+            lines[i] = head + bad + target[target.index(","):]
+        path.write_text("".join(lines), encoding="utf-8")
+        with in_workers(k):
+            got = _reader_outcome(read_features_csv, path)
+        first = rows[0] + 1  # lines[0] is line 1, the header
+        assert got == f"MalformedRow: {path} line {first}: " + problem.format(rows[0] - 1)
+        assert got == _reader_outcome(reference_read_features_csv, path)
+
+    def test_the_writers_dict_holds_at_most_one_block_of_texts(self, tmp_path):
+        seen = []  # (texts held, the cap) after each block
+        write_rows = corpus_mod._write_feature_rows
+
+        def spied(fh, table, floats, texts, cap):
+            write_rows(fh, table, floats, texts, cap)
+            seen.append((len(texts), cap))
+
+        # 2 rows of 4 values per 200-byte block: 25 blocks of distinct rows
+        with in_workers(1, block_bytes=200), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_mod, "_write_feature_rows", spied)
+            write_features_csv(tmp_path / "features.csv", table_with_repeats(50, 50, 4, seed=3))
+        assert seen == [(2, 2)] * 25
+
+    def test_reading_all_distinct_rows_peaks_as_the_structured_reader_did(self, tmp_path):
+        # 2000 distinct rows of 200 values in one process: one structured
+        # np.loadtxt over the whole range peaked at 7.24 MB by tracemalloc
+        path = tmp_path / "features.csv"
+        table = table_with_repeats(2000, 2000, 200, seed=12)
+        write_features_csv(path, table)
+        with in_workers(1):
+            back, peak = traced_peak(read_features_csv, path)
+        assert_tables_equal(back, table)
+        assert peak <= 7.3e6
 
 
 class TestFeaturize:

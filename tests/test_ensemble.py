@@ -652,6 +652,21 @@ class TestEnsemble:
         expected = softmax(mlp_forward(p, xs, "eval"))
         assert np.array_equal(ensemble_predict(model, xs), expected)
 
+    def test_prediction_holds_one_pair_of_activations_with_the_same_bits(self):
+        members = [randomized_params(40 + i, dim=200, hidden=200)[0] for i in range(5)]
+        xs = np.random.default_rng(45).normal(size=(1000, 200))
+        probs, peak = traced_peak(ensemble_predict, EnsembleModel(members=members), xs)
+        # every member's forward pass with a full _Activations, as training builds
+        # it: 9 buffers of (1000, 200) took the peak to 14.5 MB
+        acc = None
+        for p in members:
+            logits, _ = _forward_cached(p, xs, list(zip(p.bn_running_mean, p.bn_running_var)))
+            acc = softmax(logits) if acc is None else acc + softmax(logits)
+            train_logits, _ = _forward_cached(p, xs, None)
+            assert mlp_forward(p, xs, "train").tobytes() == train_logits.tobytes()
+        assert probs.tobytes() == (acc / len(members)).tobytes()
+        assert peak <= 4e6
+
     def test_identical_members_average_to_the_single_model(self):
         p, rng = randomized_params(18)
         xs = rng.normal(size=(5, 4))
