@@ -17,38 +17,25 @@ embeddings, which users edit, may start with a byte-order mark):
                 the reader skips blank lines
   embeddings    header "vocab_size dimension", then "token v1 .. vD" lines
 
-Feature CSVs are read and written in contiguous pieces, one per worker: a
-forked process per parallel.MIN_CHUNK_BYTES (4 MiB) of CSV text, at most one
-per usable CPU, the caller doing the first piece (parallel.fork_map). Smaller
-files, one CPU, no os.fork or other live threads mean one process. Reads
-cut only at record ends and join the pieces in file order, so the results
-and the bytes written do not depend on the worker count. A writing worker
-puts its piece in an unnamed temporary file beside the output, which the
-caller appends; every process formats one block of rows at a time, so each
-holds its live data plus one block.
-
-Mean pooling gives every report with the same known tokens the same row, so
-each piece formats, and parses, each distinct feature row once, matching
-rows by their exact bits or text. The writer's row texts, and the reader's
-texts not yet parsed, are held at most one block at a time; a row seen
-again after its block is converted again. A read range with a quote (a
-quoted id), a carriage return or a line of fewer than three commas (a blank
-line) takes the general path, one structured np.loadtxt, as does a range
-whose values np.loadtxt refuses, so errors are reported as before.
+Feature CSVs are read and written in the calling process, a block of
+rows at a time. Mean pooling gives every report with the same known tokens
+the same row, so the writer formats, and the reader parses, each distinct
+feature row once, matching rows by their exact bits or text. The writer's
+row texts, and the reader's texts not yet parsed, are held at most one
+block at a time; a row seen again after its block is converted again. The
+reader parses straight into one (n, D) matrix. A file with a quote (a
+quoted id), a carriage return or a line of fewer than three commas (a
+blank line) takes the general path, one structured np.loadtxt, as does a
+file whose values np.loadtxt refuses, so errors are reported as before.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import functools
 import io
 import itertools
 import logging
 import math
-import os
-import shutil
-import tempfile
 import unicodedata
 import warnings
 from dataclasses import dataclass, replace
@@ -69,7 +56,6 @@ from .errors import (
     utf8_input,
 )
 from .labels import LABEL_NAMES, NEGATIVE, POSITIVE, UNCERTAIN, label_to_index
-from .parallel import fork_map, workers_for
 
 NO_LABEL = -1  # a FeatureTable's secondary label for a row that has none
 
@@ -328,9 +314,9 @@ def _write_feature_rows(fh, table: FeatureTable, floats, texts: dict, cap: int) 
     """Write the rows of ``table``, their values formatted by ``floats``.
 
     ``texts`` maps the bytes of a feature row to its formatted values, so a
-    row seen before in this piece is not formatted again; it is emptied
-    before it would hold more than ``cap`` texts. The key is bitwise, so
-    -0.0 and +0.0 stay apart."""
+    row seen before is not formatted again; it is emptied before it would
+    hold more than ``cap`` texts. The key is bitwise, so -0.0 and +0.0 stay
+    apart."""
     write_row = _csv_row_writer(fh)
     for ident, label, secondary, x in zip(table.ids, table.labels.tolist(),
                                           table.secondary.tolist(), table.features):
@@ -345,11 +331,8 @@ def _write_feature_rows(fh, table: FeatureTable, floats, texts: dict, cap: int) 
 
 
 def write_features_csv(path, table: FeatureTable) -> None:
-    """Write ``table`` as a feature CSV: the caller formats the first piece
-    of rows into ``path``, each worker its piece into an unnamed temporary
-    file in the same directory, and the caller appends those in order.
-
-    A piece formats each distinct feature row once, keeping the texts of at
+    """Write ``table`` as a feature CSV, a block of rows at a time,
+    formatting each distinct feature row once and keeping the texts of at
     most one block of rows (see _write_feature_rows)."""
     n = len(table)
     if not n:
@@ -358,40 +341,20 @@ def write_features_csv(path, table: FeatureTable) -> None:
     # the id and label fields go through the csv writer; the floats, which
     # never need quoting, are formatted in one % per row
     floats = ",%.17g" * dim + "\n"
-    k = workers_for(n * dim * _VALUE_BYTES)
-    bounds = [n * i // k for i in range(k + 1)]
     rows_per_block = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
-    directory = os.path.dirname(os.path.abspath(path))
-
-    with open(path, "w", encoding="utf-8", newline="") as fh, contextlib.ExitStack() as stack:
+    texts: dict = {}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         _csv_row_writer(fh)(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
-        # opened before the fork, so that a worker's writes land where the
-        # caller reads them back
-        pieces = [fh] + [stack.enter_context(tempfile.TemporaryFile(
-            "w+", encoding="utf-8", newline="", dir=directory)) for _ in range(k - 1)]
-
-        def write_part(i):
-            out, texts = pieces[i], {}
-            for start in range(bounds[i], bounds[i + 1], rows_per_block):
-                stop = min(start + rows_per_block, bounds[i + 1])
-                _write_feature_rows(out, table.take(slice(start, stop)), floats, texts,
-                                    rows_per_block)
-            out.flush()  # a worker ends in os._exit, which flushes nothing
-
-        fork_map(write_part, range(k))
-        for piece in pieces[1:]:
-            piece.seek(0)
-            shutil.copyfileobj(piece.buffer, fh.buffer, _BLOCK_BYTES)
+        for start in range(0, n, rows_per_block):
+            _write_feature_rows(fh, table.take(slice(start, start + rows_per_block)), floats,
+                                texts, rows_per_block)
 
 
 def read_features_csv(path) -> FeatureTable:
     """The feature rows of a feature CSV as one table. Blank lines are
     skipped. A row with the wrong field count or a non-numeric or non-finite
-    value raises MalformedRow naming the line.
-
-    The body is parsed in record-aligned byte ranges, one per worker process
-    (see ``parallel.workers_for``); the ranges' rows are joined in file order. Bytes that
-    are not UTF-8 raise NotUtf8 naming the first such line, in any range.
+    value raises MalformedRow naming the line; bytes that are not UTF-8
+    raise NotUtf8 naming the first such line.
     """
     with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
         line = fh.readline()
@@ -401,23 +364,12 @@ def read_features_csv(path) -> FeatureTable:
         dim = len(header) - 3
         if dim < 1:
             raise MalformedRow(f"{path}: no feature columns")
-        body, size = len(line.encode("utf-8")), os.fstat(fh.fileno()).st_size
-        parse = functools.partial(_parse_feature_rows, path, dim)
-        ranges = _record_ranges(path, body, size, workers_for(size - body))
+        body = len(line.encode("utf-8"))
         try:
-            try:
-                parts = fork_map(parse, ranges)
-            except ValueError:
-                if len(ranges) == 1:
-                    raise
-                # numpy numbers rows from the start of its range, and a bare
-                # quote inside an unquoted field (which RFC 4180 forbids) can
-                # move a cut into a record: one pass gives the file's outcome
-                parts = [parse((body, size))]
+            ids, primaries, secondaries, features = _parse_feature_rows(path, fh, dim, body)
         except ValueError as exc:
             fh.seek(body)
             raise _bad_row(path, fh, dim) or MalformedRow(f"{path}: {exc}") from None
-        ids, primaries, secondaries, features = (np.concatenate(c) for c in zip(*parts))
         if not np.isfinite(features).all():
             fh.seek(body)
             raise _bad_row(path, fh, dim) or MalformedRow(f"{path}: non-finite feature value")
@@ -427,81 +379,48 @@ def read_features_csv(path) -> FeatureTable:
     return FeatureTable(ids, features, labels, secondary)
 
 
-def _record_ranges(path, start, stop, k) -> list:
-    """At most k byte ranges that tile [start, stop) of a CSV file, each
-    ending at a record end near an even share of the bytes.
+def _parse_feature_rows(path, fh, dim, start):
+    """(ids, labels, secondary labels, features) of the feature-CSV rows of
+    ``fh``, which stands at byte offset ``start``, to the end of the file;
+    ValueError for a row np.loadtxt refuses.
 
-    A record ends at a line feed that follows an even number of quote
-    characters, counted from ``start``. In RFC 4180 CSV a quote only opens,
-    closes or doubles inside a quoted field, so such a line feed is never
-    inside one. UTF-8 continuation bytes are never quotes or line feeds.
-    A bare quote inside an unquoted field, which RFC 4180 forbids and the
-    writer never produces, can put a cut inside a record; the range that
-    then fails to parse makes read_features_csv redo the body in one pass.
-    """
-    cuts, pos, quotes = [start], start, 0
-    with open(path, "rb") as fb:
-        fb.seek(start)
-        for j in range(1, k):
-            target = start + (stop - start) * j // k
-            while pos < target:  # up to the target only the quote count matters
-                block = fb.read(min(_BLOCK_BYTES, target - pos))
-                if not block:
-                    break
-                quotes += block.count(b'"')
-                pos += len(block)
-            while line := fb.readline():
-                quotes += line.count(b'"')
-                pos += len(line)
-                if quotes % 2 == 0 and line.endswith(b"\n"):
-                    break
-            cuts.append(pos)
-    cuts.append(stop)
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b] or [(start, stop)]
-
-
-def _parse_feature_rows(path, dim, span):
-    """(ids, labels, secondary labels, features) of the feature-CSV rows in
-    the byte range ``span``; ValueError for a row np.loadtxt refuses.
-
-    A plain range, one with no quote or carriage return whose every line
+    A plain body, one with no quote or carriage return whose every line
     holds at least three commas, parses each distinct text of values once
-    (see ``_parse_plain_rows``). Any other range (quoted fields, blank
+    (see ``_parse_plain_rows``). Any other body (quoted fields, blank
     lines, CR line ends), and a plain one whose values np.loadtxt refuses,
     is parsed by one structured np.loadtxt, whose error is the one reported.
     """
-    start, stop = span
     row_type = [("id", object), ("label", object), ("secondary", object),
                 ("x", np.float64, (dim,))]
-    # a decode error is a ValueError too: it leaves the worker as NotUtf8, so
-    # that it is not taken for a bad row
-    with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
-        fh.seek(start)  # a byte offset at a line start is a text-file position
-        lines = _plain_line_count(path, start, stop)
+    # a decode error is a ValueError too: it leaves here as NotUtf8, so that
+    # it is not taken for a bad row
+    with utf8_input(path):
+        lines = _plain_line_count(path, start)
         if lines:
             plain = _parse_plain_rows(itertools.islice(fh, lines), lines, dim)
             if plain is not None:
                 return plain
-            fh.seek(start)
+            fh.seek(start)  # a byte offset at a line start is a text-file position
         with warnings.catch_warnings():
-            # a range with no rows is an empty data set, not a warning
+            # a body with no rows is an empty data set, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(_lines_before(fh, start, stop), dtype=row_type,
-                               delimiter=",", quotechar='"', comments=None, ndmin=1)
-    return table["id"], table["label"], table["secondary"], table["x"]
+            table = np.loadtxt(fh, dtype=row_type, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1)
+    # the id and feature columns are copied out of the records, so that the
+    # matrix is contiguous and the table keeps no records alive
+    return table["id"].copy(), table["label"], table["secondary"], table["x"].copy()
 
 
-def _plain_line_count(path, start, stop) -> int | None:
-    """The number of lines in bytes [start, stop) of ``path``, or None if
-    they hold a quote or a carriage return."""
-    lines, pos, last = 0, start, b"\n"
+def _plain_line_count(path, start) -> int | None:
+    """The number of lines of ``path`` from byte offset ``start`` to its
+    end, or None if they hold a quote or a carriage return."""
+    lines, last = 0, b"\n"
     with open(path, "rb") as fb:
         fb.seek(start)
-        while pos < stop and (block := fb.read(min(_BLOCK_BYTES, stop - pos))):
+        while block := fb.read(_BLOCK_BYTES):
             if b'"' in block or b"\r" in block:
                 return None
             lines += block.count(b"\n")
-            pos += len(block)
             last = block[-1:]
     return lines + (last != b"\n")
 
@@ -572,16 +491,6 @@ def _parse_values(texts, dim):
     except ValueError:
         return None
     return values if values.shape == (len(texts), dim) else None
-
-
-def _lines_before(fh, pos, stop):
-    """The lines of text file ``fh``, read from byte offset ``pos``, that
-    start before byte offset ``stop``."""
-    for line in fh:
-        if pos >= stop:
-            return
-        pos += len(line.encode("utf-8"))
-        yield line
 
 
 def _bad_row(path, fh, dim) -> MalformedRow | None:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss, check_int
 from .labels import LABEL_NAMES
-from .parallel import usable_cpus
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -435,6 +434,14 @@ def fit_member(
         else:
             executor.submit(epoch).result()
     return p, trace
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the CPU count
+    where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - platforms without CPU affinity
 
 
 def _worker_count(members: int) -> int:

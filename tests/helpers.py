@@ -329,7 +329,7 @@ def reference_median_heuristic_lengthscale(features, rng):
 
 def traced_peak(fn, *args):
     """(fn(*args), the peak bytes this process allocated while it ran, by
-    tracemalloc; forked workers are not counted)."""
+    tracemalloc)."""
     import tracemalloc
 
     tracemalloc.start()

@@ -18,9 +18,14 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import decode_array, encode_array
-from textuq import cli, parallel
-from textuq.corpus import load_embeddings, read_corpus_csv, read_features_csv
+from helpers import decode_array, encode_array, table_with_repeats
+from textuq import cli
+from textuq.corpus import (
+    load_embeddings,
+    read_corpus_csv,
+    read_features_csv,
+    write_features_csv,
+)
 from textuq.ensemble import EnsembleModel
 from textuq.model_io import load_model
 from textuq.svgp import SvgpModel
@@ -1203,31 +1208,6 @@ def test_refuses_an_output_that_would_overwrite_another_file(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("fail", [False, True])
-def test_prepare_in_workers_leaves_only_its_output(pipeline, tmp_path, monkeypatch, fail):
-    caller, write_rows = os.getpid(), cli.corpus_mod._write_feature_rows
-
-    def failing_in_a_worker(*args):
-        if os.getpid() != caller:
-            raise OSError(28, "No space left on device")
-        write_rows(*args)
-
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(parallel, "MIN_CHUNK_BYTES", 1)
-    if fail:
-        monkeypatch.setattr(cli.corpus_mod, "_write_feature_rows", failing_in_a_worker)
-    out = tmp_path / "features.csv"
-    code, _, err = run_cli(["prepare", "--corpus", str(pipeline["corpus"]),
-                            "--embeddings", str(pipeline["embeddings"]), "--out", str(out)])
-    if fail:
-        _one_error_line(code, err, "No space left on device")
-        assert os.listdir(tmp_path) == []
-    else:
-        assert code == 0, err
-        assert os.listdir(tmp_path) == ["features.csv"]
-        assert out.read_bytes() == pipeline["features_bytes"]
-
-
-@pytest.mark.parametrize("fail", [False, True])
 def test_prepare_leaves_an_existing_temp_name_alone(pipeline, tmp_path, monkeypatch, fail):
     # a user's file with the writer's first temp name is neither read, written
     # nor removed; the output still gets 0o666 less the umask
@@ -1300,6 +1280,46 @@ def test_internal_failure_exits_2(toy_dir, monkeypatch):
     ])
     assert code == 2
     assert "Traceback" in err and "boom" in err
+
+
+def test_nothing_forks(tmp_path, monkeypatch):
+    # with os.fork refusing and two CPUs usable, a feature CSV of more than
+    # 8 MiB is written and read back, and prepare, train and evaluate run
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    big = tmp_path / "big.csv"
+    table = table_with_repeats(2200, 2200, 200, seed=12)
+    write_features_csv(big, table)
+    assert big.stat().st_size > 8 << 20
+    back = read_features_csv(big)
+    assert back.ids.tolist() == table.ids.tolist()
+    assert back.features.tobytes() == table.features.tobytes()
+
+    corpus, emb, feats = tmp_path / "c.csv", tmp_path / "e.txt", tmp_path / "f.csv"
+    steps = [
+        ["synth", "--n", "600", "--disagreement", "0.08", "--seed", "11",
+         "--dim", "16", "--out-corpus", str(corpus), "--out-embeddings", str(emb)],
+        ["prepare", "--corpus", str(corpus), "--embeddings", str(emb), "--out", str(feats)],
+        ["train", "--model", "gp", "--features", str(feats), "--seed", "11",
+         "--inducing", "8", "--epochs", "1", "--mc-train", "2", "--mc-predict", "4",
+         "--out-model", str(tmp_path / "gp.json"),
+         "--out-trace", str(tmp_path / "gp_trace.csv")],
+        ["train", "--model", "ens", "--features", str(feats), "--seed", "11",
+         "--members", "2", "--hidden", "8", "--epochs", "1", "--batch-size", "128",
+         "--out-model", str(tmp_path / "ens.json"),
+         "--out-trace", str(tmp_path / "ens_trace.csv")],
+    ] + [
+        ["evaluate", "--model", str(tmp_path / f"{model}.json"), "--features", str(feats),
+         "--out-json", str(tmp_path / "rep.json"), "--out-csv", str(tmp_path / "rep.csv"),
+         "--out-reliability", str(tmp_path / "rel.csv")] + calibrate
+        for model in ("gp", "ens") for calibrate in ([], ["--calibrate"])
+    ]
+    for argv in steps:
+        code, _, err = run_cli(argv)
+        assert code == 0, err
 
 
 def test_pipeline_runs_without_scipy(tmp_path):

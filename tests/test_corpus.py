@@ -1,5 +1,4 @@
 import collections
-import contextlib
 import csv
 import io
 import logging
@@ -25,7 +24,6 @@ from helpers import (
     traced_peak,
 )
 from textuq import corpus as corpus_mod
-from textuq import parallel
 from textuq.corpus import (
     NO_LABEL,
     CorpusRow,
@@ -61,7 +59,6 @@ from textuq.errors import (
     TooFewPoints,
 )
 from textuq.labels import NEGATIVE, POSITIVE, UNCERTAIN
-from textuq.parallel import fork_map
 
 
 class TestPreprocess:
@@ -337,6 +334,21 @@ class TestFeatureTable:
                             feature_table(["b"], [[1.0]], [1], [None]))
 
 
+def _row_bytes(tmp, table, i):
+    """The bytes of row i of the table as the writer writes it."""
+    one = Path(tmp) / "one.csv"
+    write_features_csv(one, table.take([i]))
+    raw = one.read_bytes()
+    return raw[raw.index(b"\n") + 1:]
+
+
+def _table(n, dim, ids=None):
+    feats = np.random.default_rng(n * 10 + dim).normal(size=(n, dim))
+    return feature_table([f"e{i}" for i in range(n)] if ids is None else ids, feats,
+                         [i % 3 for i in range(n)],
+                         [None if i % 4 == 1 else (i + 1) % 3 for i in range(n)])
+
+
 class TestFeaturesCsv:
     def table(self):
         rng = np.random.default_rng(1)
@@ -378,6 +390,29 @@ class TestFeaturesCsv:
         # unquoted, which no reader could get back
         assert b"\ncr\rhere," in want.read_bytes()
         assert got.read_bytes() == want.read_bytes().replace(b"\ncr\rhere,", b'\n"cr\rhere",')
+
+    @pytest.mark.parametrize("block_bytes", [None, 200, 1])
+    def test_bytes_match_the_reference_writer_at_any_block_size(self, tmp_path, block_bytes):
+        ids = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain", "é"] * 3
+        table = _table(len(ids), 6, ids)
+        table.features[0] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e-300]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
+            write_features_csv(got, table)
+        reference_write_features_csv(want, table)
+        # the reference leaves a bare \r unquoted (see above)
+        assert got.read_bytes() == want.read_bytes().replace(b"\ncr\rhere,", b'\n"cr\rhere",')
+        assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]  # no other file left
+
+    def test_the_writer_holds_one_block_of_text(self, tmp_path):
+        # the writer formats a block of rows at a time (0.35 MB here);
+        # formatting half of this table at once peaked at 6.6 MB
+        table, _ = featurize(synth_generate(SynthConfig(n=2000), seed=5),
+                             synth_embeddings(dim=200, seed=6))
+        _, peak = traced_peak(write_features_csv, tmp_path / "features.csv", table)
+        assert peak <= 4e6
 
     def test_read_rejects_non_numeric_and_non_finite_values(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -529,45 +564,6 @@ class TestReadFeaturesCsv:
         for read in (read_features_csv, reference_read_features_csv):
             assert_tables_equal(read(path), table)
 
-
-@contextlib.contextmanager
-def in_workers(k, block_bytes=None):
-    """Feature-CSV reads and writes use up to k worker processes whatever the
-    file size. Yields the list of the item counts fork_map is called with."""
-    calls = []
-
-    def counting_fork_map(fn, items):
-        items = list(items)
-        calls.append(len(items))
-        return fork_map(fn, items)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parallel, "usable_cpus", lambda: k)
-        mp.setattr(parallel, "MIN_CHUNK_BYTES", 1)
-        mp.setattr(corpus_mod, "fork_map", counting_fork_map)
-        if block_bytes is not None:
-            mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
-        yield calls
-
-
-def _row_bytes(tmp, table, i):
-    """The bytes of row i of the table as the writer writes it."""
-    one = Path(tmp) / "one.csv"
-    write_features_csv(one, table.take([i]))
-    raw = one.read_bytes()
-    return raw[raw.index(b"\n") + 1:]
-
-
-def _table(n, dim, ids=None):
-    feats = np.random.default_rng(n * 10 + dim).normal(size=(n, dim))
-    return feature_table([f"e{i}" for i in range(n)] if ids is None else ids, feats,
-                         [i % 3 for i in range(n)],
-                         [None if i % 4 == 1 else (i + 1) % 3 for i in range(n)])
-
-
-class TestFeaturesCsvInWorkers:
-    """Reads and writes split over forked workers give the one-process results."""
-
     @given(
         rows=st.lists(
             st.tuples(_AWKWARD_IDS, st.integers(0, 2), st.sampled_from([None, 0, 1, 2]),
@@ -575,10 +571,9 @@ class TestFeaturesCsvInWorkers:
             min_size=1, max_size=8,
         ),
         dim=st.integers(1, 3),
-        k=st.integers(2, 4),
         data=st.data(),
     )
-    def test_reader_matches_the_reference_reader(self, rows, dim, k, data):
+    def test_matches_the_reference_reader_with_blank_lines(self, rows, dim, data):
         feats = np.array(
             data.draw(st.lists(_AWKWARD_FLOATS, min_size=len(rows) * dim,
                                max_size=len(rows) * dim))
@@ -593,85 +588,29 @@ class TestFeaturesCsvInWorkers:
             blanks.write_bytes(raw[:raw.index(b"\n") + 1] + b"".join(
                 (b"\n" if blank else b"") + _row_bytes(tmp, table, i)
                 for i, blank in enumerate(blank_before)))
-            with in_workers(k) as calls:
-                got = _reader_outcome(read_features_csv, blanks)
+            got = _reader_outcome(read_features_csv, blanks)
             assert got == _reader_outcome(reference_read_features_csv, plain)
-        assert 1 <= calls[0] <= k
         assert got[0] == list(ids)
         assert got[3] == [row.tobytes() for row in feats]
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_a_cut_target_inside_a_quoted_field(self, tmp_path, k):
-        # the middle row's id is a quoted field over the whole middle of the file
-        ids = ["e0", 'q,"x"\n' * 80, "e2"]
-        path = tmp_path / "features.csv"
-        write_features_csv(path, _table(3, 2, ids))
-        raw = path.read_bytes()
-        body = raw.index(b"\n") + 1
-        field = (raw.index(b'"q,'), raw.index(b'\n",') + 2)
-        targets = [body + (len(raw) - body) * j // k for j in range(1, k)]
-        assert all(field[0] < t < field[1] for t in targets)
-        with in_workers(k) as calls:
-            got = _reader_outcome(read_features_csv, path)
-        assert calls == [2]  # one cut, after the quoted row
-        assert got == _reader_outcome(reference_read_features_csv, path)
-        assert got[0] == ids
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_ranges_tile_the_body_at_record_ends(self, tmp_path, k):
-        path = tmp_path / "features.csv"
-        write_features_csv(path, _table(40, 3, [f'id "{i}"\n' for i in range(40)]))
-        raw = path.read_bytes()
-        body = raw.index(b"\n") + 1
-        ranges = corpus_mod._record_ranges(path, body, len(raw), k)
-        assert len(ranges) == k
-        assert ranges[0][0] == body and ranges[-1][1] == len(raw)
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        for _, end in ranges[:-1]:
-            assert raw[end - 1:end] == b"\n" and raw[body:end].count(b'"') % 2 == 0
-
-    @pytest.mark.parametrize("bad", [
-        "e9,positive,,0.5,abc\n",  # non-numeric
-        "e9,positive,,0.5\n",  # too few fields
-        "e9,positive,,0.5,0.7,0.9\n",  # too many fields
-        "e9,positive,,nan,0.7\n",  # non-finite
-        "e9,positive,,0.5,-inf\n",
-        "e9,positive,,1e999,0.7\n",
-        "cr\rhere,negative,,0.5,0.7\n",  # an unquoted bare \r
-    ])
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_a_bad_row_in_a_workers_range_gives_the_reference_message(self, tmp_path, bad, k):
-        path = tmp_path / "features.csv"
-        write_features_csv(path, _table(6, 2))
-        with open(path, "a", encoding="utf-8", newline="") as fh:
-            fh.write(bad + "e10,negative,,0.5,0.7\n")
-        with in_workers(k) as calls:
-            got = _reader_outcome(read_features_csv, path)
-        assert calls[0] == k  # the bad row, second to last, is in a worker's range
-        assert got.startswith(f"MalformedRow: {path} line 8: ")
-        assert got == _reader_outcome(reference_read_features_csv, path)
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_non_utf8_in_any_range_gives_the_one_process_message(self, tmp_path, k):
-        # the decode error is raised wherever the range is parsed, and names
-        # the file's first undecodable line, not a line of the range; the
-        # file is larger than the text buffer the header is read through
+    def test_non_utf8_gives_one_message_and_one_parse(self, tmp_path):
+        # the decode error names the file's first undecodable line; the file
+        # is larger than the text buffer the header is read through
         path = tmp_path / "features.csv"
         write_features_csv(path, _table(400, 2))
         raw = path.read_bytes().replace(b"e397,", b"e\xe9397,").replace(b"e398,", b"\xff398,")
         path.write_bytes(raw)
-        parsed = []  # the ranges this process parses; workers' appends stay in them
+        parsed = []  # the bodies parsed
 
-        def parse(path, dim, span):
-            parsed.append(span)
-            return parse_rows(path, dim, span)
+        def parse(path, fh, dim, start):
+            parsed.append(start)
+            return parse_rows(path, fh, dim, start)
 
         parse_rows = corpus_mod._parse_feature_rows
-        with in_workers(k) as calls, pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus_mod, "_parse_feature_rows", parse)
             with pytest.raises(NotUtf8) as excinfo:
                 read_features_csv(path)
-        assert calls == [k]
         assert len(parsed) == 1  # not parsed again in one pass, as a bad row would be
         assert str(excinfo.value) == f"{path} line 399: not UTF-8 text (invalid continuation byte)"
 
@@ -681,99 +620,39 @@ class TestFeaturesCsvInWorkers:
         with pytest.raises(NotUtf8, match=f"^{path} line 1: "):
             read_features_csv(path)
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_an_unclosed_quote_past_the_field_limit_names_the_line(self, tmp_path, k):
+    def test_an_unclosed_quote_past_the_field_limit_names_the_line(self, tmp_path):
         path = tmp_path / "features.csv"
         write_features_csv(path, _table(6, 2))
         with open(path, "a", encoding="utf-8", newline="") as fh:
             fh.write('"e9,negative,,0.5,0.7\n' + "0.5,\n" * 40_000)
-        with in_workers(k):
-            with pytest.raises(MalformedRow, match=f"^{path} line 8: field larger than field limit"):
-                read_features_csv(path)
-
-    def test_a_value_only_numpy_refuses_gives_the_one_process_message(self, tmp_path):
-        # the reference reads 1_0 as 10.0; numpy's message names the row
-        # counted from the start of the body, not of a worker's range
-        path = tmp_path / "features.csv"
-        write_features_csv(path, _table(6, 1))
-        with open(path, "a", encoding="utf-8", newline="") as fh:
-            fh.write("e9,negative,,1_0\n")
-        want = _reader_outcome(read_features_csv, path)
-        assert want.startswith(f"MalformedRow: {path}: could not convert string '1_0'")
-        with in_workers(2) as calls:
-            assert _reader_outcome(read_features_csv, path) == want
-        assert calls == [2]
-
-    def test_features_are_rows_of_one_contiguous_matrix(self, tmp_path):
-        path = tmp_path / "features.csv"
-        table = _table(9, 3)
-        write_features_csv(path, table)
-        with in_workers(3) as calls:
-            back = read_features_csv(path)
-        assert calls == [3]
-        assert back.features.shape == (9, 3) and back.features.flags.c_contiguous
-        assert_tables_equal(back, table)
-
-    def test_blank_lines_only(self, tmp_path):
-        path = tmp_path / "features.csv"
-        path.write_text("id,label,secondary_label,f0\n\n\n\n\n", encoding="utf-8")
-        with in_workers(4):
-            assert len(read_features_csv(path)) == 0
-
-    @pytest.mark.parametrize("k, block_bytes", [(1, None), (1, 200), (2, None), (3, 1), (4, 200)])
-    def test_writer_bytes_match_the_reference_writer(self, tmp_path, k, block_bytes):
-        ids = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "plain", "é"] * 3
-        table = _table(len(ids), 6, ids)
-        table.features[0] = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e-300]
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        with in_workers(k, block_bytes) as calls:
-            write_features_csv(got, table)
-        assert calls == [k]
-        reference_write_features_csv(want, table)
-        # the reference leaves a bare \r unquoted (see TestFeaturesCsv)
-        assert got.read_bytes() == want.read_bytes().replace(b"\ncr\rhere,", b'\n"cr\rhere",')
-        assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]  # no worker's piece left
-
-    def test_the_caller_holds_one_block_of_text(self, tmp_path):
-        # the caller formats its half block by block and copies the
-        # workers' pieces through a bounded buffer: formatting the whole
-        # half at once peaked at 6.6 MB on this table
-        table, _ = featurize(synth_generate(SynthConfig(n=2000), seed=5),
-                             synth_embeddings(dim=200, seed=6))
-        with in_workers(2) as calls:
-            _, peak = traced_peak(write_features_csv, tmp_path / "features.csv", table)
-        assert calls == [2]
-        assert peak <= 4e6
+        with pytest.raises(MalformedRow, match=f"^{path} line 8: field larger than field limit"):
+            read_features_csv(path)
 
 
 class TestRepeatedRows:
-    """Each worker's piece converts every distinct feature row to and from
-    text once, with the references' bytes and tables."""
+    """The writer and the reader convert every distinct feature row to and
+    from text once, with the references' bytes and tables."""
 
     @pytest.mark.parametrize("distinct", [1, 32, 120])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_round_trip_matches_the_references(self, tmp_path, distinct, k):
+    def test_round_trip_matches_the_references(self, tmp_path, distinct):
         table = table_with_repeats(120, distinct, 5, seed=distinct)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        parsed = []  # the texts parsed in this process, per np.loadtxt call
+        parsed = []  # the texts parsed, per np.loadtxt call
         parse_values = corpus_mod._parse_values
 
         def counted(texts, dim):
             parsed.append(len(texts))
             return parse_values(texts, dim)
 
-        with in_workers(k) as calls, pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus_mod, "_parse_values", counted)
             write_features_csv(got, table)
             outcome = _reader_outcome(read_features_csv, got)
-        assert calls == [k, k]
         reference_write_features_csv(want, table)
         assert got.read_bytes() == want.read_bytes()
         assert outcome == _reader_outcome(reference_read_features_csv, got)
         assert outcome[3] == [row.tobytes() for row in table.features]
-        # one process parses each distinct row once; the caller's piece of
-        # two, at most that
-        assert sum(parsed) == distinct if k == 1 else 1 <= sum(parsed) <= distinct
+        assert sum(parsed) == distinct
 
     def test_rows_that_differ_in_the_sign_of_a_zero_stay_apart(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -787,18 +666,14 @@ class TestRepeatedRows:
         assert_tables_equal(back, table)
 
     @pytest.mark.parametrize("quoted", [0, -1])
-    def test_a_quoted_range_and_a_plain_range_read_as_the_reference(self, tmp_path, quoted):
+    def test_a_quoted_id_first_or_last_reads_as_the_reference(self, tmp_path, quoted):
         table = table_with_repeats(40, 4, 3, seed=7)
         table.ids[quoted] = 'a,"b"'
         path = tmp_path / "features.csv"
         write_features_csv(path, table)
         raw = path.read_bytes()
-        ranges = corpus_mod._record_ranges(path, raw.index(b"\n") + 1, len(raw), 2)
-        counts = [corpus_mod._plain_line_count(path, *span) for span in ranges]
-        assert len(ranges) == 2 and counts[quoted] is None and counts[quoted + 1] > 0
-        with in_workers(2) as calls:
-            got = _reader_outcome(read_features_csv, path)
-        assert calls == [2]
+        assert corpus_mod._plain_line_count(path, raw.index(b"\n") + 1) is None
+        got = _reader_outcome(read_features_csv, path)
         assert got == _reader_outcome(reference_read_features_csv, path)
         assert got[0] == table.ids.tolist()
         assert got[3] == [row.tobytes() for row in table.features]
@@ -807,9 +682,8 @@ class TestRepeatedRows:
         ("abc", "non-numeric feature value"),
         ("nan", "non-finite feature value in row 'e{}'"),
     ])
-    @pytest.mark.parametrize("k", [1, 2])
     def test_a_bad_value_in_a_repeated_row_is_named_at_its_first_line(
-            self, tmp_path, bad, problem, k):
+            self, tmp_path, bad, problem):
         path = tmp_path / "features.csv"
         write_features_csv(path, table_with_repeats(60, 3, 4, seed=11))
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -820,8 +694,7 @@ class TestRepeatedRows:
             head = lines[i][: len(lines[i]) - len(target)]
             lines[i] = head + bad + target[target.index(","):]
         path.write_text("".join(lines), encoding="utf-8")
-        with in_workers(k):
-            got = _reader_outcome(read_features_csv, path)
+        got = _reader_outcome(read_features_csv, path)
         first = rows[0] + 1  # lines[0] is line 1, the header
         assert got == f"MalformedRow: {path} line {first}: " + problem.format(rows[0] - 1)
         assert got == _reader_outcome(reference_read_features_csv, path)
@@ -835,7 +708,8 @@ class TestRepeatedRows:
             seen.append((len(texts), cap))
 
         # 2 rows of 4 values per 200-byte block: 25 blocks of distinct rows
-        with in_workers(1, block_bytes=200), pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_mod, "_BLOCK_BYTES", 200)
             mp.setattr(corpus_mod, "_write_feature_rows", spied)
             write_features_csv(tmp_path / "features.csv", table_with_repeats(50, 50, 4, seed=3))
         assert seen == [(2, 2)] * 25
@@ -846,10 +720,21 @@ class TestRepeatedRows:
         path = tmp_path / "features.csv"
         table = table_with_repeats(2000, 2000, 200, seed=12)
         write_features_csv(path, table)
-        with in_workers(1):
-            back, peak = traced_peak(read_features_csv, path)
+        back, peak = traced_peak(read_features_csv, path)
         assert_tables_equal(back, table)
         assert peak <= 7.3e6
+
+    def test_reading_repeated_rows_holds_one_copy_of_the_matrix(self, tmp_path):
+        # 10 000 rows of 32 distinct values, as on the benchmark corpus, peak
+        # at 19.8 MB: the 16 MB matrix, 1.8 MB of id and label strings and
+        # the 2 MB finiteness mask; parsing two halves and joining them
+        # peaked at 36.1 MB
+        path = tmp_path / "features.csv"
+        table = table_with_repeats(10_000, 32, 200, seed=13)
+        write_features_csv(path, table)
+        back, peak = traced_peak(read_features_csv, path)
+        assert_tables_equal(back, table)
+        assert peak <= table.features.nbytes + corpus_mod._BLOCK_BYTES + 3e6
 
 
 class TestFeaturize:
@@ -870,13 +755,11 @@ class TestFeaturize:
         assert np.array_equal(table.features, [[0.5, 0.5]])
 
     def test_matches_embed_mean_bit_for_bit_on_the_criterion_5_corpus(self):
-        # what `synth --n 10000 --seed 5 --dim 200` writes; pooling forks no
-        # worker, even where the CSV codec would
+        # what `synth --n 10000 --seed 5 --dim 200` writes
         rows = synth_generate(SynthConfig(n=10000), seed=5)
         table = synth_embeddings(dim=200, seed=6)
-        with in_workers(2) as calls:
-            features, flagged = featurize(rows, table)
-        assert calls == [] and flagged == []
+        features, flagged = featurize(rows, table)
+        assert flagged == []
         assert features.ids.tolist() == [row.id for row in rows]
         assert features.labels.tolist() == [row.primary_label for row in rows]
         assert features.secondary.tolist() == [row.secondary_label for row in rows]

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import os
 import sys
 import threading
 import time
@@ -38,6 +39,7 @@ from textuq.ensemble import (
     loss_and_grads,
     mlp_forward,
     softmax,
+    usable_cpus,
 )
 from textuq.errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteLoss
 
@@ -442,6 +444,19 @@ class TestMatchesReferenceStep:
         for i, (member, trace) in enumerate(zip(model.members, traces)):
             ref = reference_fit_member(feats, labels, cfg, cfg.seed + i, scale)
             self.assert_same(member, trace, *ref)
+
+
+class TestUsableCpus:
+    def test_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert usable_cpus() == 3
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
 
 
 class TestWorkerCount:
