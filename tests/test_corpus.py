@@ -628,6 +628,108 @@ class TestReadFeaturesCsv:
         with pytest.raises(MalformedRow, match=f"^{path} line 8: field larger than field limit"):
             read_features_csv(path)
 
+    @pytest.mark.parametrize("bad", [
+        "e9,positive,,0.5,abc\n",  # non-numeric
+        "e9,positive,,0.5\n",  # too few fields
+        "e9,positive,,0.5,0.7,0.9\n",  # too many fields
+        "e9,positive,,nan,0.7\n",  # non-finite
+        "e9,positive,,0.5,-inf\n",
+        "e9,positive,,1e999,0.7\n",
+        "cr\rhere,negative,,0.5,0.7\n",  # an unquoted bare \r
+    ])
+    @pytest.mark.parametrize("row", [0, 5, 11])
+    @pytest.mark.parametrize("block_bytes", [None, 64])
+    def test_a_bad_row_in_any_block_gives_the_reference_message(
+            self, tmp_path, block_bytes, row, bad):
+        # 12 rows of 2 values; at 64 bytes a block holds the values of one
+        # row, so the bad row is in the first, a middle or the last block
+        path = tmp_path / "features.csv"
+        write_features_csv(path, _table(11, 2))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(row + 1, bad)
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
+            got = _reader_outcome(read_features_csv, path)
+        assert got.startswith(f"MalformedRow: {path} line {row + 2}: ")
+        assert got == _reader_outcome(reference_read_features_csv, path)
+
+    @pytest.mark.parametrize("copies", [1, 80])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_a_quoted_id_over_many_lines_reads_as_the_reference(self, tmp_path, where, copies):
+        ids = ["e0", "e1", "e2"]
+        ids[where] = 'q,"x"\n' * copies
+        path = tmp_path / "features.csv"
+        write_features_csv(path, _table(3, 2, ids))
+        got = _reader_outcome(read_features_csv, path)
+        assert got == _reader_outcome(reference_read_features_csv, path)
+        assert got[0] == ids
+
+    @pytest.mark.parametrize("block_bytes", [None, 64])
+    def test_a_value_only_numpy_refuses_is_named_by_numpys_row(self, tmp_path, block_bytes):
+        # the reference reads 1_0 as 10.0; numpy's message counts rows from
+        # the start of the body, whichever block of the plain parse met it
+        path = tmp_path / "features.csv"
+        write_features_csv(path, _table(6, 1))
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("e9,negative,,1_0\n")
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
+            got = _reader_outcome(read_features_csv, path)
+        assert got == (f"MalformedRow: {path}: could not convert string '1_0' to float64 "
+                       "at row 6, column 4.")
+
+    @pytest.mark.parametrize("kind", ["distinct", "repeated", "quoted"])
+    def test_every_parse_path_gives_one_contiguous_matrix(self, tmp_path, kind):
+        path = tmp_path / "features.csv"
+        table = table_with_repeats(9, 9 if kind == "distinct" else 3, 3, seed=4,
+                                   quoted_ids=kind == "quoted")
+        write_features_csv(path, table)
+        back = read_features_csv(path)
+        # a matrix of its own: no records or parts of the parse are kept alive
+        assert back.features.flags.c_contiguous and back.features.base is None
+        assert_tables_equal(back, table)
+
+    @pytest.mark.parametrize("kind", ["distinct", "repeated", "quoted"])
+    def test_a_last_row_without_a_newline_reads_as_the_reference(self, tmp_path, kind):
+        path = tmp_path / "features.csv"
+        table = table_with_repeats(9, 9 if kind == "distinct" else 3, 3, seed=5,
+                                   quoted_ids=kind == "quoted")
+        write_features_csv(path, table)
+        path.write_bytes(path.read_bytes()[:-1])
+        got = _reader_outcome(read_features_csv, path)
+        assert got == _reader_outcome(reference_read_features_csv, path)
+        assert got[3] == [row.tobytes() for row in table.features]
+
+    @pytest.mark.parametrize("kind", ["distinct", "repeated", "quoted"])
+    def test_crlf_line_ends_read_as_the_reference(self, tmp_path, kind):
+        path = tmp_path / "features.csv"
+        table = table_with_repeats(9, 9 if kind == "distinct" else 3, 3, seed=6,
+                                   quoted_ids=kind == "quoted")
+        write_features_csv(path, table)
+        raw = path.read_bytes().replace(b"\n", b"\r\n")
+        path.write_bytes(raw)
+        assert corpus_mod._plain_line_count(path, raw.index(b"\n") + 1) is None
+        got = _reader_outcome(read_features_csv, path)
+        assert got == _reader_outcome(reference_read_features_csv, path)
+        assert got[3] == [row.tobytes() for row in table.features]
+
+    @pytest.mark.parametrize("marker", [b"", b'"', b"\r"])
+    @pytest.mark.parametrize("block_bytes", [1, 7, None])
+    def test_the_plain_line_count_at_any_block_size(self, tmp_path, block_bytes, marker):
+        # a quote or CR in the last block makes the body not plain; a last
+        # line without a newline is counted
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"head\n" + b"e0,negative,,0.5\ne1,positive,,0.25\n" * 3
+                         + b"e6,x" + marker + b",,1")
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
+            count = corpus_mod._plain_line_count(path, 5)
+        assert count == (None if marker else 7)
+
 
 class TestRepeatedRows:
     """The writer and the reader convert every distinct feature row to and
@@ -653,6 +755,31 @@ class TestRepeatedRows:
         assert outcome == _reader_outcome(reference_read_features_csv, got)
         assert outcome[3] == [row.tobytes() for row in table.features]
         assert sum(parsed) == distinct
+
+    @pytest.mark.parametrize("distinct", [1, 32, 120])
+    def test_round_trip_in_small_blocks_matches_the_references(self, tmp_path, distinct):
+        # at 440 bytes a block holds the texts of 4 rows of 5 values; a text
+        # met again after its block was parsed is parsed again
+        table = table_with_repeats(120, distinct, 5, seed=distinct)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        parsed = []  # the texts parsed, per np.loadtxt call
+        parse_values = corpus_mod._parse_values
+
+        def counted(texts, dim):
+            parsed.append(len(texts))
+            return parse_values(texts, dim)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_mod, "_BLOCK_BYTES", 440)
+            mp.setattr(corpus_mod, "_parse_values", counted)
+            write_features_csv(got, table)
+            outcome = _reader_outcome(read_features_csv, got)
+        reference_write_features_csv(want, table)
+        assert got.read_bytes() == want.read_bytes()
+        assert outcome == _reader_outcome(reference_read_features_csv, got)
+        assert outcome[3] == [row.tobytes() for row in table.features]
+        assert max(parsed) <= 4 and distinct <= sum(parsed) <= 120
+        assert sum(parsed) == distinct if distinct <= 4 else len(parsed) > 1
 
     def test_rows_that_differ_in_the_sign_of_a_zero_stay_apart(self, tmp_path):
         path = tmp_path / "features.csv"
