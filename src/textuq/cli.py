@@ -195,6 +195,20 @@ def _split(table, spec):
     return train, val, test
 
 
+def _move_to_front(features, rows):
+    """``features`` cut to its ``rows``, which are moved to its front a
+    block at a time and the rest freed, so that no second matrix is made.
+    ``rows`` is sorted and distinct, so rows[i] >= i: the rows a block
+    reads are at or after the block, where no earlier block wrote.
+    ``features`` must own its data and have no views."""
+    step = max(1, (1 << 20) // (features.itemsize * features.shape[1]))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        features[lo:lo + len(block)] = features[block]
+    features.resize((len(rows), features.shape[1]), refcheck=False)
+    return features
+
+
 def cmd_prepare(opts) -> int:
     rows = corpus_mod.read_corpus_csv(opts.corpus)
     embeddings = corpus_mod.load_embeddings(opts.embeddings)
@@ -256,8 +270,9 @@ def cmd_train(opts) -> int:
 
     table = corpus_mod.read_features_csv(opts.features)
     train, val, test = _split(table, spec)
-    xs, ys = table.features[train], table.labels[train]
-    del table  # only the copied training rows are needed from here on
+    ys = table.labels[train]
+    xs = _move_to_front(table.features, train)  # cuts the table's matrix in place
+    del table  # its columns no longer match; only the training rows are needed
     print(f"split: train {len(train)}, val {len(val)}, test {len(test)}")
 
     if opts.model == "gp":

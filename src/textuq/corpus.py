@@ -17,25 +17,29 @@ embeddings, which users edit, may start with a byte-order mark):
                 the reader skips blank lines
   embeddings    header "vocab_size dimension", then "token v1 .. vD" lines
 
-Feature CSVs are read and written in the calling process, a block of
-rows at a time. Mean pooling gives every report with the same known tokens
-the same row, so the writer formats, and the reader parses, each distinct
-feature row once, matching rows by their exact bits or text. The writer's
-row texts, and the reader's texts not yet parsed, are held at most one
-block at a time; a row seen again after its block is converted again. The
-reader parses straight into one (n, D) matrix. A file with a quote (a
-quoted id), a carriage return or a line of fewer than three commas (a
-blank line) takes the general path, one structured np.loadtxt, as does a
-file whose values np.loadtxt refuses, so errors are reported as before.
+Reports with the same tokens, in whatever order, pool to the same row, so
+featurize pools each distinct sorted token sequence once. Feature CSVs are
+read and written in the calling process, a block of rows at a time; the
+writer formats, and the reader parses, each distinct feature row once,
+matching rows by their exact bits or text. The pooled sequences, the
+writer's row texts and the reader's texts not yet parsed are held at most
+one block at a time; a row seen again after its block is converted again.
+A CSV row that needs no quoting is written as its joined fields, and any
+other through the csv module. The reader reads the file as bytes in one
+pass and parses straight into one (n, D) matrix. A file with a quote (a
+quoted id), a carriage return, a line of fewer than three commas (a blank
+line) or bytes that are not UTF-8 takes the general path, one structured
+np.loadtxt over the text, as does a file whose values np.loadtxt refuses,
+so errors are reported as before.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import logging
 import math
+import os
 import unicodedata
 import warnings
 from dataclasses import dataclass, replace
@@ -231,17 +235,25 @@ def _csv_row_writer(fh):
 
     The fields are quoted as csv.writer(fh, lineterminator="\\n") quotes
     them, and also when they hold a bare carriage return, which that writer
-    leaves unquoted and every CSV reader then takes for a line end. ``tail``
-    is written verbatim after the last field and must end the line.
+    leaves unquoted and every CSV reader then takes for a line end. A row
+    that needs no quoting, one whose fields hold no comma, quote, carriage
+    return or line feed and which is not one empty field (csv writes that
+    as ""), is written as its fields joined by commas; any other goes
+    through csv.writer. ``tail`` is written verbatim after the last field
+    and must end the line.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
 
     def write_row(fields, tail="\n"):
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow(fields)
-        fh.write(buf.getvalue()[:-2])
+        line = ",".join(fields)
+        if (line.count(",") != len(fields) - 1 or '"' in line or "\r" in line
+                or "\n" in line or not line):
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(fields)
+            line = buf.getvalue()[:-2]
+        fh.write(line)
         fh.write(tail)
 
     return write_row
@@ -261,7 +273,8 @@ def featurize(rows, table: EmbeddingTable):
     the rows with no in-vocabulary token (their features are zero).
 
     Row for row the bits of the test oracle ``embed_mean`` in
-    tests/helpers.py (see ``_pool``).
+    tests/helpers.py. Each distinct sorted token sequence is pooled once,
+    and the rows that repeat it get its row's bits (see ``_pool``).
     """
     features, counts = _pool(rows, table)
     ids = np.array([row.id for row in rows], dtype=object)
@@ -277,37 +290,72 @@ def _pool(rows, table: EmbeddingTable):
     known token vectors added in sorted-token order to +0.0, then divided
     by their count; +0.0 for a row with none.
 
-    Only one row's tokens are held as strings at a time: each row's known
-    tokens are sorted as the row is tokenized, and each token gets a vector
-    row in first-seen order, so a row's ids come in its sorted-token order.
-    The rows are then summed in blocks, longest first, one token position at
-    a time. At each position the rows still adding are a prefix of the
-    block, so no row is padded and each row sees only its own additions."""
+    Rows with the same tokens, in whatever order, have the same features,
+    so each row's tokens are sorted and each distinct sorted sequence is
+    pooled once, into the row where it is first seen; the rows that repeat
+    it are then copied from that row. Only one row's tokens are held as
+    strings at a time. The distinct sequences are held, and pooled, one
+    block at a time, so a sequence met again after its block was pooled is
+    pooled again. A block is summed longest first, one token position at a
+    time: at each position the rows still adding are a prefix of the block,
+    so no row is padded and each row sees only its own additions."""
     n, dim = len(rows), table.dimension
-    seen: dict = {}  # known token -> vector row, in first-seen order
-    counts = np.empty(n, np.intp)
-
-    def known_ids():
-        for i, row in enumerate(rows):
-            tokens = sorted(t for t in preprocess_text(row.text) if t in table.vectors)
-            counts[i] = len(tokens)
-            yield from (seen.setdefault(t, len(seen)) for t in tokens)
-
-    flat = np.fromiter(known_ids(), np.intp)
-    vectors = np.array([table.vectors[t] for t in seen], np.float64).reshape(len(seen), dim)
-    starts = np.cumsum(counts) - counts
-    order = np.argsort(-counts, kind="stable")
+    vectors = table.vectors
+    cap = max(1, _POOL_BLOCK_BYTES // (8 * dim))
     out = np.empty((n, dim))
-    rows_per_block = max(1, _POOL_BLOCK_BYTES // (8 * dim))
-    for lo in range(0, n, rows_per_block):
-        block = order[lo:lo + rows_per_block]
-        lengths, first = counts[block], starts[block]
+    counts: list = []  # each row's known-token count
+    source: list = []  # the row each row's features are pooled into
+    firsts: dict = {}  # the block's sorted token sequences -> the row each is pooled into
+    block_lengths: list = []  # the known-token count of each of the block's sequences
+    known: dict = {}  # the block's known tokens -> vector rows, in first-seen order
+    flat: list = []  # the block's vector rows, sequence after sequence
+
+    def pool_block():
+        block = np.fromiter(firsts.values(), np.intp, len(firsts))
+        lengths = np.array(block_lengths, np.intp)
+        starts = np.cumsum(lengths) - lengths
+        order = np.argsort(-lengths, kind="stable")
+        block, lengths, starts = block[order], lengths[order], starts[order]
+        ids = np.array(flat, np.intp)
+        vecs = np.array([vectors[t] for t in known], np.float64).reshape(len(known), dim)
         acc = np.zeros((len(block), dim))
         for j in range(lengths[0]):
             live = np.count_nonzero(lengths > j)
-            acc[:live] += vectors[flat[first[:live] + j]]
+            acc[:live] += vecs[ids[starts[:live] + j]]
         out[block] = acc / np.maximum(lengths, 1)[:, None]
-    return out, counts
+        for held in (firsts, block_lengths, known, flat):
+            held.clear()
+
+    for row in rows:
+        tokens = preprocess_text(row.text)
+        tokens.sort()
+        key = " ".join(tokens)  # tokens hold no whitespace, so the key is the sequence
+        first = firsts.get(key)
+        if first is None:
+            if len(firsts) == cap:
+                pool_block()
+            first = firsts[key] = len(source)
+            ids = [known.setdefault(t, len(known)) for t in tokens if t in vectors]
+            flat += ids
+            block_lengths.append(len(ids))
+            counts.append(len(ids))
+        else:
+            counts.append(counts[first])
+        source.append(first)
+    if firsts:
+        pool_block()
+    _copy_from_sources(out, source, cap)
+    return out, np.array(counts, np.intp)
+
+
+def _copy_from_sources(matrix, source, step) -> None:
+    """Copy each row of ``matrix`` from the row ``source`` names for it,
+    ``step`` rows at a time. A row's source is at or before it and holds
+    its own values, so the rows can be copied in place."""
+    source = np.array(source, np.intp)
+    if np.any(source != np.arange(len(source))):
+        for lo in range(0, len(source), step):
+            matrix[lo:lo + step] = matrix[source[lo:lo + step]]
 
 
 def _write_feature_rows(fh, table: FeatureTable, floats, texts: dict, cap: int) -> None:
@@ -381,26 +429,26 @@ def read_features_csv(path) -> FeatureTable:
 
 def _parse_feature_rows(path, fh, dim, start):
     """(ids, labels, secondary labels, features) of the feature-CSV rows of
-    ``fh``, which stands at byte offset ``start``, to the end of the file;
-    ValueError for a row np.loadtxt refuses.
+    ``path`` from byte offset ``start``, to the end of the file; ValueError
+    for a row np.loadtxt refuses. ``fh`` is ``path`` open as text.
 
     A plain body, one with no quote or carriage return whose every line
-    holds at least three commas, parses each distinct text of values once
-    (see ``_parse_plain_rows``). Any other body (quoted fields, blank
-    lines, CR line ends), and a plain one whose values np.loadtxt refuses,
-    is parsed by one structured np.loadtxt, whose error is the one reported.
+    holds at least three commas and is UTF-8, is read as bytes in one pass
+    that parses each distinct text of values once (see
+    ``_parse_plain_body``). Any other body (quoted fields, blank lines, CR
+    line ends, bytes that are not UTF-8), and a plain one whose values
+    np.loadtxt refuses, is parsed from ``fh`` by one structured np.loadtxt,
+    whose error is the one reported.
     """
     row_type = [("id", object), ("label", object), ("secondary", object),
                 ("x", np.float64, (dim,))]
     # a decode error is a ValueError too: it leaves here as NotUtf8, so that
     # it is not taken for a bad row
     with utf8_input(path):
-        lines = _plain_line_count(path, start)
-        if lines:
-            plain = _parse_plain_rows(itertools.islice(fh, lines), lines, dim)
-            if plain is not None:
-                return plain
-            fh.seek(start)  # a byte offset at a line start is a text-file position
+        plain = _parse_plain_body(path, start, dim)
+        if plain is not None:
+            return plain
+        fh.seek(start)  # a byte offset at a line start is a text-file position
         with warnings.catch_warnings():
             # a body with no rows is an empty data set, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -411,72 +459,76 @@ def _parse_feature_rows(path, fh, dim, start):
     return table["id"].copy(), table["label"], table["secondary"], table["x"].copy()
 
 
-def _plain_line_count(path, start) -> int | None:
-    """The number of lines of ``path`` from byte offset ``start`` to its
-    end, or None if they hold a quote or a carriage return."""
-    lines, last = 0, b"\n"
-    with open(path, "rb") as fb:
-        fb.seek(start)
-        while block := fb.read(_BLOCK_BYTES):
-            if b'"' in block or b"\r" in block:
-                return None
-            lines += block.count(b"\n")
-            last = block[-1:]
-    return lines + (last != b"\n")
-
-
-def _parse_plain_rows(lines, n, dim):
-    """_parse_feature_rows' result for the ``n`` quote- and CR-free
-    ``lines``, or None if a line holds fewer than three commas, np.loadtxt
-    refuses a line's values or finds other than ``dim``, or there are not
-    ``n`` lines.
+def _parse_plain_body(path, start, dim):
+    """_parse_feature_rows' result for the lines of ``path`` from byte
+    offset ``start``, read as bytes in one pass, or None if there are none,
+    a line holds a quote, a carriage return or fewer than three commas, a
+    field is not UTF-8, or np.loadtxt refuses a line's values or finds
+    other than ``dim``.
 
     Each line is split at its third comma, and each distinct text after it
-    is parsed once, into the row where it is first seen; the rows that
-    repeat one are then copied from that row. The texts are parsed a block
-    at a time, and a block's texts are forgotten once parsed, so one seen
-    again after that is parsed again. When no row repeats another, the
-    features are parsed straight into the one (n, dim) array and nothing is
-    copied.
+    is parsed once, straight into the row of the one (n, dim) matrix where
+    it is first seen; the rows that repeat it are then copied from that
+    row. The texts are held, and parsed, a block at a time, so one seen
+    again after its block was parsed is parsed again. The row count is
+    known only at the end of the file: a body whose texts fit in one block
+    is parsed there, into a matrix of its size, while a block parsed
+    earlier sizes the matrix by the rows the bytes read so far promise for
+    the whole body, plus a block. The matrix is resized in place if that
+    was too few, and cut to the rows read at the end.
     """
     cap = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
-    features = np.empty((n, dim))
-    source = np.empty(n, np.intp)  # the row each row's values were parsed into
+    features = None
+    source: list = []  # the row each row's values are parsed into
     ids, labels, secondaries = [], [], []
-    texts: dict = {}  # value text -> the row it is parsed into; emptied by each parse
-    repeats = False
+    tails: dict = {}  # the block's value texts -> the row each is parsed into
 
-    def parse_texts() -> bool:
-        values = _parse_values(texts, dim)
+    def parse_tails(fb, body) -> bool:
+        nonlocal features
+        rows, read = len(source), fb.tell() - start
+        if features is None or len(features) < rows:
+            size = rows if read >= body else max(rows, rows * body // read + cap)
+            if features is None:
+                features = np.empty((size, dim))
+            else:
+                features.resize((size, dim), refcheck=False)
+        values = _parse_values(tails, dim)
         if values is None:
             return False
-        features[list(texts.values())] = values
-        texts.clear()
+        features[list(tails.values())] = values
+        tails.clear()
         return True
 
-    for row, line in enumerate(lines):
-        fields = line.split(",", 3)
-        if len(fields) < 4:
-            return None
-        ident, label, secondary, tail = fields
-        first = texts.get(tail)
-        if first is None:
-            if len(texts) == cap and not parse_texts():
+    # a buffer of 1 byte would ask for line buffering, which binary files lack
+    with open(path, "rb", buffering=max(_BLOCK_BYTES, 2)) as fb:
+        body = os.fstat(fb.fileno()).st_size - start
+        fb.seek(start)
+        for line in fb:
+            if b'"' in line or b"\r" in line:
                 return None
-            first = texts[tail] = row
-        else:
-            repeats = True
-        source[row] = first
-        ids.append(ident)
-        labels.append(label)
-        secondaries.append(secondary)
-    if len(ids) != n or not parse_texts():
-        return None
-    if repeats:
-        # a row's source is at or before it and is a row of its own values,
-        # so the rows can be copied in place, a block at a time
-        for lo in range(0, n, cap):
-            features[lo:lo + cap] = features[source[lo:lo + cap]]
+            fields = line.split(b",", 3)
+            if len(fields) < 4:
+                return None
+            ident, label, secondary, tail = fields
+            first = tails.get(tail)
+            if first is None:
+                if not tail.isascii():
+                    return None  # np.loadtxt would read its bytes as Latin-1
+                if len(tails) == cap and not parse_tails(fb, body):
+                    return None
+                first = tails[tail] = len(source)
+            source.append(first)
+            try:
+                ids.append(ident.decode("utf-8"))
+                labels.append(label.decode("utf-8"))
+                secondaries.append(secondary.decode("utf-8"))
+            except UnicodeDecodeError:
+                return None
+        if not source or not parse_tails(fb, body):
+            return None
+    if len(features) > len(source):
+        features.resize((len(source), dim), refcheck=False)
+    _copy_from_sources(features, source, cap)
     return (np.array(ids, dtype=object), np.array(labels, dtype=object),
             np.array(secondaries, dtype=object), features)
 

@@ -8,6 +8,7 @@ artifacts and on reruns. Error paths use throwaway inputs.
 import codecs
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import decode_array, encode_array, table_with_repeats
+from helpers import decode_array, encode_array, table_with_repeats, traced_peak
 from textuq import cli
 from textuq.corpus import (
     load_embeddings,
@@ -190,6 +191,24 @@ def test_synth_rerun_is_byte_identical(tmp_path):
         assert code == 0, err
         outs.append((corpus.read_bytes(), emb.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_synth_and_prepare_write_the_pinned_bytes(tmp_path):
+    # the SHA-256 of each file as the csv-module writer and the row-at-a-time
+    # pooling wrote them, so that a faster writer or pooling cannot drift
+    corpus, emb, feats = tmp_path / "corpus.csv", tmp_path / "emb.txt", tmp_path / "f.csv"
+    for argv in (["synth", "--n", "2000", "--dim", "16", "--seed", "5",
+                  "--out-corpus", str(corpus), "--out-embeddings", str(emb)],
+                 ["prepare", "--corpus", str(corpus), "--embeddings", str(emb),
+                  "--out", str(feats)]):
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (corpus, emb, feats)]
+    assert digests == [
+        "c1d71817b34272fabd73004c2e9fd3ad11395ea947097dc51e37453254763172",
+        "6cc8983d8503e8f1a62bbff99490aefd2a53d12e1fcd99fc2da33025fa403c00",
+        "43923e199616a0dac3d5e22fc0d71bf931b9b2d01b5eab06135e016914761a4d",
+    ]
 
 
 def test_synth_invalid_config_exits_1(tmp_path):
@@ -486,6 +505,38 @@ def test_two_epoch_ensemble_predicts_with_its_training_statistics(tmp_path):
     # criterion 5's floors
     assert sets["CONSTest"]["accuracy"] >= 0.85
     assert sets["NegINCONSTest"]["nlpp"] - sets["CONSTest"]["nlpp"] >= 0.02
+
+
+def test_train_holds_one_copy_of_the_training_rows(tmp_path):
+    # the 3200 training rows of a 4000 x 200 matrix (6.4 MB) are moved to
+    # its front and the rest freed, so training peaks no higher than the
+    # read did (8.5 MB by tracemalloc); copying them out of it peaked at 12.0 MB
+    corpus, emb, feats = tmp_path / "c.csv", tmp_path / "e.txt", tmp_path / "f.csv"
+    for argv in (["synth", "--n", "4000", "--dim", "200", "--seed", "5",
+                  "--out-corpus", str(corpus), "--out-embeddings", str(emb)],
+                 ["prepare", "--corpus", str(corpus), "--embeddings", str(emb),
+                  "--out", str(feats)]):
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+    _, read_peak = traced_peak(read_features_csv, feats)
+    (code, _, err), peak = traced_peak(run_cli, [
+        "train", "--model", "ens", "--features", str(feats), "--seed", "5",
+        "--members", "1", "--hidden", "4", "--epochs", "1", "--batch-size", "100",
+        "--out-model", str(tmp_path / "ens.json"), "--out-trace", str(tmp_path / "t.csv")])
+    assert code == 0, err
+    assert peak <= read_peak + 1e6
+
+
+@pytest.mark.parametrize("positions", [[0], [10], [0, 1, 2, 3, 4], [2, 3, 9, 10],
+                                       [1, 4, 5, 6, 7, 8, 9, 10], list(range(11))])
+def test_moving_rows_to_the_front_gives_the_rows_in_order(positions):
+    # rows of 256 KiB, so a 1 MiB block moves 4 of them; the matrix is cut
+    # to the rows in place, freeing the rest
+    features = np.random.default_rng(len(positions)).normal(size=(11, 1 << 15))
+    want = features[positions]
+    got = cli._move_to_front(features, np.array(positions, np.intp))
+    assert got is features and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_train_rejects_unknown_model(pipeline, tmp_path):

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import csv
 import io
 import logging
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -254,6 +255,20 @@ class TestCorpusCsv:
             writer.writerow([r.id, r.text, names[r.primary_label], secondary])
         assert path.read_bytes() == want.getvalue().encode("utf-8")
 
+    @given(fields=st.lists(st.text(alphabet=st.sampled_from(
+        [",", '"', "\r", "\n", "\0", "\u2028", " ", "a"]), max_size=4), max_size=5))
+    @example(fields=[""])
+    @example(fields=["", ""])
+    @example(fields=[])
+    def test_the_row_writer_writes_what_the_csv_module_writes(self, fields):
+        # csv.writer with a CRLF terminator also quotes a field with a bare
+        # CR; the row writer ends the row with its own tail instead
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\r\n").writerow(fields)
+        got = io.StringIO()
+        corpus_mod._csv_row_writer(got)(fields, tail="|\n")
+        assert got.getvalue() == want.getvalue()[:-2] + "|\n"
+
     def test_round_trip_keeps_a_bare_carriage_return(self, tmp_path):
         rows = [
             CorpusRow("cr\rid", "no edema\rstable", NEGATIVE, NEGATIVE),
@@ -454,11 +469,38 @@ def _reader_outcome(read, path):
     )
 
 
+@contextlib.contextmanager
+def _counted_value_parses():
+    """A list of the number of texts in each ``corpus._parse_values`` call
+    made inside the block."""
+    parsed = []
+    parse_values = corpus_mod._parse_values
+
+    def counted(texts, dim):
+        parsed.append(len(texts))
+        return parse_values(texts, dim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_mod, "_parse_values", counted)
+        yield parsed
+
+
 _AWKWARD_IDS = st.text(alphabet=st.sampled_from([",", '"', "\n", "\r", "#", " ", "a", "é"]),
                        max_size=6)
 _AWKWARD_FLOATS = st.sampled_from(
     [-0.0, 0.0, 5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
 ) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _kind_table(kind, seed):
+    """A 9-row table of 3 values whose rows are all distinct ("distinct"),
+    take 3 values ("repeated", "quoted", "non-ascii"), and whose ids need
+    quoting ("quoted") or are valid UTF-8 beyond ASCII ("non-ascii")."""
+    table = table_with_repeats(9, 9 if kind == "distinct" else 3, 3, seed=seed,
+                               quoted_ids=kind == "quoted")
+    if kind == "non-ascii":
+        table.ids[:] = [f"é{i}\u2028ü" for i in range(9)]
+    return table
 
 
 class TestReadFeaturesCsv:
@@ -681,54 +723,87 @@ class TestReadFeaturesCsv:
         assert got == (f"MalformedRow: {path}: could not convert string '1_0' to float64 "
                        "at row 6, column 4.")
 
-    @pytest.mark.parametrize("kind", ["distinct", "repeated", "quoted"])
+    @pytest.mark.parametrize("kind", ["distinct", "repeated", "quoted", "non-ascii"])
     def test_every_parse_path_gives_one_contiguous_matrix(self, tmp_path, kind):
         path = tmp_path / "features.csv"
-        table = table_with_repeats(9, 9 if kind == "distinct" else 3, 3, seed=4,
-                                   quoted_ids=kind == "quoted")
+        table = _kind_table(kind, seed=4)
         write_features_csv(path, table)
         back = read_features_csv(path)
         # a matrix of its own: no records or parts of the parse are kept alive
         assert back.features.flags.c_contiguous and back.features.base is None
         assert_tables_equal(back, table)
 
-    @pytest.mark.parametrize("kind", ["distinct", "repeated", "quoted"])
+    @pytest.mark.parametrize("kind", ["distinct", "repeated", "quoted", "non-ascii"])
     def test_a_last_row_without_a_newline_reads_as_the_reference(self, tmp_path, kind):
         path = tmp_path / "features.csv"
-        table = table_with_repeats(9, 9 if kind == "distinct" else 3, 3, seed=5,
-                                   quoted_ids=kind == "quoted")
+        table = _kind_table(kind, seed=5)
         write_features_csv(path, table)
         path.write_bytes(path.read_bytes()[:-1])
-        got = _reader_outcome(read_features_csv, path)
+        with _counted_value_parses() as parsed:
+            got = _reader_outcome(read_features_csv, path)
+        assert bool(parsed) == (kind != "quoted")  # only quoted ids leave the byte pass
         assert got == _reader_outcome(reference_read_features_csv, path)
         assert got[3] == [row.tobytes() for row in table.features]
 
     @pytest.mark.parametrize("kind", ["distinct", "repeated", "quoted"])
     def test_crlf_line_ends_read_as_the_reference(self, tmp_path, kind):
         path = tmp_path / "features.csv"
-        table = table_with_repeats(9, 9 if kind == "distinct" else 3, 3, seed=6,
-                                   quoted_ids=kind == "quoted")
+        table = _kind_table(kind, seed=6)
         write_features_csv(path, table)
-        raw = path.read_bytes().replace(b"\n", b"\r\n")
-        path.write_bytes(raw)
-        assert corpus_mod._plain_line_count(path, raw.index(b"\n") + 1) is None
-        got = _reader_outcome(read_features_csv, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with _counted_value_parses() as parsed:
+            got = _reader_outcome(read_features_csv, path)
+        assert parsed == []  # the byte pass handed the file over at its first line
         assert got == _reader_outcome(reference_read_features_csv, path)
         assert got[3] == [row.tobytes() for row in table.features]
 
     @pytest.mark.parametrize("marker", [b"", b'"', b"\r"])
     @pytest.mark.parametrize("block_bytes", [1, 7, None])
-    def test_the_plain_line_count_at_any_block_size(self, tmp_path, block_bytes, marker):
-        # a quote or CR in the last block makes the body not plain; a last
-        # line without a newline is counted
+    def test_a_quote_or_cr_in_the_last_line_at_any_block_size(self, tmp_path, block_bytes,
+                                                               marker):
+        # a quote or CR in the last line makes the body not plain, however
+        # many blocks the byte pass parsed before it; a last line without a
+        # newline is read
         path = tmp_path / "features.csv"
-        path.write_bytes(b"head\n" + b"e0,negative,,0.5\ne1,positive,,0.25\n" * 3
-                         + b"e6,x" + marker + b",,1")
+        path.write_bytes(b"id,label,secondary_label,f0\n"
+                         + b"e0,negative,,0.5\ne1,positive,,0.25\n" * 3
+                         + b"e6,negative" + marker + b",,1")
         with pytest.MonkeyPatch.context() as mp:
             if block_bytes is not None:
                 mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
-            count = corpus_mod._plain_line_count(path, 5)
-        assert count == (None if marker else 7)
+            got = _reader_outcome(read_features_csv, path)
+        assert got == _reader_outcome(reference_read_features_csv, path)
+        assert isinstance(got, str) == bool(marker)
+        if not marker:
+            assert got[0] == ["e0", "e1"] * 3 + ["e6"]
+
+
+    @pytest.mark.parametrize("long_first", [False, True])
+    @pytest.mark.parametrize("block_bytes", [30, 200, None])
+    def test_lines_of_other_lengths_than_the_first_blocks_read_as_the_reference(
+            self, tmp_path, block_bytes, long_first):
+        # 60 distinct rows whose values print 1 or 23 characters long, the
+        # long ones first or last: the rows the first block's bytes promise
+        # are too many or too few, and the matrix is cut or grown to fit
+        short = np.tile([0.5, -1.0], (30, 1))
+        short[:, 0] += np.arange(30)
+        long = np.full((30, 2), -1.2345678901234567e-300) * np.arange(1, 31)[:, None]
+        feats = np.vstack([long, short] if long_first else [short, long])
+        table = feature_table([f"é{i}" for i in range(60)], feats, [i % 3 for i in range(60)],
+                              [i % 3 for i in range(60)])
+        path = tmp_path / "features.csv"
+        write_features_csv(path, table)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
+            with _counted_value_parses() as parsed:
+                back = read_features_csv(path)
+        assert sum(parsed) == 60 and len(parsed) == (1 if block_bytes is None else 60 // max(
+            1, block_bytes // (2 * corpus_mod._VALUE_BYTES)))
+        assert back.features.flags.c_contiguous and back.features.base is None
+        assert_tables_equal(back, table)
+        assert _reader_outcome(read_features_csv, path) == _reader_outcome(
+            reference_read_features_csv, path)
 
 
 class TestRepeatedRows:
@@ -798,9 +873,9 @@ class TestRepeatedRows:
         table.ids[quoted] = 'a,"b"'
         path = tmp_path / "features.csv"
         write_features_csv(path, table)
-        raw = path.read_bytes()
-        assert corpus_mod._plain_line_count(path, raw.index(b"\n") + 1) is None
-        got = _reader_outcome(read_features_csv, path)
+        with _counted_value_parses() as parsed:
+            got = _reader_outcome(read_features_csv, path)
+        assert parsed == []  # the byte pass handed the file over before its first parse
         assert got == _reader_outcome(reference_read_features_csv, path)
         assert got[0] == table.ids.tolist()
         assert got[3] == [row.tobytes() for row in table.features]
@@ -915,6 +990,18 @@ class TestFeaturize:
         (features, _), peak = traced_peak(featurize, rows, table)
         assert peak <= 2 * features.features.nbytes
 
+    def test_reports_with_no_repeated_tokens_pool_a_block_at_a_time(self):
+        # 2000 distinct token multisets of 200-dimensional vectors peak at
+        # 4.3 MB with their sequences pooled a block at a time, and at
+        # 12.3 MB pooled all at once
+        rng = np.random.default_rng(7)
+        vocab = synth_vocabulary()
+        rows = [CorpusRow(f"r{i}", " ".join(rng.choice(vocab, size=40)), 0, None)
+                for i in range(2000)]
+        (features, _), peak = traced_peak(featurize, rows, synth_embeddings(dim=200, seed=6))
+        assert peak <= 2 * features.features.nbytes
+
+    @pytest.mark.parametrize("pool_block_bytes", [None, 48])
     @given(
         texts=st.lists(
             st.lists(st.sampled_from(["a", "b", "c", "-0", "zzz", "qq", "A", "b!"]),
@@ -922,15 +1009,22 @@ class TestFeaturize:
             max_size=9,
         ),
     )
-    def test_matches_embed_mean_on_duplicate_oov_and_empty_rows(self, texts):
-        # "-0" is a -0.0 vector: only a +0.0 start keeps it from the sum's sign
+    @example(texts=["zzz", "qq zzz", "zzz", "", "zzz qq", "", "a b", "b a", "zzz"])
+    @example(texts=["a", "b", "c", "a b", "b c", "a", "c a", "b", "a c"])
+    def test_matches_embed_mean_on_duplicate_oov_and_empty_rows(self, pool_block_bytes, texts):
+        # "-0" is a -0.0 vector: only a +0.0 start keeps it from the sum's sign.
+        # At 48 bytes a block holds 2 distinct token sequences of 3 values,
+        # so a sequence met again after its block was pooled is pooled again
         table = EmbeddingTable(dimension=3, vectors={
             "a": np.array([1.0, -2.5, 1e-300]), "b": np.array([0.1, 0.2, -1e300]),
             "c": np.array([5e-324, -0.0, 3.0]), "0": np.array([-0.0, -0.0, -0.0]),
         })
         rows = [CorpusRow(id=f"r{i}", text=t, primary_label=0, secondary_label=None)
                 for i, t in enumerate(texts)]
-        features, flagged = featurize(rows, table)
+        with pytest.MonkeyPatch.context() as mp:
+            if pool_block_bytes is not None:
+                mp.setattr(corpus_mod, "_POOL_BLOCK_BYTES", pool_block_bytes)
+            features, flagged = featurize(rows, table)
         want = [embed_mean(preprocess_text(t), table) for t in texts]
         assert flagged == [row.id for row, (_, oov) in zip(rows, want) if oov]
         assert features.features.shape == (len(texts), 3)
