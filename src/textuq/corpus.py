@@ -19,8 +19,8 @@ embeddings, which users edit, may start with a byte-order mark):
 
 Reports with the same tokens, in whatever order, pool to the same row, so
 featurize pools each distinct sorted token sequence once. Feature CSVs are
-read and written in the calling process, a block of rows at a time; the
-writer formats, and the reader parses, each distinct feature row once,
+read and written in the calling process: the writer formats, in one pass
+over the rows, and the reader parses each distinct feature row once,
 matching rows by their exact bits or text. The pooled sequences, the
 writer's row texts and the reader's texts not yet parsed are held at most
 one block at a time; a row seen again after its block is converted again.
@@ -30,7 +30,8 @@ pass and parses straight into one (n, D) matrix. A file with a quote (a
 quoted id), a carriage return, a line of fewer than three commas (a blank
 line) or bytes that are not UTF-8 takes the general path, one structured
 np.loadtxt over the text, as does a file whose values np.loadtxt refuses,
-so errors are reported as before.
+so errors are reported as before. keep_rows does every in-place row move:
+pooling's and the reader's repeated rows, and train's cut to its rows.
 """
 
 from __future__ import annotations
@@ -192,10 +193,10 @@ class FeatureTable:
 
 
 def _csv_records(path, lines, first_line=1):
-    """csv.reader over ``lines``, the first of which is line ``first_line`` of
-    ``path``. A record csv refuses, such as a field past csv's size limit
-    (an unclosed quote makes one), raises MalformedRow naming the line the
-    record starts on."""
+    """(line, record) for each csv.reader record of ``lines``, the first of
+    which is line ``first_line`` of ``path``; ``line`` is the line the
+    record starts on. A record csv refuses, such as a field past csv's size
+    limit (an unclosed quote makes one), raises MalformedRow naming it."""
     reader = csv.reader(lines)
     while True:
         lineno = first_line + reader.line_num
@@ -205,28 +206,28 @@ def _csv_records(path, lines, first_line=1):
             return
         except csv.Error as exc:
             raise MalformedRow(f"{path} line {lineno}: {exc}") from None
-        yield rec
+        yield lineno, rec
 
 
 def read_corpus_csv(path) -> list:
+    """The rows of a corpus CSV. A record with the wrong field count or an
+    unknown label word raises MalformedRow naming the line it starts on."""
     with utf8_input(path), open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = _csv_records(path, fh)
-        header = next(reader, None)
+        records = _csv_records(path, fh)
+        _, header = next(records, (1, None))
         if header != ["id", "text", "primary_label", "secondary_label"]:
             raise MalformedRow(f"{path}: expected corpus header, got {header}")
         rows = []
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in records:
             if len(rec) != 4:
                 raise MalformedRow(f"{path} line {lineno}: expected 4 fields, got {len(rec)}")
             ident, text, primary, secondary = rec
-            rows.append(
-                CorpusRow(
-                    id=ident,
-                    text=text,
-                    primary_label=label_to_index(primary),
-                    secondary_label=None if secondary == "" else label_to_index(secondary),
-                )
-            )
+            try:
+                row = CorpusRow(ident, text, label_to_index(primary),
+                                None if secondary == "" else label_to_index(secondary))
+            except MalformedRow as exc:  # an unknown label word
+                raise MalformedRow(f"{path} line {lineno}: {exc}") from None
+            rows.append(row)
     return rows
 
 
@@ -292,13 +293,14 @@ def _pool(rows, table: EmbeddingTable):
 
     Rows with the same tokens, in whatever order, have the same features,
     so each row's tokens are sorted and each distinct sorted sequence is
-    pooled once, into the row where it is first seen; the rows that repeat
-    it are then copied from that row. Only one row's tokens are held as
-    strings at a time. The distinct sequences are held, and pooled, one
-    block at a time, so a sequence met again after its block was pooled is
-    pooled again. A block is summed longest first, one token position at a
-    time: at each position the rows still adding are a prefix of the block,
-    so no row is padded and each row sees only its own additions."""
+    pooled once, into the row where it is first seen; ``keep_rows`` then
+    copies the rows that repeat it from that row. Only one row's tokens
+    are held as strings at a time. The distinct sequences are held, and
+    pooled, one block at a time, so a sequence met again after its block
+    was pooled is pooled again. A block is summed longest first, one
+    token position at a time: at each position the rows still adding are
+    a prefix of the block, so no row is padded and each row sees only its
+    own additions."""
     n, dim = len(rows), table.dimension
     vectors = table.vectors
     cap = max(1, _POOL_BLOCK_BYTES // (8 * dim))
@@ -344,58 +346,52 @@ def _pool(rows, table: EmbeddingTable):
         source.append(first)
     if firsts:
         pool_block()
-    _copy_from_sources(out, source, cap)
-    return out, np.array(counts, np.intp)
+    return keep_rows(out, source), np.array(counts, np.intp)
 
 
-def _copy_from_sources(matrix, source, step) -> None:
-    """Copy each row of ``matrix`` from the row ``source`` names for it,
-    ``step`` rows at a time. A row's source is at or before it and holds
-    its own values, so the rows can be copied in place."""
-    source = np.array(source, np.intp)
-    if np.any(source != np.arange(len(source))):
-        for lo in range(0, len(source), step):
-            matrix[lo:lo + step] = matrix[source[lo:lo + step]]
-
-
-def _write_feature_rows(fh, table: FeatureTable, floats, texts: dict, cap: int) -> None:
-    """Write the rows of ``table``, their values formatted by ``floats``.
-
-    ``texts`` maps the bytes of a feature row to its formatted values, so a
-    row seen before is not formatted again; it is emptied before it would
-    hold more than ``cap`` texts. The key is bitwise, so -0.0 and +0.0 stay
-    apart."""
-    write_row = _csv_row_writer(fh)
-    for ident, label, secondary, x in zip(table.ids, table.labels.tolist(),
-                                          table.secondary.tolist(), table.features):
-        key = x.tobytes()
-        text = texts.get(key)
-        if text is None:
-            if len(texts) >= cap:
-                texts.clear()
-            text = texts[key] = floats % tuple(x.tolist())
-        secondary = "" if secondary == NO_LABEL else LABEL_NAMES[secondary]
-        write_row([ident, LABEL_NAMES[label], secondary], text)
+def keep_rows(matrix, rows):
+    """``matrix`` cut in place to the rows at ``rows``, in that order: row i
+    is set to row rows[i] a block of rows at a time, and the rest is freed,
+    so no second matrix is made. Each rows[i] is at or after i (sorted,
+    distinct positions), or at or before i at a row that keeps its own
+    values (rows[rows[i]] == rows[i]), so no block reads a row that an
+    earlier block wrote. ``matrix`` must own its data and have no views."""
+    rows = np.asarray(rows, np.intp)
+    if np.any(rows != np.arange(len(rows))):
+        step = max(1, _BLOCK_BYTES // (matrix.itemsize * matrix.shape[1]))
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            matrix[lo:lo + len(block)] = matrix[block]
+    matrix.resize((len(rows), matrix.shape[1]), refcheck=False)
+    return matrix
 
 
 def write_features_csv(path, table: FeatureTable) -> None:
-    """Write ``table`` as a feature CSV, a block of rows at a time,
-    formatting each distinct feature row once and keeping the texts of at
-    most one block of rows (see _write_feature_rows)."""
-    n = len(table)
-    if not n:
+    """Write ``table`` as a feature CSV, formatting each distinct feature
+    row once. The formatted values are kept by the bytes of their row, so
+    -0.0 and +0.0 stay apart, and at most one block of rows' texts is kept:
+    a row met again after they were dropped is formatted again."""
+    if not len(table):
         raise EmptyInput("no examples to write")
     dim = table.features.shape[1]
     # the id and label fields go through the csv writer; the floats, which
     # never need quoting, are formatted in one % per row
     floats = ",%.17g" * dim + "\n"
-    rows_per_block = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
-    texts: dict = {}
+    cap = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
+    texts: dict = {}  # a feature row's bytes -> its formatted values
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _csv_row_writer(fh)(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
-        for start in range(0, n, rows_per_block):
-            _write_feature_rows(fh, table.take(slice(start, start + rows_per_block)), floats,
-                                texts, rows_per_block)
+        write_row = _csv_row_writer(fh)
+        write_row(["id", "label", "secondary_label"] + [f"f{i}" for i in range(dim)])
+        for ident, label, secondary, x in zip(table.ids, table.labels.tolist(),
+                                              table.secondary.tolist(), table.features):
+            key = x.tobytes()
+            text = texts.get(key)
+            if text is None:
+                if len(texts) >= cap:
+                    texts.clear()
+                text = texts[key] = floats % tuple(x.tolist())
+            secondary = "" if secondary == NO_LABEL else LABEL_NAMES[secondary]
+            write_row([ident, LABEL_NAMES[label], secondary], text)
 
 
 def read_features_csv(path) -> FeatureTable:
@@ -406,7 +402,7 @@ def read_features_csv(path) -> FeatureTable:
     """
     with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
         line = fh.readline()
-        header = next(_csv_records(path, [line])) if line else None
+        header = next(_csv_records(path, [line]))[1] if line else None
         if header is None or header[:3] != ["id", "label", "secondary_label"]:
             raise MalformedRow(f"{path}: expected feature header, got {header}")
         dim = len(header) - 3
@@ -468,14 +464,15 @@ def _parse_plain_body(path, start, dim):
 
     Each line is split at its third comma, and each distinct text after it
     is parsed once, straight into the row of the one (n, dim) matrix where
-    it is first seen; the rows that repeat it are then copied from that
-    row. The texts are held, and parsed, a block at a time, so one seen
-    again after its block was parsed is parsed again. The row count is
-    known only at the end of the file: a body whose texts fit in one block
-    is parsed there, into a matrix of its size, while a block parsed
-    earlier sizes the matrix by the rows the bytes read so far promise for
-    the whole body, plus a block. The matrix is resized in place if that
-    was too few, and cut to the rows read at the end.
+    it is first seen. The texts are held, and parsed, a block at a time,
+    so one seen again after its block was parsed is parsed again. The row
+    count is known only at the end of the file: a body whose texts fit in
+    one block is parsed there, into a matrix of its size, while a block
+    parsed earlier sizes the matrix by the rows the bytes read so far
+    promise for the whole body, plus a block. The matrix is resized in
+    place if that was too few. At the end ``keep_rows`` copies the rows
+    that repeat a text from the row it was parsed into, and cuts the
+    matrix to the rows read.
     """
     cap = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
     features = None
@@ -526,9 +523,7 @@ def _parse_plain_body(path, start, dim):
                 return None
         if not source or not parse_tails(fb, body):
             return None
-    if len(features) > len(source):
-        features.resize((len(source), dim), refcheck=False)
-    _copy_from_sources(features, source, cap)
+    keep_rows(features, source)
     return (np.array(ids, dtype=object), np.array(labels, dtype=object),
             np.array(secondaries, dtype=object), features)
 
@@ -552,7 +547,8 @@ def _bad_row(path, fh, dim) -> MalformedRow | None:
     np.loadtxt's own messages count rows from 0 or 1 depending on the error,
     so a file it refused is scanned again here only to name the line.
     """
-    for lineno, rec in enumerate(_csv_records(path, fh, first_line=2), start=2):
+    # records are numbered, not lines, as the reference reader numbers them
+    for lineno, (_, rec) in enumerate(_csv_records(path, fh, first_line=2), start=2):
         if not rec:
             continue  # a blank line, which loadtxt skips too
         if len(rec) != dim + 3:

@@ -527,18 +527,6 @@ def test_train_holds_one_copy_of_the_training_rows(tmp_path):
     assert peak <= read_peak + 1e6
 
 
-@pytest.mark.parametrize("positions", [[0], [10], [0, 1, 2, 3, 4], [2, 3, 9, 10],
-                                       [1, 4, 5, 6, 7, 8, 9, 10], list(range(11))])
-def test_moving_rows_to_the_front_gives_the_rows_in_order(positions):
-    # rows of 256 KiB, so a 1 MiB block moves 4 of them; the matrix is cut
-    # to the rows in place, freeing the rest
-    features = np.random.default_rng(len(positions)).normal(size=(11, 1 << 15))
-    want = features[positions]
-    got = cli._move_to_front(features, np.array(positions, np.intp))
-    assert got is features and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
 def test_train_rejects_unknown_model(pipeline, tmp_path):
     code, _, err = run_cli([
         "train", "--model", "forest", "--features", str(pipeline["features"]),

@@ -303,6 +303,24 @@ class TestCorpusCsv:
         with pytest.raises(MalformedRow):
             read_corpus_csv(path)
 
+    # the report of r0 spans lines 2-4, so the record of r1 starts on line 5
+    MULTILINE = 'id,text,primary_label,secondary_label\nr0,"no\nacute\nedema",negative,\n'
+
+    def test_a_short_record_after_a_multiline_report_names_its_line(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text(self.MULTILINE + "r1,stable,negative\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as err:
+            read_corpus_csv(path)
+        assert str(err.value) == f"{path} line 5: expected 4 fields, got 3"
+
+    @pytest.mark.parametrize("labels", ["maybe,negative", "negative,maybe"])
+    def test_an_unknown_label_word_names_the_file_and_line(self, tmp_path, labels):
+        path = tmp_path / "corpus.csv"
+        path.write_text(self.MULTILINE + f"r1,stable,{labels}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as err:
+            read_corpus_csv(path)
+        assert str(err.value) == f"{path} line 5: unknown label 'maybe'"
+
     def test_rejects_non_utf8_naming_the_line(self, tmp_path):
         path = tmp_path / "corpus.csv"
         write_corpus_csv(path, corpus_rows())
@@ -901,20 +919,16 @@ class TestRepeatedRows:
         assert got == f"MalformedRow: {path} line {first}: " + problem.format(rows[0] - 1)
         assert got == _reader_outcome(reference_read_features_csv, path)
 
-    def test_the_writers_dict_holds_at_most_one_block_of_texts(self, tmp_path):
-        seen = []  # (texts held, the cap) after each block
-        write_rows = corpus_mod._write_feature_rows
-
-        def spied(fh, table, floats, texts, cap):
-            write_rows(fh, table, floats, texts, cap)
-            seen.append((len(texts), cap))
-
-        # 2 rows of 4 values per 200-byte block: 25 blocks of distinct rows
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus_mod, "_BLOCK_BYTES", 200)
-            mp.setattr(corpus_mod, "_write_feature_rows", spied)
-            write_features_csv(tmp_path / "features.csv", table_with_repeats(50, 50, 4, seed=3))
-        assert seen == [(2, 2)] * 25
+    def test_writing_distinct_rows_holds_at_most_one_block_of_texts(self, tmp_path):
+        # 2000 distinct rows of 200 values: the writer keeps the texts of
+        # one block of rows (1.1 MB) and peaks at 1.4 MB by tracemalloc;
+        # keeping every row's text peaked at 11.6 MB
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        table = table_with_repeats(2000, 2000, 200, seed=3)
+        _, peak = traced_peak(write_features_csv, got, table)
+        assert peak <= 2 * corpus_mod._BLOCK_BYTES
+        reference_write_features_csv(want, table)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_reading_all_distinct_rows_peaks_as_the_structured_reader_did(self, tmp_path):
         # 2000 distinct rows of 200 values in one process: one structured
@@ -937,6 +951,52 @@ class TestRepeatedRows:
         back, peak = traced_peak(read_features_csv, path)
         assert_tables_equal(back, table)
         assert peak <= table.features.nbytes + corpus_mod._BLOCK_BYTES + 3e6
+
+
+@st.composite
+def kept_rows(draw):
+    """(matrix rows, dimension, rows) for keep_rows, in the two orders the
+    code uses: sorted distinct positions (train's split), or repeats whose
+    source is at or before them and keeps its own row, rows[rows[i]] ==
+    rows[i] <= i (the pooled and the parsed rows), over a matrix that may
+    hold more rows than are kept (the reader's)."""
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return n, dim, sorted(draw(st.sets(st.integers(0, n - 1))))
+    rows = []
+    for i in range(draw(st.integers(0, n))):
+        firsts = [r for r in rows if rows[r] == r]
+        rows.append(draw(st.sampled_from(firsts + [i])))
+    return n, dim, rows
+
+
+class TestKeepRows:
+    # rows of 256 KiB, as a 1 MiB block moves 4 of them by default
+    WIDE = [(11, 1 << 15, rows) for rows in (
+        [0], [10], [0, 1, 2, 3, 4], [2, 3, 9, 10], [1, 4, 5, 6, 7, 8, 9, 10], list(range(11)))]
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    @given(case=kept_rows())
+    @example(case=WIDE[0])
+    @example(case=WIDE[1])
+    @example(case=WIDE[2])
+    @example(case=WIDE[3])
+    @example(case=WIDE[4])
+    @example(case=WIDE[5])
+    @example(case=(5, 2, [0, 0, 2, 2, 0]))
+    @example(case=(9, 3, [0, 1, 1, 0]))
+    def test_keeps_the_rows_in_order_in_the_same_matrix(self, block_rows, case):
+        n, dim, rows = case
+        matrix = np.random.default_rng(n * dim).normal(size=(n, dim))
+        want = matrix[rows]
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(corpus_mod, "_BLOCK_BYTES", block_rows * 8 * dim)
+            got = corpus_mod.keep_rows(matrix, rows)
+        assert got is matrix and got.flags.c_contiguous
+        assert got.shape == (len(rows), dim)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFeaturize:
