@@ -25,13 +25,12 @@ matching rows by their exact bits or text. The pooled sequences, the
 writer's row texts and the reader's texts not yet parsed are held at most
 one block at a time; a row seen again after its block is converted again.
 A CSV row that needs no quoting is written as its joined fields, and any
-other through the csv module. The reader reads the file as bytes in one
-pass and parses straight into one (n, D) matrix. A file with a quote (a
-quoted id), a carriage return, a line of fewer than three commas (a blank
-line) or bytes that are not UTF-8 takes the general path, one structured
-np.loadtxt over the text, as does a file whose values np.loadtxt refuses,
-so errors are reported as before. keep_rows does every in-place row move:
-pooling's and the reader's repeated rows, and train's cut to its rows.
+other through the csv module. The reader reads the file once, splitting
+lines at their commas until one holds a quote or a carriage return and
+the csv module reads the rest, parses into one (n, D) matrix, and names
+the line of the first bad row, a value np.loadtxt refuses (such as 1_0)
+and an unknown label word included. keep_rows does every in-place row
+move: pooling's and the reader's repeated rows, and train's cut to its rows.
 """
 
 from __future__ import annotations
@@ -39,10 +38,8 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import math
 import os
 import unicodedata
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +66,8 @@ log = logging.getLogger(__name__)
 _VALUE_BYTES = 22  # a %.17g feature value and its comma, about
 _BLOCK_BYTES = 1 << 20  # the unit of the readers' and writers' I/O buffers
 _POOL_BLOCK_BYTES = 1 << 18  # the sums of one block of pooled rows: they stay in cache
+_LABEL_INDEX = {name.encode(): i for i, name in enumerate(LABEL_NAMES)}  # word -> label
+_SECONDARY_INDEX = {**_LABEL_INDEX, b"": NO_LABEL}
 
 
 # ---------------------------------------------------------------- text
@@ -395,175 +394,140 @@ def write_features_csv(path, table: FeatureTable) -> None:
 
 
 def read_features_csv(path) -> FeatureTable:
-    """The feature rows of a feature CSV as one table. Blank lines are
-    skipped. A row with the wrong field count or a non-numeric or non-finite
-    value raises MalformedRow naming the line; bytes that are not UTF-8
-    raise NotUtf8 naming the first such line.
+    """The feature rows of a feature CSV as one table, read in one pass;
+    blank lines are skipped. The first row with the wrong field count, a
+    non-numeric or non-finite value or an unknown label word, checked in
+    that order within a row, raises MalformedRow naming its line; bytes
+    that are not UTF-8 raise NotUtf8 naming the first such line.
+
+    Each distinct text of values is parsed once, a block of texts at a time,
+    into the row of one (n, dim) matrix where it is first seen; a block
+    parsed before the end sizes the matrix by the rows the bytes read so far
+    promise, plus a block. ``keep_rows`` then fills the repeated rows.
     """
-    with utf8_input(path), open(path, encoding="utf-8", newline="") as fh:
-        line = fh.readline()
+    # a buffer of 1 byte would ask for line buffering, which binary files lack
+    with utf8_input(path), open(path, "rb", buffering=max(_BLOCK_BYTES, 2)) as fb:
+        text = io.TextIOWrapper(fb, encoding="utf-8", newline="")
+        line = text.readline()  # the header ends at a CR too, as csv's lines do
+        text.detach()
         header = next(_csv_records(path, [line]))[1] if line else None
         if header is None or header[:3] != ["id", "label", "secondary_label"]:
             raise MalformedRow(f"{path}: expected feature header, got {header}")
         dim = len(header) - 3
         if dim < 1:
             raise MalformedRow(f"{path}: no feature columns")
-        body = len(line.encode("utf-8"))
-        try:
-            ids, primaries, secondaries, features = _parse_feature_rows(path, fh, dim, body)
-        except ValueError as exc:
-            fh.seek(body)
-            raise _bad_row(path, fh, dim) or MalformedRow(f"{path}: {exc}") from None
-        if not np.isfinite(features).all():
-            fh.seek(body)
-            raise _bad_row(path, fh, dim) or MalformedRow(f"{path}: non-finite feature value")
-    labels = np.array([label_to_index(w) for w in primaries], np.int64)
-    secondary = np.array([NO_LABEL if w == "" else label_to_index(w) for w in secondaries],
-                         np.int64)
-    return FeatureTable(ids, features, labels, secondary)
-
-
-def _parse_feature_rows(path, fh, dim, start):
-    """(ids, labels, secondary labels, features) of the feature-CSV rows of
-    ``path`` from byte offset ``start``, to the end of the file; ValueError
-    for a row np.loadtxt refuses. ``fh`` is ``path`` open as text.
-
-    A plain body, one with no quote or carriage return whose every line
-    holds at least three commas and is UTF-8, is read as bytes in one pass
-    that parses each distinct text of values once (see
-    ``_parse_plain_body``). Any other body (quoted fields, blank lines, CR
-    line ends, bytes that are not UTF-8), and a plain one whose values
-    np.loadtxt refuses, is parsed from ``fh`` by one structured np.loadtxt,
-    whose error is the one reported.
-    """
-    row_type = [("id", object), ("label", object), ("secondary", object),
-                ("x", np.float64, (dim,))]
-    # a decode error is a ValueError too: it leaves here as NotUtf8, so that
-    # it is not taken for a bad row
-    with utf8_input(path):
-        plain = _parse_plain_body(path, start, dim)
-        if plain is not None:
-            return plain
-        fh.seek(start)  # a byte offset at a line start is a text-file position
-        with warnings.catch_warnings():
-            # a body with no rows is an empty data set, not a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(fh, dtype=row_type, delimiter=",", quotechar='"',
-                               comments=None, ndmin=1)
-    # the id and feature columns are copied out of the records, so that the
-    # matrix is contiguous and the table keeps no records alive
-    return table["id"].copy(), table["label"], table["secondary"], table["x"].copy()
-
-
-def _parse_plain_body(path, start, dim):
-    """_parse_feature_rows' result for the lines of ``path`` from byte
-    offset ``start``, read as bytes in one pass, or None if there are none,
-    a line holds a quote, a carriage return or fewer than three commas, a
-    field is not UTF-8, or np.loadtxt refuses a line's values or finds
-    other than ``dim``.
-
-    Each line is split at its third comma, and each distinct text after it
-    is parsed once, straight into the row of the one (n, dim) matrix where
-    it is first seen. The texts are held, and parsed, a block at a time,
-    so one seen again after its block was parsed is parsed again. The row
-    count is known only at the end of the file: a body whose texts fit in
-    one block is parsed there, into a matrix of its size, while a block
-    parsed earlier sizes the matrix by the rows the bytes read so far
-    promise for the whole body, plus a block. The matrix is resized in
-    place if that was too few. At the end ``keep_rows`` copies the rows
-    that repeat a text from the row it was parsed into, and cuts the
-    matrix to the rows read.
-    """
-    cap = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
-    features = None
-    source: list = []  # the row each row's values are parsed into
-    ids, labels, secondaries = [], [], []
-    tails: dict = {}  # the block's value texts -> the row each is parsed into
-
-    def parse_tails(fb, body) -> bool:
-        nonlocal features
-        rows, read = len(source), fb.tell() - start
-        if features is None or len(features) < rows:
-            size = rows if read >= body else max(rows, rows * body // read + cap)
-            if features is None:
-                features = np.empty((size, dim))
-            else:
-                features.resize((size, dim), refcheck=False)
-        values = _parse_values(tails, dim)
-        if values is None:
-            return False
-        features[list(tails.values())] = values
-        tails.clear()
-        return True
-
-    # a buffer of 1 byte would ask for line buffering, which binary files lack
-    with open(path, "rb", buffering=max(_BLOCK_BYTES, 2)) as fb:
-        body = os.fstat(fb.fileno()).st_size - start
+        start = len(line.encode("utf-8"))
         fb.seek(start)
-        for line in fb:
-            if b'"' in line or b"\r" in line:
-                return None
-            fields = line.split(b",", 3)
-            if len(fields) < 4:
-                return None
-            ident, label, secondary, tail = fields
-            first = tails.get(tail)
-            if first is None:
-                if not tail.isascii():
-                    return None  # np.loadtxt would read its bytes as Latin-1
-                if len(tails) == cap and not parse_tails(fb, body):
-                    return None
-                first = tails[tail] = len(source)
-            source.append(first)
+        body = os.fstat(fb.fileno()).st_size - start
+        cap = max(1, _BLOCK_BYTES // (dim * _VALUE_BYTES))
+        features = np.empty((0, dim))
+        source: list = []  # the row each row's values are parsed into
+        ids, labels, secondaries = [], [], []
+        texts: dict = {}  # the block's value texts -> (the row, the line) each is first seen on
+
+        def parse_block():
+            rows, read = len(source), fb.tell() - start
+            if len(features) < rows:
+                size = rows if read >= body else max(rows, rows * body // read + cap)
+                features.resize((size, dim), refcheck=False)
             try:
-                ids.append(ident.decode("utf-8"))
-                labels.append(label.decode("utf-8"))
-                secondaries.append(secondary.decode("utf-8"))
-            except UnicodeDecodeError:
-                return None
-        if not source or not parse_tails(fb, body):
-            return None
-    keep_rows(features, source)
-    return (np.array(ids, dtype=object), np.array(labels, dtype=object),
-            np.array(secondaries, dtype=object), features)
+                values = _parse_values(texts, dim)
+                if values is None or not np.isfinite(values).all():
+                    raise _bad_text(path, dim, texts, ids)
+                features[[row for row, _ in texts.values()]] = values
+            finally:  # a block is parsed once, whether it passes or not
+                texts.clear()
+
+        try:
+            for lineno, ident, label, secondary, values in _feature_records(path, fb, dim):
+                first = texts.get(values)
+                if first is None:
+                    if len(texts) == cap:
+                        parse_block()
+                    first = texts[values] = (len(source), lineno)
+                source.append(first[0])
+                ids.append(ident)
+                primary, second = _LABEL_INDEX.get(label), _SECONDARY_INDEX.get(secondary)
+                if primary is None or second is None:
+                    word = (label if primary is None else secondary).decode("utf-8")
+                    raise MalformedRow(f"{path} line {lineno}: unknown label {word!r}")
+                labels.append(primary)
+                secondaries.append(second)
+        finally:  # also when a line failed: a bad value on it or before it is named first
+            if texts:
+                parse_block()
+    return FeatureTable(np.array(ids, dtype=object), keep_rows(features, source),
+                        np.array(labels, np.int64), np.array(secondaries, np.int64))
+
+
+def _feature_records(path, fb, dim):
+    """(line, id, label, secondary label, values) for each row of the
+    feature CSV ``fb`` from line 2 on, the labels and the comma-joined values
+    as bytes; blank lines are skipped. Lines are split at their third comma
+    until one holds a quote or a carriage return; the csv module reads the
+    rest, each record naming the line it starts on, its values stripped as
+    np.loadtxt strips them. A line of fewer than four fields, or a record of
+    other than dim + 3 or with a comma in a value, raises MalformedRow."""
+    for lineno, line in enumerate(fb, start=2):
+        if b'"' in line or b"\r" in line:
+            break
+        fields = line.split(b",", 3)
+        if len(fields) == 4:
+            ident, label, secondary, values = fields
+            yield lineno, ident.decode("utf-8"), label, secondary, values
+        elif line != b"\n":
+            raise _field_count(path, lineno, dim, len(fields))
+    else:
+        return
+    fb.seek(-len(line), os.SEEK_CUR)
+    text = io.TextIOWrapper(fb, encoding="utf-8", newline="")
+    try:
+        for lineno, rec in _csv_records(path, text, first_line=lineno):
+            if not rec:
+                continue
+            if len(rec) != dim + 3:
+                raise _field_count(path, lineno, dim, len(rec))
+            values = ",".join(v.strip() for v in rec[3:])
+            if values.count(",") != dim - 1:
+                raise MalformedRow(f"{path} line {lineno}: non-numeric feature value")
+            yield lineno, rec[0], rec[1].encode(), rec[2].encode(), values.encode()
+    finally:
+        text.detach()  # fb stays open: the reader sizes its matrix by fb.tell()
+
+
+def _field_count(path, lineno, dim, fields) -> MalformedRow:
+    return MalformedRow(f"{path} line {lineno}: expected {dim + 3} fields, got {fields}")
 
 
 def _parse_values(texts, dim):
     """The (len(texts), dim) array of the comma-separated values of each
     text, or None if np.loadtxt refuses one or one holds other than ``dim``
-    values (loadtxt skips a blank one)."""
+    values (loadtxt skips a blank one). A text beyond ASCII is decoded
+    first: np.loadtxt reads bytes as Latin-1."""
+    lines = [t if t.isascii() else t.decode("utf-8") for t in texts]
+    if not any(line.strip() for line in lines):
+        return None  # np.loadtxt would warn that there is no data
     try:
-        values = np.loadtxt(list(texts), dtype=np.float64, delimiter=",", comments=None,
-                            ndmin=2)
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     return values if values.shape == (len(texts), dim) else None
 
 
-def _bad_row(path, fh, dim) -> MalformedRow | None:
-    """The error for the first body row of ``fh`` with the wrong field count
-    or a non-numeric or non-finite value, or None if every row is good.
-
-    np.loadtxt's own messages count rows from 0 or 1 depending on the error,
-    so a file it refused is scanned again here only to name the line.
-    """
-    # records are numbered, not lines, as the reference reader numbers them
-    for lineno, (_, rec) in enumerate(_csv_records(path, fh, first_line=2), start=2):
-        if not rec:
-            continue  # a blank line, which loadtxt skips too
-        if len(rec) != dim + 3:
-            return MalformedRow(
-                f"{path} line {lineno}: expected {dim + 3} fields, got {len(rec)}"
-            )
-        try:
-            values = [float(v) for v in rec[3:]]
-        except ValueError:
+def _bad_text(path, dim, texts, ids) -> MalformedRow:
+    """The error for the first of a block's ``texts`` whose row has the
+    wrong field count or a non-numeric or non-finite value, in that order;
+    the block must hold one."""
+    for text, (row, lineno) in texts.items():
+        fields = text.count(b",") + 4
+        if fields != dim + 3:
+            return _field_count(path, lineno, dim, fields)
+        values = _parse_values([text], dim)
+        if values is None:
             return MalformedRow(f"{path} line {lineno}: non-numeric feature value")
-        if not all(math.isfinite(v) for v in values):
+        if not np.isfinite(values).all():
             return MalformedRow(
-                f"{path} line {lineno}: non-finite feature value in row {rec[0]!r}"
-            )
-    return None
+                f"{path} line {lineno}: non-finite feature value in row {ids[row]!r}")
 
 
 # ---------------------------------------------------------------- splits

@@ -355,7 +355,8 @@ def blas_env(monkeypatch, cpus, openblas=None, omp=None):
 
 def reference_read_features_csv(path):
     """The original feature-CSV reader: one csv.reader row and one
-    float() per value at a time. The corpus tests assert that
+    float() per value at a time, skipping blank lines, with errors naming
+    the line a record starts on. The corpus tests assert that
     textuq.corpus.read_features_csv returns the same table and raises
     the same errors."""
     import csv
@@ -373,7 +374,13 @@ def reference_read_features_csv(path):
         if dim < 1:
             raise MalformedRow(f"{path}: no feature columns")
         ids, rows, labels, secondaries = [], [], [], []
-        for lineno, rec in enumerate(reader, start=2):
+        while True:
+            lineno = reader.line_num + 1
+            rec = next(reader, None)
+            if rec is None:
+                break
+            if not rec:
+                continue  # a blank line
             if len(rec) != dim + 3:
                 raise MalformedRow(
                     f"{path} line {lineno}: expected {dim + 3} fields, got {len(rec)}"
@@ -386,10 +393,13 @@ def reference_read_features_csv(path):
                 raise MalformedRow(
                     f"{path} line {lineno}: non-finite feature value in row {rec[0]!r}"
                 )
+            try:
+                labels.append(label_to_index(rec[1]))
+                secondaries.append(NO_LABEL if rec[2] == "" else label_to_index(rec[2]))
+            except MalformedRow as exc:
+                raise MalformedRow(f"{path} line {lineno}: {exc}") from None
             ids.append(rec[0])
             rows.append(features)
-            labels.append(label_to_index(rec[1]))
-            secondaries.append(NO_LABEL if rec[2] == "" else label_to_index(rec[2]))
     return FeatureTable(
         ids=np.array(ids, dtype=object),
         features=np.array(rows, dtype=np.float64).reshape(len(rows), dim),

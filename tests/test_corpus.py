@@ -489,13 +489,13 @@ def _reader_outcome(read, path):
 
 @contextlib.contextmanager
 def _counted_value_parses():
-    """A list of the number of texts in each ``corpus._parse_values`` call
-    made inside the block."""
+    """A list of the texts of each ``corpus._parse_values`` call made inside
+    the block."""
     parsed = []
     parse_values = corpus_mod._parse_values
 
     def counted(texts, dim):
-        parsed.append(len(texts))
+        parsed.append(list(texts))
         return parse_values(texts, dim)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -508,6 +508,12 @@ _AWKWARD_IDS = st.text(alphabet=st.sampled_from([",", '"', "\n", "\r", "#", " ",
 _AWKWARD_FLOATS = st.sampled_from(
     [-0.0, 0.0, 5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
 ) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _parsed_once(parsed):
+    """Whether the ``_counted_value_parses`` list ``parsed`` is one block
+    that holds no text twice."""
+    return len(parsed) == 1 and len(set(parsed[0])) == len(parsed[0])
 
 
 def _kind_table(kind, seed):
@@ -561,6 +567,10 @@ class TestReadFeaturesCsv:
         "e1,positive,,0.5,0.7\ne2,negative,,nan,x\n",  # non-numeric wins over non-finite
         "e1,positive,,inf,0.7\ne2,negative,,0.5\n",  # the first bad row wins
         "e1,positive,,0.5,0.7\ncr\rhere,negative,,0.5,0.7\n",  # an unquoted bare \r
+        '"cr\rhere",positive,,0.5,0.7\ne2,negative,,x,0.7\n',  # a quoted bare \r ends a line
+        'e1,positive,,"0.5,0.7",0.7\n',  # a comma in a quoted value: 5 fields, one non-numeric
+        # 2 quotes on line 3, but the second opens a value that runs to the end
+        'e"1,positive,,0.5,"0.7\ne2,negative,,0.5,0.7\n',
     ])
     def test_rejects_a_bad_row_with_the_reference_message(self, tmp_path, body):
         path = tmp_path / "features.csv"
@@ -575,12 +585,25 @@ class TestReadFeaturesCsv:
         "", "\n", "id,label\n", "id,label,secondary_label\n",
         "id,label,secondary_label,f0\n",  # header only: no rows, no warning
         "id,label,secondary_label,f0\ne0,maybe,,0.5\n",  # unknown label word
+        # the first bad row is named, and in a row its values before its labels
+        "id,label,secondary_label,f0\ne0,maybe,,0.5\ne1,negative,,abc\n",
+        "id,label,secondary_label,f0\ne0,negative,,abc\ne1,negative,maybe,0.5\n",
+        "id,label,secondary_label,f0\ne0,maybe,,abc\n",
     ])
     def test_header_and_label_outcomes_match_the_reference(self, tmp_path, text):
         path = tmp_path / "features.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert _reader_outcome(read_features_csv, path) == _reader_outcome(
             reference_read_features_csv, path)
+
+    @pytest.mark.parametrize("value", ['"0.5\n"', '" 0.5"', '"0.5\r"', "0.5\u00a0", "\u20030.5"])
+    def test_a_padded_value_reads_as_its_number(self, tmp_path, value):
+        path = tmp_path / "features.csv"
+        path.write_text(f"id,label,secondary_label,f0,f1\ne0,negative,,{value},0.25\n",
+                        encoding="utf-8", newline="")
+        got = _reader_outcome(read_features_csv, path)
+        assert got[3] == [np.array([0.5, 0.25]).tobytes()]
+        assert got == _reader_outcome(reference_read_features_csv, path)
 
     @pytest.mark.filterwarnings("error")  # an empty body is no warning either
     def test_skips_blank_lines(self, tmp_path):
@@ -604,7 +627,7 @@ class TestReadFeaturesCsv:
         # float("1_0") is 10.0, but the file format has no digit separators
         path = tmp_path / "features.csv"
         path.write_text("id,label,secondary_label,f0\ne0,negative,,1_0\n", encoding="utf-8")
-        with pytest.raises(MalformedRow, match=f"^{path}: could not convert string '1_0'"):
+        with pytest.raises(MalformedRow, match=f"^{path} line 2: non-numeric feature value$"):
             read_features_csv(path)
 
     def test_features_are_rows_of_one_contiguous_matrix(self, tmp_path):
@@ -660,18 +683,9 @@ class TestReadFeaturesCsv:
         write_features_csv(path, _table(400, 2))
         raw = path.read_bytes().replace(b"e397,", b"e\xe9397,").replace(b"e398,", b"\xff398,")
         path.write_bytes(raw)
-        parsed = []  # the bodies parsed
-
-        def parse(path, fh, dim, start):
-            parsed.append(start)
-            return parse_rows(path, fh, dim, start)
-
-        parse_rows = corpus_mod._parse_feature_rows
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus_mod, "_parse_feature_rows", parse)
-            with pytest.raises(NotUtf8) as excinfo:
-                read_features_csv(path)
-        assert len(parsed) == 1  # not parsed again in one pass, as a bad row would be
+        with _counted_value_parses() as parsed, pytest.raises(NotUtf8) as excinfo:
+            read_features_csv(path)
+        assert len(parsed) == 1  # the pass ends at the bad id, and parses its block once
         assert str(excinfo.value) == f"{path} line 399: not UTF-8 text (invalid continuation byte)"
 
     def test_non_utf8_in_the_header(self, tmp_path):
@@ -726,20 +740,21 @@ class TestReadFeaturesCsv:
         assert got == _reader_outcome(reference_read_features_csv, path)
         assert got[0] == ids
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663"])
     @pytest.mark.parametrize("block_bytes", [None, 64])
-    def test_a_value_only_numpy_refuses_is_named_by_numpys_row(self, tmp_path, block_bytes):
-        # the reference reads 1_0 as 10.0; numpy's message counts rows from
-        # the start of the body, whichever block of the plain parse met it
+    def test_a_value_only_numpy_refuses_is_named_by_its_line(self, tmp_path, block_bytes,
+                                                            value):
+        # the reference reads 1_0 as 10.0 and an Arabic-Indic 3 as 3.0;
+        # numpy refuses both, and the line is named whichever block met it
         path = tmp_path / "features.csv"
         write_features_csv(path, _table(6, 1))
         with open(path, "a", encoding="utf-8", newline="") as fh:
-            fh.write("e9,negative,,1_0\n")
+            fh.write(f"e9,negative,,{value}\n")
         with pytest.MonkeyPatch.context() as mp:
             if block_bytes is not None:
                 mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
             got = _reader_outcome(read_features_csv, path)
-        assert got == (f"MalformedRow: {path}: could not convert string '1_0' to float64 "
-                       "at row 6, column 4.")
+        assert got == f"MalformedRow: {path} line 8: non-numeric feature value"
 
     @pytest.mark.parametrize("kind", ["distinct", "repeated", "quoted", "non-ascii"])
     def test_every_parse_path_gives_one_contiguous_matrix(self, tmp_path, kind):
@@ -759,7 +774,7 @@ class TestReadFeaturesCsv:
         path.write_bytes(path.read_bytes()[:-1])
         with _counted_value_parses() as parsed:
             got = _reader_outcome(read_features_csv, path)
-        assert bool(parsed) == (kind != "quoted")  # only quoted ids leave the byte pass
+        assert _parsed_once(parsed)  # whichever splitter the lines took
         assert got == _reader_outcome(reference_read_features_csv, path)
         assert got[3] == [row.tobytes() for row in table.features]
 
@@ -771,17 +786,27 @@ class TestReadFeaturesCsv:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         with _counted_value_parses() as parsed:
             got = _reader_outcome(read_features_csv, path)
-        assert parsed == []  # the byte pass handed the file over at its first line
+        assert _parsed_once(parsed)  # the csv module split every line
         assert got == _reader_outcome(reference_read_features_csv, path)
         assert got[3] == [row.tobytes() for row in table.features]
+
+    def test_a_bad_row_in_a_crlf_file_names_its_line(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_features_csv(path, _table(11, 2))
+        lines = path.read_bytes().split(b"\n")
+        lines[6] = lines[6][:lines[6].rindex(b",")] + b",abc"
+        path.write_bytes(b"\r\n".join(lines))
+        got = _reader_outcome(read_features_csv, path)
+        assert got == f"MalformedRow: {path} line 7: non-numeric feature value"
+        assert got == _reader_outcome(reference_read_features_csv, path)
 
     @pytest.mark.parametrize("marker", [b"", b'"', b"\r"])
     @pytest.mark.parametrize("block_bytes", [1, 7, None])
     def test_a_quote_or_cr_in_the_last_line_at_any_block_size(self, tmp_path, block_bytes,
                                                                marker):
-        # a quote or CR in the last line makes the body not plain, however
-        # many blocks the byte pass parsed before it; a last line without a
-        # newline is read
+        # a quote or CR in the last line hands it to the csv module, however
+        # many blocks the lines split before it filled; a last line without
+        # a newline is read
         path = tmp_path / "features.csv"
         path.write_bytes(b"id,label,secondary_label,f0\n"
                          + b"e0,negative,,0.5\ne1,positive,,0.25\n" * 3
@@ -816,7 +841,8 @@ class TestReadFeaturesCsv:
                 mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
             with _counted_value_parses() as parsed:
                 back = read_features_csv(path)
-        assert sum(parsed) == 60 and len(parsed) == (1 if block_bytes is None else 60 // max(
+        sizes = [len(texts) for texts in parsed]
+        assert sum(sizes) == 60 and len(sizes) == (1 if block_bytes is None else 60 // max(
             1, block_bytes // (2 * corpus_mod._VALUE_BYTES)))
         assert back.features.flags.c_contiguous and back.features.base is None
         assert_tables_equal(back, table)
@@ -893,10 +919,38 @@ class TestRepeatedRows:
         write_features_csv(path, table)
         with _counted_value_parses() as parsed:
             got = _reader_outcome(read_features_csv, path)
-        assert parsed == []  # the byte pass handed the file over before its first parse
+        assert _parsed_once(parsed)  # whichever splitter the lines took
         assert got == _reader_outcome(reference_read_features_csv, path)
         assert got[0] == table.ids.tolist()
         assert got[3] == [row.tobytes() for row in table.features]
+
+    @pytest.mark.parametrize("bad", [None, 10, 30])
+    @pytest.mark.parametrize("block_bytes", [None, 400])
+    def test_one_block_of_texts_from_both_splitters_reads_as_the_reference(
+            self, tmp_path, block_bytes, bad):
+        # a quoted id on row 20 hands the rest of the file to the csv module;
+        # at 400 bytes a block holds 6 texts of 3 values: the 4 of the rows
+        # split at their commas and 2 from the csv module. A bad value is on
+        # a byte-split row (10) or a csv row (30).
+        table = table_with_repeats(40, 4, 3, seed=8)
+        table.ids[20] = 'a,"b"'
+        path = tmp_path / "features.csv"
+        write_features_csv(path, table)
+        if bad is not None:
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[bad + 1] = lines[bad + 1][:lines[bad + 1].rindex(",")] + ",abc\n"
+            path.write_text("".join(lines), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(corpus_mod, "_BLOCK_BYTES", block_bytes)
+            with _counted_value_parses() as parsed:
+                got = _reader_outcome(read_features_csv, path)
+        assert got == _reader_outcome(reference_read_features_csv, path)
+        if bad is None:
+            assert got[3] == [row.tobytes() for row in table.features]
+            assert {t.endswith(b"\n") for t in parsed[0]} == {True, False}
+        else:
+            assert got == f"MalformedRow: {path} line {bad + 2}: non-numeric feature value"
 
     @pytest.mark.parametrize("bad, problem", [
         ("abc", "non-numeric feature value"),
